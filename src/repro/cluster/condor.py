@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from heapq import merge as _heapq_merge
-from typing import Any, Callable, Optional
+from heapq import heappop, heappush, heapreplace
+from typing import Any, Callable, Iterator, Optional
 
 from .. import calibration
 from ..simcore import LAZY, SimContext, SimEvent
@@ -218,7 +218,7 @@ class Startd:
         else:
             # Evicted: job goes back to idle for rematching.
             job.state = JobState.IDLE
-            pool.schedd._job_requeued(job)
+            pool._job_requeued(job)
             job.machine_name = None
             job.start_time = None
             job.evictions += 1
@@ -259,7 +259,14 @@ class Startd:
 
 
 class Schedd:
-    """The job queue."""
+    """The job queue.
+
+    Besides every job ever submitted, it indexes the idle ones twice, each
+    index in (submit_time, id) order: globally, for the FIFO negotiator
+    and the queue-depth views, and per owner, for the fair-share
+    negotiator, which reads one owner's bucket at a time (its head, or
+    its jobs in order) and keys its owner heap on the heads.
+    """
 
     def __init__(self) -> None:
         self.jobs: dict[int, CondorJob] = {}
@@ -272,10 +279,8 @@ class Schedd:
         self._idle: dict[int, CondorJob] = {}
         self._idle_dirty = False
         # The same idle jobs bucketed per owner, each bucket in
-        # (submit_time, id) order, so a fair-share negotiation cycle can
-        # assemble its match order from O(owners) sorted groups instead
-        # of re-sorting the whole idle queue.  Buckets share the global
-        # index's laziness: an eviction only dirties its own owner.
+        # (submit_time, id) order.  Buckets share the global index's
+        # laziness: an eviction only dirties its own owner.
         self._idle_by_owner: dict[str, dict[int, CondorJob]] = {}
         self._dirty_owners: set[str] = set()
         #: total cpu+io work of the idle queue, maintained incrementally
@@ -336,21 +341,12 @@ class Schedd:
         return self._idle_work
 
     def idle_jobs(self) -> list[CondorJob]:
-        if self._idle_dirty:
-            ordered = sorted(
-                self._idle.values(), key=lambda j: (j.submit_time, j.id)
-            )
-            self._idle = {j.id: j for j in ordered}
-            self._idle_dirty = False
-        return list(self._idle.values())
+        """A copy of the idle queue in (submit_time, id) order."""
+        return list(self.iter_idle())
 
     def idle_owners(self) -> list[str]:
         """Owners with at least one idle job (order is not significant)."""
         return list(self._idle_by_owner)
-
-    def idle_jobs_of(self, owner: str) -> list[CondorJob]:
-        """One owner's idle jobs in (submit_time, id) order."""
-        return list(self.iter_idle_of(owner))
 
     def iter_idle(self):
         """Live (submit_time, id)-ordered view of the idle queue.
@@ -380,6 +376,10 @@ class Schedd:
             self._dirty_owners.discard(owner)
         return bucket.values()
 
+    def idle_head(self, owner: str) -> Optional[CondorJob]:
+        """``owner``'s earliest idle job in (submit_time, id) order, if any."""
+        return next(iter(self.iter_idle_of(owner)), None)
+
     def remove(self, job_id: int) -> None:
         job = self.jobs.get(job_id)
         if job is None:
@@ -405,6 +405,11 @@ class CondorPool:
         #: user-priority fair share, simplified to accumulated usage)
         self.fair_share = fair_share
         self.usage_by_owner: dict[str, float] = {}
+        #: fair-share index: a lazy min-heap of idle owners keyed (usage,
+        #: head submit_time, head id, owner); see :meth:`_match_order`.
+        #: Only fair-share pools keep it, so ``fair_share`` is fixed at
+        #: construction.
+        self._owner_heap: list[tuple[float, float, int, str]] = []
         self.schedd = Schedd()
         self.startds: dict[str, Startd] = {}
         #: index of machines with at least one free slot, so negotiation
@@ -501,6 +506,8 @@ class CondorPool:
             ),
             self.ctx,
         )
+        if self.fair_share and self.schedd.idle_count_of(owner) == 1:
+            self._enter_owner(job)  # the owner had no idle job until now
         self.ctx.log("condor", "submit", job=job.id, owner=owner, work=cpu_work)
         obs = self.ctx.obs
         if obs.enabled:
@@ -545,7 +552,7 @@ class CondorPool:
     # -- stats -------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        return len(self.schedd.idle_jobs())
+        return self.schedd.idle_count()
 
     def queue_depth_of(self, owner: str) -> int:
         """Idle jobs queued by one owner (per-tenant backlog view)."""
@@ -575,6 +582,22 @@ class CondorPool:
 
     def machine_names(self) -> list[str]:
         return sorted(self.startds)
+
+    def _job_requeued(self, job: CondorJob) -> None:
+        """An eviction put ``job`` back to IDLE, maybe ahead of its owner's
+        other idle jobs; if it is now their head, the owner's heap entry
+        may key a later job, so the owner enters again at ``job``."""
+        self.schedd._job_requeued(job)
+        if self.fair_share and self.schedd.idle_head(job.owner) is job:
+            self._enter_owner(job)
+
+    def _enter_owner(self, head: CondorJob) -> None:
+        """Push ``head``'s owner onto the fair-share heap, keyed on ``head``."""
+        owner = head.owner
+        heappush(
+            self._owner_heap,
+            (self.usage_by_owner.get(owner, 0.0), head.submit_time, head.id, owner),
+        )
 
     def _job_finished(self, job: CondorJob) -> None:
         self.usage_by_owner[job.owner] = (
@@ -643,35 +666,76 @@ class CondorPool:
             startd, slot, token, job = payload[k]
             startd._finish_job(slot, token, job, self)
 
-    def _match_order(self):
-        """Idle jobs in fair-share order, lazily, from per-owner buckets.
+    def _match_order(self) -> Iterator[CondorJob]:
+        """Idle jobs in fair-share order, lazily, from the owner heap.
 
-        Equivalent to a stable sort of the (submit_time, id)-ordered
-        idle queue on accumulated usage: owners are grouped by usage,
-        groups ascend by usage, and the owners *within* a group — whose
-        jobs a stable sort would interleave in submission order — are
-        k-way merged on (submit_time, id).  Costs O(owners log owners)
-        plus the jobs actually consumed, instead of re-sorting every
-        idle job each cycle; an early break on slot exhaustion never
-        materializes the untouched groups at all.
+        The order is a stable sort of the (submit_time, id)-ordered idle
+        queue on accumulated usage: jobs ascend on (their owner's usage,
+        submit_time, id).  For every owner with idle jobs, ``_owner_heap``
+        holds at least one (usage, head submit_time, head id, owner) entry
+        no larger than the owner's current key: usage only grows, claims
+        and removals only move a bucket's head forward, and an owner is
+        pushed whenever a job becomes its head (its bucket was empty, or
+        an eviction requeues a job ahead of the rest).  So the top entry,
+        once re-keyed until current, names the owner whose head job comes
+        next.  Entries of owners with nothing idle, or already expanded by
+        this traversal, are dropped when they reach the top.
+
+        Expanding an owner hands its bucket to a local heap that merges
+        the remaining jobs of every owner expanded so far, so skipped
+        jobs and multi-slot cycles keep the stable-sort order.  A
+        traversal costs O((jobs yielded + stale entries) log owners)
+        instead of O(idle owners).
+
+        However the traversal ends (exhausted, closed, or abandoned by
+        the cycle's early ``break`` and freed when the cycle returns),
+        ``finally`` re-enters each expanded owner at its current head.
+        Jobs the cycle claimed are RUNNING but stay in their buckets until
+        the scan is over, so that head is the first job still IDLE.
         """
+        owners = self._owner_heap
         usage = self.usage_by_owner
         schedd = self.schedd
-        groups: dict[float, list[str]] = {}
-        for owner in schedd.idle_owners():
-            groups.setdefault(usage.get(owner, 0.0), []).append(owner)
-        for used in sorted(groups):
-            owners = groups[used]
-            if len(owners) == 1:
-                # Live views, no copies: the cycle defers its queue
-                # removals until the scan is over, so the buckets do not
-                # change under the iterators.
-                yield from schedd.iter_idle_of(owners[0])
-            else:
-                yield from _heapq_merge(
-                    *(schedd.iter_idle_of(o) for o in owners),
-                    key=lambda j: (j.submit_time, j.id),
-                )
+        expanded: dict[str, Iterator[CondorJob]] = {}
+        merge: list[tuple[float, float, int, str, CondorJob]] = []
+        try:
+            while True:
+                while owners:  # make the top entry current
+                    top = owners[0]
+                    owner = top[3]
+                    head = None if owner in expanded else schedd.idle_head(owner)
+                    if head is None:
+                        heappop(owners)
+                        continue
+                    key = (usage.get(owner, 0.0), head.submit_time, head.id, owner)
+                    if key == top:
+                        break
+                    heapreplace(owners, key)
+                if owners and (not merge or owners[0] < merge[0]):
+                    used, submitted, job_id, owner = heappop(owners)
+                    # A live view, no copy: the cycle defers its queue
+                    # removals until the scan is over, so the bucket does
+                    # not change under the iterator.
+                    jobs = expanded[owner] = iter(schedd.iter_idle_of(owner))
+                    heappush(merge, (used, submitted, job_id, owner, next(jobs)))
+                    continue
+                if not merge:
+                    return
+                used, _, _, owner, job = merge[0]
+                after = next(expanded[owner], None)
+                if after is None:
+                    heappop(merge)
+                else:
+                    heapreplace(
+                        merge, (used, after.submit_time, after.id, owner, after)
+                    )
+                yield job
+        finally:
+            for owner in expanded:
+                for job in schedd.iter_idle_of(owner):
+                    if job.state is JobState.IDLE:
+                        self._enter_owner(job)
+                        break
 
     def _negotiation_cycle(self) -> None:
         obs = self.ctx.obs

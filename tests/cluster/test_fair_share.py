@@ -1,5 +1,7 @@
 """Condor user fair-share scheduling."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,12 +59,13 @@ def test_heavy_user_yields_to_new_user():
     assert len(still_idle) >= 1
 
 
-# -- differential: per-owner buckets vs the re-sort they replaced --------------
+# -- differential: the owner heap vs the stable sort it implements ------------
 #
-# The negotiator's _match_order builds fair-share order from per-owner
-# idle buckets (O(owners log owners) per cycle).  Its specification is
-# the old implementation: a stable sort of the (submit_time, id)-ordered
-# idle queue on accumulated usage.  These tests keep both in lockstep.
+# The negotiator's _match_order walks a persistent lazy heap of idle
+# owners, expanding one owner's bucket at a time, so a traversal costs
+# O((jobs yielded + stale entries) log owners).  Its specification is a
+# stable sort of the (submit_time, id)-ordered idle queue on accumulated
+# usage.  These tests keep both in lockstep.
 
 
 def fair_share_reference(pool):
@@ -77,6 +80,21 @@ def assert_matches_reference(pool):
     got = [j.id for j in pool._match_order()]
     want = [j.id for j in fair_share_reference(pool)]
     assert got == want
+    assert_owner_heap_exact(pool)
+
+
+def assert_owner_heap_exact(pool):
+    """After a full traversal the owner heap holds one current entry per
+    idle owner and nothing else, so orphaned entries cannot pile up."""
+    usage = pool.usage_by_owner
+    heads = {}
+    for job in pool.schedd.idle_jobs():
+        heads.setdefault(job.owner, job)
+    want = sorted(
+        (usage.get(owner, 0.0), head.submit_time, head.id, owner)
+        for owner, head in heads.items()
+    )
+    assert sorted(pool._owner_heap) == want
 
 
 def test_match_order_matches_stable_usage_sort_reference():
@@ -120,18 +138,59 @@ def test_match_order_consistent_after_eviction_requeue():
     assert not pool.schedd.idle_owners()
 
 
-@given(
-    pattern=st.lists(st.sampled_from("abcd"), min_size=1, max_size=20),
-    checkpoints=st.lists(
-        st.floats(min_value=1.0, max_value=40.0), max_size=3
+OWNERS = [f"u{i:02d}" for i in range(40)]
+
+step_st = st.one_of(
+    st.tuples(st.just("run"), st.floats(min_value=0.5, max_value=12.0)),
+    st.tuples(st.just("evict")),
+    st.tuples(st.just("rm"), st.integers(min_value=0, max_value=10_000)),
+    st.tuples(
+        st.just("submit"),
+        st.lists(st.sampled_from(OWNERS), min_size=1, max_size=8),
     ),
 )
-@settings(max_examples=25, deadline=None)
-def test_property_match_order_tracks_reference_through_time(pattern, checkpoints):
+
+
+@given(
+    pattern=st.lists(st.sampled_from(OWNERS), min_size=1, max_size=60),
+    steps=st.lists(
+        st.tuples(step_st, st.integers(min_value=0, max_value=6)), max_size=10
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_match_order_tracks_reference_through_time(pattern, steps):
+    """Up to 40 owners, so singleton and large equal-usage groups both
+    occur, through completions, eviction requeues, ``condor_rm`` of idle
+    jobs and new submits.  Before each full traversal a partial one takes
+    ``k`` jobs and abandons the generator, as the negotiation cycle does
+    when it runs out of free slots."""
     ctx, pool = make_pool()
-    for i, owner in enumerate(pattern):
-        pool.submit(cpu_work=2.0 + (i % 5), owner=owner)
+    pool.add_machine(MachineAd(name="m2", cores=3, memory_gb=8.0, cpu_factor=1.0))
+    n = 0
+
+    def submit(owners):
+        nonlocal n
+        for owner in owners:
+            pool.submit(cpu_work=2.0 + (n % 5), owner=owner)
+            n += 1
+
+    submit(pattern)
     assert_matches_reference(pool)
-    for until in sorted(checkpoints):
-        ctx.sim.run(until=until)
+    for (kind, *args), k in steps:
+        if kind == "run":
+            ctx.sim.run(until=ctx.now + args[0])
+        elif kind == "evict":
+            # running jobs requeue ahead of their owners' idle ones
+            pool.remove_machine("m2", drain=False)
+            pool.add_machine(
+                MachineAd(name="m2", cores=3, memory_gb=8.0, cpu_factor=1.0)
+            )
+        elif kind == "rm":
+            idle = pool.schedd.idle_jobs()
+            if idle:
+                pool.remove_job(idle[args[0] % len(idle)])
+        else:
+            submit(args[0])
+        want = [j.id for j in fair_share_reference(pool)]
+        assert [j.id for j in islice(pool._match_order(), k)] == want[:k]
         assert_matches_reference(pool)

@@ -157,6 +157,22 @@ def test_bench_job_runs_storage_ablation_smoke(workflow):
     ), "the storage ablation bundle must round-trip through gp-replay"
 
 
+def test_bench_job_checks_every_perfbench_workload(workflow):
+    """Each host-cost benchmark workload makes a short pass in CI, and the
+    step fails unless the run's last line reports it correct with no
+    failed scenario run."""
+    commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
+    perf = [c for c in commands if "perfbench/run.py" in c]
+    assert len(perf) == 1, "bench-smoke must run perfbench in one step"
+    step = perf[0]
+    assert "for workload in paper_obs storage waas" in step
+    assert '--workload "$workload"' in step
+    for flag in ("--seed 1", "--seconds 0.1", "--trace 0"):
+        assert flag in step
+    assert "tail -n 1" in step, "the verdict is the last line of stdout"
+    assert "doc['correct'] is True" in step and "doc['failed'] == 0" in step
+
+
 def test_bench_job_compares_sim_json_against_committed_baseline(workflow):
     """Obs-off sim output is pinned byte-for-byte to the repo snapshot."""
     commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
