@@ -280,10 +280,8 @@ def pricing_sweep_suite(smoke: bool = False) -> BenchSuite:
         "pricing_sweep",
         "Vectorized batch pricing across the Fig. 10 instance grid",
         tuple(_pricing_spec(cfg) for cfg in grid),
-        # closed-form estimator: builds no SimContext, records no spans,
-        # schedules no cohorts — --obs-out and --dispatch are both no-ops
+        # closed-form estimator: builds no SimContext, records no spans
         supports_obs=False,
-        cohort_eligible=False,
     )
 
 
@@ -377,12 +375,10 @@ def combined(selected: list[str] | None = None, smoke: bool = False) -> BenchSui
     selected = list(selected) if selected else names()
     specs: list[BenchSpec] = []
     supports_obs = False
-    cohort_eligible = False
     for name in selected:
         suite = get(name, smoke=smoke)
         specs.extend(suite.specs)
         supports_obs = supports_obs or suite.supports_obs
-        cohort_eligible = cohort_eligible or suite.cohort_eligible
     if selected == names():
         label = "smoke" if smoke else "full"
     else:
@@ -392,5 +388,4 @@ def combined(selected: list[str] | None = None, smoke: bool = False) -> BenchSui
         f"suites: {', '.join(selected)}",
         tuple(specs),
         supports_obs,
-        cohort_eligible,
     )

@@ -3,9 +3,8 @@
 ``BENCH_scale.json`` captures a single snapshot; this module turns it
 into a series.  Every harness run can append a record —
 
-    {commit, date, suite, config_digest, workers, dispatch,
-     wall_seconds, events_processed, events_per_sec, tasks_ok,
-     tasks_failed}
+    {commit, date, suite, config_digest, workers, wall_seconds,
+     events_processed, events_per_sec, tasks_ok, tasks_failed}
 
 — to ``BENCH_trajectory.json`` (a JSON list at the repo root), and
 render the events/sec-over-commits table via ``repro.reporting``.  The
@@ -58,22 +57,15 @@ class TrajectoryRecord:
     events_per_sec: float
     tasks_ok: int
     tasks_failed: int
-    #: cohort dispatch mode the run used; records written before the
-    #: mode existed ran the one-event-per-timer path, i.e. "scalar"
-    dispatch: str = "scalar"
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrajectoryRecord":
-        fields = cls.__dataclass_fields__
-        return cls(
-            **{
-                k: doc[k] if k in doc else fields[k].default
-                for k in fields
-            }
-        )
+        """Read one record, ignoring keys this version does not define
+        (older records carry a ``dispatch`` field)."""
+        return cls(**{k: doc[k] for k in cls.__dataclass_fields__})
 
 
 def current_commit() -> str:
@@ -114,7 +106,6 @@ def from_suite_result(
         events_per_sec=round(events / kernel_wall, 1) if kernel_wall > 0 else 0.0,
         tasks_ok=counts["ok"],
         tasks_failed=counts["failed"] + counts["timeout"],
-        dispatch=result.dispatch,
     )
 
 
@@ -148,7 +139,6 @@ def render(records: list[TrajectoryRecord], last: int | None = None) -> str:
             r.date,
             r.suite,
             r.workers,
-            r.dispatch,
             f"{r.events_per_sec:,.0f}",
             f"{r.wall_seconds:.2f}",
             f"{r.tasks_ok}/{r.tasks_ok + r.tasks_failed}",
@@ -156,8 +146,7 @@ def render(records: list[TrajectoryRecord], last: int | None = None) -> str:
         for r in shown
     ]
     return render_table(
-        ["commit", "date", "suite", "workers", "dispatch", "events/sec",
-         "wall (s)", "ok"],
+        ["commit", "date", "suite", "workers", "events/sec", "wall (s)", "ok"],
         rows,
         title=f"Perf trajectory ({len(records)} runs tracked)",
     )

@@ -17,7 +17,7 @@ Shapes:
 
 Everything is derived from the config seed; two runs with the same
 config are byte-identical in every simulation metric regardless of
-worker count, dispatch mode, or whether observability is recording.
+worker count or whether observability is recording.
 """
 
 from __future__ import annotations

@@ -654,17 +654,15 @@ class CondorPool:
                 layer="condor.tick",
             )
 
-    def _tick_apply(self, cohort, start: int, stop: int) -> None:
+    def _tick_apply(self, cohort, k: int) -> None:
         if cohort.payload == self._gen:
             self._wake_negotiator()
         # else: a kick already ran a newer cycle (which armed its own
         # tick if needed); the stale timer dies here.
 
-    def _complete_apply(self, cohort, start: int, stop: int) -> None:
-        payload = cohort.payload
-        for k in range(start, stop):
-            startd, slot, token, job = payload[k]
-            startd._finish_job(slot, token, job, self)
+    def _complete_apply(self, cohort, k: int) -> None:
+        startd, slot, token, job = cohort.payload[k]
+        startd._finish_job(slot, token, job, self)
 
     def _match_order(self) -> Iterator[CondorJob]:
         """Idle jobs in fair-share order, lazily, from the owner heap.
@@ -776,8 +774,8 @@ class CondorPool:
             # One struct-of-arrays cohort per cycle: every claim's
             # completion timer in match order.  With obs on, the cohort
             # carries each member's condor.run span id so the causal
-            # chain survives the batch dispatch (spans opened from the
-            # apply can cite cohort.cause[k]); obs off, it stays None.
+            # chain survives the batched completion (spans opened from
+            # the apply can cite cohort.cause[k]); obs off, it stays None.
             self.ctx.sim.schedule_cohort(
                 finish_times,
                 self._complete_apply,

@@ -11,9 +11,8 @@ Both sides are lists of obs docs (the
 :meth:`~repro.obs.recorder.ObsRecorder.to_dict` form, as stored in a
 provenance bundle's ``spans`` section or returned by
 ``SuiteResult.obs_docs()``).  Only span structure is compared — never
-metrics, whose counters legitimately differ across dispatch modes
-(``cohort.events.<layer>.<mode>``), and never attrs, which may carry
-host-dependent detail.  Spans are compared in recording order on the
+metrics, which summarize rather than locate, and never attrs, which may
+carry host-dependent detail.  Spans are compared in recording order on the
 deterministic fields ``(name, track, start, end, parent_id, cause_id,
 status)``.
 """

@@ -7,7 +7,7 @@ A bundle is one JSON document::
       "version": 1,
       "sections": {
         "calibration": {"digest": ..., "constants": {...}},
-        "scenario":    {"suite": ..., "scheduler": ..., "dispatch": ...,
+        "scenario":    {"suite": ...,
                         "specs": [{name, task, params, timeout_s}, ...]},
         "seeds":       {"<spec name>": <seed int>, ...},
         "topology":    [<obs annotation docs>, ...],

@@ -1,17 +1,15 @@
 """Replay: verify a bundle byte-for-byte or run it counterfactually.
 
 Identity replay (the default) rebuilds the bundled scenario — same specs,
-same seeds, same scheduler/dispatch — runs it in-process through the
-benchmark harness, and compares the replayed ``sim_json()`` against the
-bundled sim section *as bytes*.  Equal means the run is reproducible
+same seeds — runs it in-process through the benchmark harness, and
+compares the replayed ``sim_json()`` against the bundled sim section
+*as bytes*.  Equal means the run is reproducible
 infrastructure; unequal produces a structured first-divergence report
 (see :mod:`repro.reporting.divergence`), never a silent pass.
 
 Counterfactual replay (``overrides``) re-runs the same scenario under
-altered knobs — a different instance type, scheduler, dispatch mode, or
-seed — and reports per-metric deltas instead of demanding byte identity.
-Scheduler/dispatch counterfactuals double as equivalence proofs: their
-comparison tables are all-zero by construction.
+altered inputs — a different instance type or seed — and reports
+per-metric deltas instead of demanding byte identity.
 
 This is also the standing safety gate the ROADMAP wants before
 multi-process sharding surgery: any kernel change that breaks
@@ -42,7 +40,7 @@ from ..reporting.divergence import (
 from .bundle import BundleError, ProvenanceBundle, content_digest
 
 #: counterfactual knobs ``--override`` accepts, and how each applies
-OVERRIDE_KEYS = ("instance_type", "scheduler", "dispatch", "seed")
+OVERRIDE_KEYS = ("instance_type", "seed")
 
 
 def verify_bundle(bundle: ProvenanceBundle) -> None:
@@ -131,8 +129,9 @@ def rebuild_suite(
 
     Overrides patch spec params in place: ``seed`` replaces every seed
     the seeds section lists, ``instance_type`` every param of that name.
-    Scheduler/dispatch overrides are run-time knobs, not spec params —
-    :func:`replay` passes them to the harness.
+    Scenario keys other than ``suite`` and ``specs`` are ignored, so
+    bundles whose scenario still names a kernel ``scheduler`` and
+    ``dispatch`` rebuild the same suite.
     """
     overrides = overrides or {}
     scenario = bundle.scenario
@@ -178,8 +177,6 @@ class ReplayReport:
 
     mode: str                      # "verify" | "counterfactual"
     suite: str
-    scheduler: str
-    dispatch: str
     overrides: dict = field(default_factory=dict)
     verified: Optional[bool] = None
     divergence: Optional[Divergence] = None
@@ -194,8 +191,6 @@ class ReplayReport:
         return {
             "mode": self.mode,
             "suite": self.suite,
-            "scheduler": self.scheduler,
-            "dispatch": self.dispatch,
             "overrides": dict(self.overrides),
             "verified": self.verified,
             "divergence": self.divergence.to_dict() if self.divergence else None,
@@ -208,10 +203,7 @@ class ReplayReport:
         }
 
     def render(self) -> str:
-        head = (
-            f"replay of suite {self.suite!r}: {self.tasks} spec(s),"
-            f" scheduler={self.scheduler}, dispatch={self.dispatch}"
-        )
+        head = f"replay of suite {self.suite!r}: {self.tasks} spec(s)"
         if self.mode == "verify":
             if self.verified:
                 return f"{head}\nVERIFIED: replayed sim JSON is byte-identical"
@@ -244,9 +236,6 @@ def replay(
     if verify:
         verify_bundle(bundle)
     overrides = dict(overrides or {})
-    scenario = bundle.scenario
-    scheduler = overrides.get("scheduler", scenario.get("scheduler"))
-    dispatch = overrides.get("dispatch", scenario.get("dispatch"))
     suite = rebuild_suite(bundle, overrides)
     counterfactual = bool(overrides)
     # Identity verification of a bundle that carries spans records them
@@ -254,14 +243,10 @@ def replay(
     # (CI pins this), so one run serves both the numeric byte-compare and
     # the structural span diff that *names* the first operation to move.
     replay_obs = not counterfactual and bool(bundle.spans)
-    result = run_suite(
-        suite, workers=workers, scheduler=scheduler, dispatch=dispatch, obs=replay_obs
-    )
+    result = run_suite(suite, workers=workers, obs=replay_obs)
     report = ReplayReport(
         mode="counterfactual" if counterfactual else "verify",
         suite=suite.name,
-        scheduler=result.scheduler,
-        dispatch=result.dispatch,
         overrides=overrides,
         replay_ok=result.ok,
         tasks=len(result.tasks),

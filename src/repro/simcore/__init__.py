@@ -14,8 +14,7 @@ Public API::
     ctx.sim.run(until=p)   # -> "done", ctx.now == 5.0
 """
 
-from .calendar import CalendarQueue
-from .cohort import COHORT_SIZE_BUCKETS, EventCohort
+from .cohort import EventCohort
 from .context import SimContext, TraceLog, TraceRecord
 from .errors import (
     EmptySchedule,
@@ -25,15 +24,7 @@ from .errors import (
     UntriggeredEvent,
 )
 from .events import LAZY, NORMAL, URGENT, AllOf, AnyOf, SimEvent, Timeout
-from .kernel import (
-    DISPATCH_MODES,
-    SCHEDULERS,
-    Simulator,
-    default_dispatch,
-    default_scheduler,
-    set_default_dispatch,
-    set_default_scheduler,
-)
+from .kernel import Simulator
 from .process import Process
 from .resources import Container, PriorityResource, Request, Resource, Store
 from .rng import RandomStreams
@@ -41,10 +32,7 @@ from .rng import RandomStreams
 __all__ = [
     "AllOf",
     "AnyOf",
-    "COHORT_SIZE_BUCKETS",
-    "CalendarQueue",
     "Container",
-    "DISPATCH_MODES",
     "EmptySchedule",
     "EventCohort",
     "Interrupt",
@@ -55,7 +43,6 @@ __all__ = [
     "RandomStreams",
     "Request",
     "Resource",
-    "SCHEDULERS",
     "SimContext",
     "SimEvent",
     "SimulationError",
@@ -67,8 +54,4 @@ __all__ = [
     "TraceRecord",
     "URGENT",
     "UntriggeredEvent",
-    "default_dispatch",
-    "default_scheduler",
-    "set_default_dispatch",
-    "set_default_scheduler",
 ]

@@ -80,14 +80,10 @@ class SimContext:
         self,
         seed: int = 0,
         initial_time: float = 0.0,
-        scheduler: str | None = None,
-        dispatch: str | None = None,
         obs: object = None,
     ) -> None:
         self.seed = seed
-        self.sim = Simulator(
-            initial_time=initial_time, scheduler=scheduler, dispatch=dispatch
-        )
+        self.sim = Simulator(initial_time=initial_time)
         self.rng = RandomStreams(seed)
         self.trace = TraceLog()
         #: observability recorder (see :mod:`repro.obs`): pass an
@@ -107,8 +103,3 @@ class SimContext:
 
     def log(self, source: str, kind: str, **detail: Any) -> None:
         self.trace.emit(self.sim.now, source, kind, **detail)
-
-    def provenance(self) -> dict:
-        """Everything a replay needs to rebuild an equivalent context:
-        the seed plus the kernel's scheduler/dispatch and counters."""
-        return {"seed": self.seed, **self.sim.provenance()}

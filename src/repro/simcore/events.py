@@ -141,8 +141,8 @@ class Timeout(SimEvent):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {delay}")
         self.sim = sim
         self.callbacks = []
         self._value = value

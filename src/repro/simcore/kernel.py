@@ -3,7 +3,9 @@
 :class:`Simulator` owns the clock and the event queue.  Components schedule
 :class:`~repro.simcore.events.SimEvent` objects; processes (generators) are
 driven by :class:`~repro.simcore.process.Process`.  Determinism: events at
-equal times are processed in (priority, insertion order).
+equal times are processed in (priority, insertion order).  Fire times
+must not precede the clock; each guard is spelled ``not t >= now`` so a
+NaN time fails it too, at no extra cost on the hot constructors.
 
 Performance notes
 -----------------
@@ -23,28 +25,6 @@ ordering is bit-identical to a single heap.  The run loop is deliberately
 inlined (no per-event ``step()`` call) and drains all events of one
 timestamp before re-checking the stop conditions.
 
-Schedulers
-----------
-Two timer stores implement the same ``(time, priority, insertion-order)``
-contract and are selected per simulator via ``Simulator(scheduler=...)``:
-
-* ``"heap"`` (default) — the binary heap described above; O(log n) pops
-  through C ``heapq``.
-* ``"wheel"`` — a :class:`~repro.simcore.calendar.CalendarQueue` bucketed
-  time wheel; O(1) amortized pops, which wins on timer-churn-heavy
-  workloads (provisioning delays, negotiation cycles, chunked transfers).
-
-Both share the staging structures (``_pending``, ``_immediate``), so the
-inlined hot constructors in :mod:`~repro.simcore.events` are
-scheduler-agnostic, and each scheduler gets its own inlined drain loop so
-neither pays for the other's dispatch.  Observable event order is
-identical by construction and pinned by the differential equivalence
-suite (``tests/simcore/test_scheduler_equivalence.py``).
-
-The process-wide default is ``"heap"``; override it with
-:func:`set_default_scheduler` or the ``REPRO_SIM_SCHEDULER`` environment
-variable (how the bench harness fans the choice out to worker processes).
-
 Per-simulator counters (:attr:`Simulator.events_processed`,
 :attr:`Simulator.peak_queue_depth`) feed the scale benchmarks.
 """
@@ -52,75 +32,18 @@ Per-simulator counters (:attr:`Simulator.events_processed`,
 from __future__ import annotations
 
 import gc
-import os
 from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Callable, Optional
 
 from ..obs.recorder import NULL_RECORDER
-from .calendar import CalendarQueue
 from .cohort import EventCohort
 from .errors import EmptySchedule, SimulationError, StopSimulation
 from .events import LAZY, NORMAL, URGENT, AllOf, AnyOf, SimEvent, Timeout
 from .process import Process, ProcessGenerator
 
-__all__ = [
-    "Simulator",
-    "URGENT",
-    "NORMAL",
-    "LAZY",
-    "SCHEDULERS",
-    "DISPATCH_MODES",
-    "default_scheduler",
-    "set_default_scheduler",
-    "default_dispatch",
-    "set_default_dispatch",
-]
-
-#: timer-store implementations selectable via ``Simulator(scheduler=...)``
-SCHEDULERS = ("heap", "wheel")
-
-_default_scheduler = os.environ.get("REPRO_SIM_SCHEDULER") or "heap"
-
-#: cohort-execution modes selectable via ``Simulator(dispatch=...)``:
-#: ``"cohort"`` (default) collapses same-timestamp cohort runs into one
-#: queue entry; ``"scalar"`` is the one-event-per-member reference path.
-DISPATCH_MODES = ("scalar", "cohort")
-
-_default_dispatch = os.environ.get("REPRO_SIM_DISPATCH") or "cohort"
-
-
-def default_scheduler() -> str:
-    """The scheduler used when ``Simulator(scheduler=None)``."""
-    return _default_scheduler
-
-
-def set_default_scheduler(name: str) -> str:
-    """Set the process-wide default scheduler; returns the previous one."""
-    global _default_scheduler
-    if name not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {name!r}; choose from {SCHEDULERS}")
-    previous = _default_scheduler
-    _default_scheduler = name
-    return previous
-
-
-def default_dispatch() -> str:
-    """The cohort-dispatch mode used when ``Simulator(dispatch=None)``."""
-    return _default_dispatch
-
-
-def set_default_dispatch(name: str) -> str:
-    """Set the process-wide default dispatch mode; returns the previous one."""
-    global _default_dispatch
-    if name not in DISPATCH_MODES:
-        raise ValueError(
-            f"unknown dispatch mode {name!r}; choose from {DISPATCH_MODES}"
-        )
-    previous = _default_dispatch
-    _default_dispatch = name
-    return previous
+__all__ = ["Simulator", "URGENT", "NORMAL", "LAZY"]
 
 
 class _FnCallback:
@@ -148,10 +71,6 @@ class Simulator:
         "_queue",
         "_pending",
         "_immediate",
-        "_wheel",
-        "_scheduler",
-        "_dispatch",
-        "_cohort_extra",
         "_eid",
         "_active_process",
         "events_processed",
@@ -159,36 +78,8 @@ class Simulator:
         "obs",
     )
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        scheduler: str | None = None,
-        dispatch: str | None = None,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        if scheduler is None:
-            scheduler = _default_scheduler
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
-            )
-        self._scheduler = scheduler
-        if dispatch is None:
-            dispatch = _default_dispatch
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch mode {dispatch!r}; choose from {DISPATCH_MODES}"
-            )
-        self._dispatch = dispatch
-        #: cohort members collapsed into pending slice entries but not yet
-        #: fired: added to every queue-depth sample so both dispatch modes
-        #: report identical depths for the same logical state.
-        self._cohort_extra = 0
-        #: calendar-queue timer store when ``scheduler="wheel"``; ``None``
-        #: selects the binary-heap fast path below.
-        self._wheel: Optional[CalendarQueue] = (
-            CalendarQueue(start_time=self._now) if scheduler == "wheel" else None
-        )
         #: timed/prioritised events as ``(time, key, event)`` where
         #: ``key = (priority << 53) + insertion-id`` packs the tiebreak
         #: into one integer: URGENT keys are negative, NORMAL keys are the
@@ -212,7 +103,7 @@ class Simulator:
         self.peak_queue_depth: int = 0
         #: observability recorder; the shared null singleton unless a
         #: :class:`~repro.simcore.context.SimContext` installs a live one.
-        #: The hot drain loops never consult it — :meth:`run` checks
+        #: The hot drain loop never consults it — :meth:`run` checks
         #: ``obs.enabled`` once per call, so instrumentation off costs
         #: nothing per event.
         self.obs = NULL_RECORDER
@@ -229,43 +120,14 @@ class Simulator:
         return self._active_process
 
     @property
-    def scheduler(self) -> str:
-        """The timer-store implementation this simulator runs on."""
-        return self._scheduler
-
-    @property
-    def dispatch(self) -> str:
-        """The cohort-execution mode this simulator runs with."""
-        return self._dispatch
-
-    def provenance(self) -> dict:
-        """The kernel facts a provenance bundle needs to reconstruct and
-        cross-check this simulator: which scheduler/dispatch it ran under
-        and the deterministic end-of-run counters a replay must match."""
-        return {
-            "scheduler": self._scheduler,
-            "dispatch": self._dispatch,
-            "now": self._now,
-            "events_processed": self.events_processed,
-            "peak_queue_depth": self.peak_queue_depth,
-        }
-
-    @property
     def queue_depth(self) -> int:
         """Number of scheduled-but-unprocessed events.
 
-        Counts the zero-delay FIFO, the unflushed staging list, and every
-        timer the active store holds — including the wheel's prepared run
-        and far-future overflow entries — so both schedulers report the
-        same depth for the same logical state.  Cohort members collapsed
-        into pending slices count individually (``_cohort_extra``), so
-        both dispatch modes report the same depth too.
+        Counts the heap, the unflushed staging list, and the zero-delay
+        FIFO; every cohort member is its own entry, so members count
+        individually.
         """
-        wheel = self._wheel
-        timers = len(wheel) if wheel is not None else len(self._queue)
-        return (
-            timers + len(self._pending) + len(self._immediate) + self._cohort_extra
-        )
+        return len(self._queue) + len(self._pending) + len(self._immediate)
 
     # -- factories ---------------------------------------------------------
     def event(self) -> SimEvent:
@@ -288,8 +150,10 @@ class Simulator:
 
     def call_at(self, when: float, fn: Callable[[], None]) -> SimEvent:
         """Run ``fn()`` at absolute simulated time ``when``."""
-        if when < self._now:
-            raise ValueError(f"cannot schedule in the past ({when} < {self._now})")
+        if not when >= self._now:  # also rejects NaN
+            raise ValueError(
+                f"cannot schedule at {when}: NaN or in the past (now={self._now})"
+            )
         return self.call_in(when - self._now, fn)
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> SimEvent:
@@ -309,10 +173,8 @@ class Simulator:
     ) -> EventCohort:
         """Register N homogeneous timers as one struct-of-arrays cohort.
 
-        ``times`` are absolute fire times (each >= now); ``apply(cohort,
-        start, stop)`` is invoked by the kernel for member runs — per
-        member under ``dispatch="scalar"``, per maximal consecutive
-        equal-time run under ``dispatch="cohort"``.  See
+        ``times`` are absolute fire times (each >= now); the kernel calls
+        ``apply(cohort, k)`` when member ``k`` fires.  See
         :class:`~repro.simcore.cohort.EventCohort` for the ordering and
         accounting contract.  ``cause`` is opaque causal baggage for
         observability (obs span id(s) readable by ``apply`` as
@@ -333,13 +195,8 @@ class Simulator:
             )
 
     def _flush_pending(self) -> None:
-        """Merge deferred timed entries into the timer store (see ``_pending``)."""
+        """Merge deferred timed entries into the heap (see ``_pending``)."""
         pending = self._pending
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.extend(pending)
-            pending.clear()
-            return
         queue = self._queue
         if len(pending) << 3 >= len(queue):
             queue.extend(pending)
@@ -354,22 +211,6 @@ class Simulator:
         if self._pending:
             self._flush_pending()
         immediate = self._immediate
-        wheel = self._wheel
-        if wheel is not None:
-            if immediate:
-                head = wheel.peek()
-                if (
-                    head is not None
-                    and head[0] == self._now
-                    and head[1] < immediate[0][0]
-                ):
-                    return wheel.pop()[0], head[2]
-                return self._now, immediate.popleft()[1]
-            try:
-                when, _key, event = wheel.pop()
-            except IndexError:
-                raise EmptySchedule("no scheduled events") from None
-            return when, event
         queue = self._queue
         if immediate:
             if queue:
@@ -392,10 +233,6 @@ class Simulator:
             return self._now
         if self._pending:
             self._flush_pending()
-        wheel = self._wheel
-        if wheel is not None:
-            head = wheel.peek()
-            return head[0] if head is not None else float("inf")
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
@@ -429,13 +266,7 @@ class Simulator:
         once at exit for events left unprocessed by ``until_f``.  The
         maximum over those samples is the exact peak, and callback-less
         events (bare timers) pay nothing.
-
-        ``scheduler="wheel"`` dispatches to :meth:`_drain_wheel`, the same
-        loop inlined against the calendar queue, so the heap fast path
-        below carries no per-event dispatch for the other store.
         """
-        if self._wheel is not None:
-            return self._drain_wheel(until_f)
         queue = self._queue
         pending = self._pending
         immediate = self._immediate
@@ -444,7 +275,7 @@ class Simulator:
         now = self._now
         processed = 0
         peak = self.peak_queue_depth
-        depth = len(queue) + len(pending) + len(immediate) + self._cohort_extra
+        depth = len(queue) + len(pending) + len(immediate)
         if depth > peak:
             peak = depth
         try:
@@ -482,111 +313,13 @@ class Simulator:
                     self._now = now
                     for cb in callbacks:
                         cb(event)
-                    depth = (
-                        len(queue)
-                        + len(pending)
-                        + len(immediate)
-                        + self._cohort_extra
-                    )
+                    depth = len(queue) + len(pending) + len(immediate)
                     if depth > peak:
                         peak = depth
                 if event._ok is False and not event._defused:
                     raise event.value  # type: ignore[misc]
         finally:
-            depth = len(queue) + len(pending) + len(immediate) + self._cohort_extra
-            if depth > peak:
-                peak = depth
-            self._now = now
-            self.events_processed += processed
-            self.peak_queue_depth = peak
-
-    def _drain_wheel(self, until_f: Optional[float]) -> None:
-        """:meth:`_drain`, inlined against the calendar-queue timer store.
-
-        The wheel's prepared run (``wheel._run``, a descending list whose
-        minimum is the tail — never rebound, only mutated in place) is
-        aliased as a local, so the common pop is a bare ``list.pop()``
-        with no method dispatch; refills and staging flushes go through
-        the wheel's bound methods.  Ordering and the depth high-water
-        samples mirror the heap loop exactly.
-        """
-        wheel = self._wheel
-        run = wheel._run
-        pending = self._pending
-        immediate = self._immediate
-        pop_immediate = immediate.popleft
-        flush = wheel.extend
-        refill = wheel._refill
-        now = self._now
-        processed = 0
-        peak = self.peak_queue_depth
-        depth = len(wheel) + len(pending) + len(immediate) + self._cohort_extra
-        if depth > peak:
-            peak = depth
-        # Timers only ever enter the wheel through the pending flush below
-        # (callbacks schedule via _pending/_immediate), so an `idle` local
-        # spares the drained wheel a refill() call per immediate event —
-        # the heap loop's cheap `if queue:` equivalent.
-        idle = not wheel
-        try:
-            while True:
-                if pending:
-                    flush(pending)
-                    pending.clear()
-                    idle = False
-                if immediate:
-                    event = None
-                    if not run and not idle and not refill():
-                        idle = True
-                    if run:
-                        head = run[-1]
-                        if head[0] == now and head[1] < immediate[0][0]:
-                            event = run.pop()[2]
-                    if event is None:
-                        event = pop_immediate()[1]
-                elif run or (not idle and refill()):
-                    entry = run.pop()
-                    when = entry[0]
-                    if when > now:
-                        if until_f is not None and when > until_f:
-                            # entry was the minimum: appending restores
-                            # the run's descending order
-                            run.append(entry)
-                            now = until_f
-                            return
-                        now = when
-                    event = entry[2]
-                else:
-                    if until_f is not None:
-                        now = until_f
-                    return
-                processed += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    # Publish the clock only when user code is about to run;
-                    # callback-less events (bare timers) skip the store.
-                    self._now = now
-                    for cb in callbacks:
-                        cb(event)
-                    # len(wheel) spelled out (tiers are rebindable, the
-                    # run is not): a Python-level __len__ call per batch
-                    # would dominate same-timestamp cascades.
-                    depth = (
-                        len(run)
-                        + wheel._bucket_count
-                        + len(wheel._segment)
-                        + len(wheel._overflow)
-                        + len(pending)
-                        + len(immediate)
-                        + self._cohort_extra
-                    )
-                    if depth > peak:
-                        peak = depth
-                if event._ok is False and not event._defused:
-                    raise event.value  # type: ignore[misc]
-        finally:
-            depth = len(wheel) + len(pending) + len(immediate) + self._cohort_extra
+            depth = len(queue) + len(pending) + len(immediate)
             if depth > peak:
                 peak = depth
             self._now = now
@@ -609,15 +342,15 @@ class Simulator:
 
         With a live observability recorder installed (see
         :mod:`repro.obs`), every call records a ``kernel.run`` span on the
-        ``kernel`` track carrying the scheduler name and the number of
-        events the call processed, and updates the ``kernel.events`` /
-        ``kernel.runs`` counters and the ``kernel.peak_queue_depth``
-        gauge.  The disabled recorder skips all of it after one flag test.
+        ``kernel`` track carrying the number of events the call
+        processed, and updates the ``kernel.events`` / ``kernel.runs``
+        counters and the ``kernel.peak_queue_depth`` gauge.  The
+        disabled recorder skips all of it after one flag test.
         """
         obs = self.obs
         if not obs.enabled:
             return self._run(until)
-        span = obs.start("kernel.run", track="kernel", scheduler=self._scheduler)
+        span = obs.start("kernel.run", track="kernel")
         before = self.events_processed
         try:
             result = self._run(until)
@@ -648,8 +381,10 @@ class Simulator:
             until.callbacks.append(_stop)
         elif until is not None:
             until_f = float(until)
-            if until_f < self._now:
-                raise ValueError(f"until ({until_f}) is in the past (now={self._now})")
+            if not until_f >= self._now:  # also rejects NaN
+                raise ValueError(
+                    f"until ({until_f}) is NaN or in the past (now={self._now})"
+                )
 
         # Pause the cyclic garbage collector for the drain: the hot loop
         # allocates thousands of short-lived events/tuples per run, which

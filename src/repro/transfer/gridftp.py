@@ -184,12 +184,8 @@ class GridFTPServer:
             times, self._chunk_apply, payload=plan, layer="gridftp.chunk"
         )
 
-    def _chunk_apply(self, cohort, start: int, stop: int) -> None:
-        plan = cohort.payload
-        if stop - start == 1:
-            self.bytes_moved += plan[start]
-        else:
-            self.bytes_moved += sum(plan[start:stop])
+    def _chunk_apply(self, cohort, k: int) -> None:
+        self.bytes_moved += cohort.payload[k]
 
     # -- direct third-party transfer (globus-url-copy equivalent) ----------------
     def transfer_file(

@@ -20,8 +20,7 @@ Two scale-critical choices:
   runs.
 
 The service never draws randomness: arrivals are precomputed and
-execution is reactive, so obs-on and obs-off runs (and scalar vs
-cohort dispatch) stay byte-identical.
+execution is reactive, so obs-on and obs-off runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -137,26 +136,24 @@ class WaasService:
         return t0
 
     # -- arrivals ----------------------------------------------------------
-    def _arrival_apply(self, cohort, start: int, stop: int) -> None:
-        requests = cohort.payload
+    def _arrival_apply(self, cohort, k: int) -> None:
+        req = cohort.payload[k]
         now = self.ctx.now
+        req.arrived_s = now
+        req.deadline_s = now + req.allowance_s
+        self._live.add(req.id)
+        heappush(self._deadline_heap, (req.deadline_s, req.id))
         obs = self.ctx.obs
-        for k in range(start, stop):
-            req = requests[k]
-            req.arrived_s = now
-            req.deadline_s = now + req.allowance_s
-            self._live.add(req.id)
-            heappush(self._deadline_heap, (req.deadline_s, req.id))
-            if obs.enabled:
-                obs.counter("waas.arrivals").inc()
-                self._wf_span_ids[req.id] = obs.start(
-                    "waas.workflow",
-                    track=self._track(req),
-                    tenant=req.tenant.name,
-                    workflow=req.id,
-                    shape=req.dag.shape,
-                ).id
-            self.admission.offer(req)
+        if obs.enabled:
+            obs.counter("waas.arrivals").inc()
+            self._wf_span_ids[req.id] = obs.start(
+                "waas.workflow",
+                track=self._track(req),
+                tenant=req.tenant.name,
+                workflow=req.id,
+                shape=req.dag.shape,
+            ).id
+        self.admission.offer(req)
 
     @staticmethod
     def _track(req: WorkflowRequest) -> str:

@@ -37,6 +37,16 @@ def test_append_and_load_round_trip(tmp_path):
     # the file is a plain JSON list, readable without this module
     doc = json.loads(path.read_text())
     assert [d["commit"] for d in doc] == ["aaaa111", "bbbb222"]
+    # the committed series' first 8 records predate the kernel's single
+    # dispatch path and carry a "dispatch" key, which loading ignores
+    import pathlib
+
+    committed = pathlib.Path(__file__).resolve().parents[2] / "BENCH_trajectory.json"
+    docs = json.loads(committed.read_text())
+    assert all("dispatch" in d for d in docs[:8])
+    old = trajectory.load(committed)
+    assert len(old) == len(docs) >= 8
+    assert all(r.events_processed > 0 for r in old)
 
 
 def test_from_suite_result_aggregates_kernel_counters():

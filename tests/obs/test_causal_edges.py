@@ -5,7 +5,7 @@ recorded ``cause_id`` edge: EC2 boot releases the Chef converge on that
 instance, a Galaxy job's stage-in/condor-wait cite the job, a Condor
 run cites the wait that held it, a WaaS admission cites the arrival.
 The links ride on domain objects (span-id carriers), not ambient state,
-so they must survive cohort dispatch unchanged.
+so they survive batched cohort completions unchanged.
 """
 
 import json
@@ -15,7 +15,6 @@ import pytest
 from repro.core import CloudTestbed, run_usecase
 from repro.obs import capture
 from repro.provision import GlobusProvision
-from repro.simcore import set_default_dispatch
 from repro.waas import AdmissionController, WaasService, poisson_plan, waas_topology
 
 
@@ -131,20 +130,10 @@ def test_waas_admission_chain_arrival_to_dispatch():
     assert series["waas.in_flight"][-1][1] == 0.0, "in-flight gauge did not drain"
 
 
-def _usecase_doc_with_dispatch(dispatch):
-    previous = set_default_dispatch(dispatch)
-    try:
-        with capture() as cap:
-            run_usecase(run_large=False)
-    finally:
-        set_default_dispatch(previous)
-    [doc] = json.loads(json.dumps(cap.to_docs()))
-    return doc
-
-
-def test_cause_links_identical_across_dispatch_modes():
-    scalar = _usecase_doc_with_dispatch("scalar")
-    cohort = _usecase_doc_with_dispatch("cohort")
+def test_cause_links_identical_across_runs(usecase_doc):
+    with capture() as cap:
+        run_usecase(run_large=False)
+    [again] = json.loads(json.dumps(cap.to_docs()))
 
     def edges(doc):
         by_id = _by_id(doc)
@@ -157,4 +146,4 @@ def test_cause_links_identical_across_dispatch_modes():
             )
         return out
 
-    assert edges(scalar) == edges(cohort)
+    assert edges(again) == edges(usecase_doc)

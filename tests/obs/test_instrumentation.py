@@ -2,9 +2,9 @@
 
 These are the PR's acceptance tests: an instrumented use-case run must
 export a schema-valid Chrome trace, its span totals must reconcile with
-the trace-record timeline, the heap and wheel schedulers must record
-identical span trees, and recording must leave simulation output
-byte-identical to an obs-off run.
+the trace-record timeline, repeated runs must record identical span
+trees, and recording must leave simulation output byte-identical to an
+obs-off run.
 """
 
 import json
@@ -16,7 +16,6 @@ from repro.obs import capture, chrome_trace, summary_rows
 from repro.obs.validate import check_chrome_trace
 from repro.provision import GlobusProvision
 from repro.reporting import collect_intervals
-from repro.simcore import set_default_scheduler
 
 
 def _deploy(seed: int = 60):
@@ -94,22 +93,16 @@ def test_usecase_chrome_trace_is_perfetto_valid():
     assert check_chrome_trace(doc) == []
 
 
-def test_heap_and_wheel_record_identical_span_trees():
-    docs = {}
-    for scheduler in ("heap", "wheel"):
-        previous = set_default_scheduler(scheduler)
-        try:
-            with capture() as cap:
-                run_usecase(run_large=False)
-        finally:
-            set_default_scheduler(previous)
-        # the kernel.run span names the scheduler; everything else must match
-        doc = json.loads(json.dumps(cap.to_docs()))
-        for d in doc:
-            for span in d["spans"]:
-                span["attrs"].pop("scheduler", None)
-        docs[scheduler] = doc
-    assert docs["heap"] == docs["wheel"]
+def test_repeated_runs_record_identical_span_trees():
+    docs = []
+    for _ in range(2):
+        with capture() as cap:
+            run_usecase(run_large=False)
+        docs.append(json.loads(json.dumps(cap.to_docs())))
+    assert docs[0] == docs[1]
+    kernel_runs = [s for d in docs[0] for s in d["spans"] if s["name"] == "kernel.run"]
+    assert kernel_runs
+    assert all(set(s["attrs"]) == {"events"} for s in kernel_runs)
 
 
 def test_observability_does_not_perturb_simulation_output():

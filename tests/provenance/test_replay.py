@@ -1,5 +1,5 @@
-"""Replay: byte-identity across the scheduler/dispatch matrix,
-counterfactual comparisons, override parsing, and the gp-replay CLI."""
+"""Replay: byte-identity, counterfactual comparisons, override parsing,
+and the gp-replay CLI."""
 
 import json
 
@@ -19,21 +19,15 @@ from repro.provenance.cli import main
 from .conftest import tiny_suite
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-@pytest.mark.parametrize("dispatch", ["scalar", "cohort"])
-def test_replay_is_byte_identical_across_matrix(scheduler, dispatch):
-    result = run_suite(
-        tiny_suite(), obs=True, scheduler=scheduler, dispatch=dispatch
-    )
+def test_replay_is_byte_identical():
+    result = run_suite(tiny_suite(), obs=True)
     bundle = build_bundle(result)
-    assert bundle.scenario["scheduler"] == scheduler
-    assert bundle.scenario["dispatch"] == dispatch
+    # the scenario is the infrastructure's inputs, with no kernel settings
+    assert set(bundle.scenario) == {"suite", "specs"}
     report = replay(bundle)
     assert report.mode == "verify"
     assert report.verified is True
     assert report.divergence is None
-    assert report.scheduler == scheduler
-    assert report.dispatch == dispatch
 
 
 def test_rebuild_suite_reapplies_seeds(tiny_bundle):
@@ -84,13 +78,6 @@ def test_counterfactual_instance_type_reports_deltas(tiny_bundle):
     assert "counterfactual" in report.render()
 
 
-def test_counterfactual_scheduler_is_an_equivalence_proof(tiny_bundle):
-    report = replay(tiny_bundle, overrides={"scheduler": "wheel"})
-    assert report.mode == "counterfactual"
-    assert report.scheduler == "wheel"
-    assert all(row["delta"] == 0 for row in report.comparison)
-
-
 def test_counterfactual_seed_changes_outcome(tiny_bundle):
     report = replay(tiny_bundle, overrides={"seed": 3})
     assert report.mode == "counterfactual"
@@ -107,11 +94,14 @@ def test_replay_report_round_trips_through_json(tiny_bundle):
 
 def test_parse_overrides():
     assert parse_overrides([]) == {}
-    assert parse_overrides(["seed=5", "scheduler=wheel"]) == {
+    assert parse_overrides(["seed=5", "instance_type=c1.medium"]) == {
         "seed": 5,
-        "scheduler": "wheel",
+        "instance_type": "c1.medium",
     }
-    for bad in ["nonsense", "=x", "seed=", "warp_factor=9"]:
+    # the kernel has one event queue and one dispatch path: no knobs
+    for bad in [
+        "nonsense", "=x", "seed=", "warp_factor=9", "scheduler=heap", "dispatch=scalar"
+    ]:
         with pytest.raises(BundleError) as exc:
             parse_overrides([bad])
         assert exc.value.code == "override.unknown"
@@ -158,9 +148,10 @@ def test_cli_counterfactual_exit_zero(bundle_path, capsys):
 
 
 def test_cli_bad_override_exit_two(bundle_path, capsys):
-    assert main([str(bundle_path), "--override", "warp=9"]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["code"] == "override.unknown"
+    for override in ("warp=9", "scheduler=wheel", "dispatch=scalar"):
+        assert main([str(bundle_path), "--override", override]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "override.unknown"
 
 
 def test_cli_missing_bundle_exit_three(tmp_path, capsys):
@@ -184,6 +175,23 @@ def _tampered_bundle_path(bundle, tmp_path, mutate):
     doc["digest"] = content_digest(doc["section_digests"])
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")
     return path
+
+
+def test_bundle_naming_kernel_settings_still_verifies(tiny_bundle, tmp_path, capsys):
+    """Bundles written while the kernel had scheduler/dispatch knobs
+    carry them in the scenario; they must still verify and replay."""
+    from repro.provenance import read_bundle, verify_bundle
+
+    def add_kernel_keys(sections):
+        sections["scenario"]["scheduler"] = "heap"
+        sections["scenario"]["dispatch"] = "cohort"
+
+    path = _tampered_bundle_path(tiny_bundle, tmp_path, add_kernel_keys)
+    bundle = read_bundle(path)
+    assert bundle.scenario["dispatch"] == "cohort"
+    verify_bundle(bundle)
+    assert main([str(path)]) == 0
+    assert "VERIFIED" in capsys.readouterr().out
 
 
 def test_replay_names_the_span_that_moved(tiny_bundle, tmp_path):

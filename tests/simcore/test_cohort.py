@@ -1,11 +1,11 @@
 """Cohort event execution: unit contracts plus differential fuzzing.
 
-The contract under test is the one ``repro.simcore.cohort`` documents:
-picking a dispatch mode (``"scalar"`` vs ``"cohort"``) changes how many
-queue entries a cohort costs, never what the simulation computes.  The
+The contract under test is the one ``repro.simcore.cohort`` documents: a
+cohort behaves exactly like one plain ``sim.timeout`` per member,
+registered in index order, whose callback applies that member.  The
 fuzz suite drives randomly interleaved cohorts and plain timers through
-every scheduler x dispatch combination and demands identical member
-application traces, ``events_processed``, and ``peak_queue_depth``.
+both forms and demands identical member application traces,
+``events_processed``, and ``peak_queue_depth``.
 """
 
 from __future__ import annotations
@@ -15,15 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import ObsRecorder
-from repro.simcore import (
-    COHORT_SIZE_BUCKETS,
-    DISPATCH_MODES,
-    Simulator,
-    default_dispatch,
-    set_default_dispatch,
-)
-
-MODES = list(DISPATCH_MODES)
+from repro.simcore import Simulator
 
 #: collision-rich delay grid: repeated values force same-timestamp runs
 DELAY_GRID = (0.0, 0.25, 0.25, 0.25, 0.5, 1.0, 1.0, 2.0)
@@ -38,34 +30,54 @@ PROGRAM = st.lists(
 )
 
 
-def _run_program(program, scheduler: str, dispatch: str, chained: bool = False):
+def _timer_cohort(sim, times, apply):
+    """The oracle: one plain timer per member plus a ``done`` event,
+    mirroring the cohort's registration order and completion."""
+    done = sim.event()
+    if not times:
+        done.succeed()
+        return done
+    remaining = [len(times)]
+
+    def fire(k):
+        apply(None, k)
+        remaining[0] -= 1
+        if remaining[0] == 0:
+            done.succeed()
+
+    for k, t in enumerate(times):
+        sim.timeout(t - sim.now).callbacks.append(lambda _e, k=k: fire(k))
+    return done
+
+
+def _run_program(program, use_cohorts: bool, chained: bool = False):
     """Execute a mixed cohort/timer program; return its observable state.
 
-    ``chained=True`` makes every cohort member's apply schedule a
-    follow-up timer (the "every member schedules" pattern from the
-    cohort ordering contract), exercising depth accounting while slices
-    fan out new work.
+    ``use_cohorts=False`` swaps every cohort for :func:`_timer_cohort`.
+    ``chained=True`` makes every member's apply schedule a follow-up
+    timer, exercising depth accounting while members fan out new work.
     """
-    sim = Simulator(scheduler=scheduler, dispatch=dispatch)
+    sim = Simulator()
     trace: list[tuple] = []
-    cohorts = []
+    dones = []
     for idx, (kind, delays) in enumerate(program):
         if kind == "cohort":
 
-            def apply(cohort, start, stop, idx=idx):
-                for k in range(start, stop):
-                    trace.append((sim.now, "member", idx, k))
-                    if chained:
-                        ev = sim.timeout(0.25)
-                        ev.callbacks.append(
-                            lambda e, idx=idx, k=k: trace.append(
-                                (sim.now, "chained", idx, k)
-                            )
+            def apply(_cohort, k, idx=idx):
+                trace.append((sim.now, "member", idx, k))
+                if chained:
+                    ev = sim.timeout(0.25)
+                    ev.callbacks.append(
+                        lambda e, idx=idx, k=k: trace.append(
+                            (sim.now, "chained", idx, k)
                         )
+                    )
 
-            cohorts.append(
-                sim.schedule_cohort(list(delays), apply, layer=f"l{idx % 3}")
-            )
+            if use_cohorts:
+                cohort = sim.schedule_cohort(list(delays), apply, layer=f"l{idx % 3}")
+                dones.append(cohort.done)
+            else:
+                dones.append(_timer_cohort(sim, list(delays), apply))
         else:
             for j, delay in enumerate(delays):
                 ev = sim.timeout(delay)
@@ -73,28 +85,24 @@ def _run_program(program, scheduler: str, dispatch: str, chained: bool = False):
                     lambda e, idx=idx, j=j: trace.append((sim.now, "timer", idx, j))
                 )
     sim.run()
-    assert all(c.done.triggered for c in cohorts)
+    assert all(done.triggered for done in dones)
     return trace, sim.events_processed, sim.peak_queue_depth
 
 
 @given(program=PROGRAM)
 @settings(max_examples=60, deadline=None)
-def test_differential_fuzz_all_scheduler_dispatch_combos(program):
-    """Trace/counters/depth identical across every scheduler x dispatch."""
-    reference = _run_program(program, "heap", "scalar")
-    for scheduler in ("heap", "wheel"):
-        for dispatch in MODES:
-            assert _run_program(program, scheduler, dispatch) == reference
+def test_differential_fuzz_against_plain_timers(program):
+    """Trace/counters/depth identical to one plain timer per member."""
+    assert _run_program(program, True) == _run_program(program, False)
 
 
 @given(program=PROGRAM)
 @settings(max_examples=30, deadline=None)
 def test_differential_fuzz_with_scheduling_applies(program):
     """Same equivalence when every member's apply schedules new work."""
-    reference = _run_program(program, "heap", "scalar", chained=True)
-    for scheduler in ("heap", "wheel"):
-        for dispatch in MODES:
-            assert _run_program(program, scheduler, dispatch, chained=True) == reference
+    assert _run_program(program, True, chained=True) == _run_program(
+        program, False, chained=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +110,10 @@ def test_differential_fuzz_with_scheduling_applies(program):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dispatch", MODES)
-def test_members_apply_in_index_order(dispatch):
-    sim = Simulator(dispatch=dispatch)
+def test_members_apply_in_index_order():
+    sim = Simulator()
     seen = []
-    cohort = sim.schedule_cohort(
-        [1.0, 1.0, 1.0, 2.0],
-        lambda c, i, j: seen.extend(range(i, j)),
-    )
+    cohort = sim.schedule_cohort([1.0, 1.0, 1.0, 2.0], lambda c, k: seen.append(k))
     sim.run()
     assert seen == [0, 1, 2, 3]
     assert cohort.done.triggered
@@ -117,61 +121,45 @@ def test_members_apply_in_index_order(dispatch):
     assert sim.events_processed == 5  # 4 members + the done event
 
 
-@pytest.mark.parametrize("dispatch", MODES)
-def test_empty_cohort_done_fires_without_running(dispatch):
-    sim = Simulator(dispatch=dispatch)
-    cohort = sim.schedule_cohort([], lambda c, i, j: pytest.fail("no members"))
+def test_empty_cohort_done_fires_without_running():
+    sim = Simulator()
+    cohort = sim.schedule_cohort([], lambda c, k: pytest.fail("no members"))
     assert cohort.done.triggered
     assert cohort.size == 0
     sim.run()
     assert sim.events_processed == 1  # only the done event itself
 
 
-@pytest.mark.parametrize("dispatch", MODES)
-def test_past_fire_time_rejected(dispatch):
-    sim = Simulator(dispatch=dispatch)
+def test_past_fire_time_rejected():
+    sim = Simulator()
     sim.run(until=5.0)
     with pytest.raises(ValueError, match="in the past"):
-        sim.schedule_cohort([4.0], lambda c, i, j: None)
+        sim.schedule_cohort([4.0], lambda c, k: None)
 
 
-@pytest.mark.parametrize("dispatch", MODES)
-def test_registration_depth_counts_members_not_entries(dispatch):
-    """queue_depth is member-granular under both modes (compensation)."""
-    sim = Simulator(dispatch=dispatch)
-    sim.schedule_cohort([1.0] * 8, lambda c, i, j: None)
+def test_registration_depth_counts_members():
+    sim = Simulator()
+    sim.schedule_cohort([1.0] * 8, lambda c, k: None)
     assert sim.queue_depth == 8
-
-
-def test_same_timestamp_run_is_one_queue_entry_under_cohort_dispatch():
-    sim = Simulator(dispatch="cohort")
-    sim.schedule_cohort([1.0] * 8, lambda c, i, j: None)
-    # one staged slice entry + 7 collapsed members' compensation
-    assert len(sim._pending) == 1
-    assert sim._cohort_extra == 7
-    sim.run()
-    assert sim.events_processed == 9  # 8 members + the done event
-    assert sim._cohort_extra == 0
 
 
 def test_times_property_normalizes_lazily():
     import numpy as np
 
     sim = Simulator()
-    cohort = sim.schedule_cohort([1.0, 2.0], lambda c, i, j: None)
+    cohort = sim.schedule_cohort([1.0, 2.0], lambda c, k: None)
     assert isinstance(cohort.times, np.ndarray)
     assert cohort.times.dtype == np.float64
     assert cohort.times.tolist() == [1.0, 2.0]
     sim.run()
 
 
-@pytest.mark.parametrize("dispatch", MODES)
-def test_done_awaitable_from_process(dispatch):
-    sim = Simulator(dispatch=dispatch)
+def test_done_awaitable_from_process():
+    sim = Simulator()
     got = []
 
     def waiter():
-        cohort = sim.schedule_cohort([1.0, 2.0], lambda c, i, j: None)
+        cohort = sim.schedule_cohort([1.0, 2.0], lambda c, k: None)
         value = yield cohort.done
         got.append((value, sim.now))
 
@@ -181,70 +169,32 @@ def test_done_awaitable_from_process(dispatch):
     assert got[0][1] == 2.0
 
 
-def test_unknown_dispatch_rejected():
-    with pytest.raises(ValueError, match="unknown dispatch"):
-        Simulator(dispatch="vectorized")
-    previous = set_default_dispatch("scalar")
-    try:
-        with pytest.raises(ValueError, match="unknown dispatch"):
-            set_default_dispatch("vectorized")
-        assert Simulator().dispatch == "scalar"  # failed set left it alone
-    finally:
-        set_default_dispatch(previous)
-
-
-def test_default_dispatch_round_trip():
-    previous = set_default_dispatch("scalar")
-    try:
-        assert default_dispatch() == "scalar"
-        assert Simulator().dispatch == "scalar"
-        set_default_dispatch("cohort")
-        assert Simulator().dispatch == "cohort"
-    finally:
-        set_default_dispatch(previous)
-    assert Simulator(dispatch="scalar").dispatch == "scalar"
-
-
 # ---------------------------------------------------------------------------
 # Observability
 # ---------------------------------------------------------------------------
 
 
-def _metered_sim(dispatch: str):
-    sim = Simulator(dispatch=dispatch)
+def _metered_sim():
+    sim = Simulator()
     rec = ObsRecorder(label="cohort-test", clock=lambda: sim.now)
     sim.obs = rec
     return sim, rec
 
 
-def test_cohort_dispatch_records_size_histogram_and_layer_counter():
-    sim, rec = _metered_sim("cohort")
-    sim.schedule_cohort([1.0, 1.0, 1.0, 2.0], lambda c, i, j: None, layer="gridftp.chunk")
+def test_cohort_records_per_member_layer_counter():
+    sim, rec = _metered_sim()
+    sim.schedule_cohort([1.0, 1.0, 2.0], lambda c, k: None, layer="condor.tick")
     sim.run()
-    hist = rec.metrics.histogram("cohort.size", tuple(COHORT_SIZE_BUCKETS))
-    assert hist.count == 2  # one run of 3, one run of 1
-    assert hist.max == 3.0
-    assert rec.metrics.counter("cohort.events.gridftp.chunk.cohort").value == 4
+    assert rec.metrics.counter("cohort.events.condor.tick").value == 3
 
 
-def test_scalar_dispatch_records_per_member_counter():
-    sim, rec = _metered_sim("scalar")
-    sim.schedule_cohort([1.0, 1.0, 2.0], lambda c, i, j: None, layer="condor.tick")
-    sim.run()
-    assert rec.metrics.counter("cohort.events.condor.tick.scalar").value == 3
-    assert rec.metrics.histogram("cohort.size").count == 0
-
-
-@pytest.mark.parametrize("dispatch", MODES)
-def test_obs_does_not_change_simulation_results(dispatch):
+def test_obs_does_not_change_simulation_results():
     def scenario(sim):
         seen = []
-        sim.schedule_cohort(
-            [1.0, 1.0, 2.0], lambda c, i, j: seen.extend(range(i, j))
-        )
+        sim.schedule_cohort([1.0, 1.0, 2.0], lambda c, k: seen.append(k))
         sim.run()
         return seen, sim.events_processed, sim.peak_queue_depth, sim.now
 
-    plain = Simulator(dispatch=dispatch)
-    metered, _rec = _metered_sim(dispatch)
+    plain = Simulator()
+    metered, _rec = _metered_sim()
     assert scenario(plain) == scenario(metered)

@@ -37,6 +37,33 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+@pytest.mark.parametrize("bad", [-0.001, float("nan")])
+def test_negative_or_nan_times_rejected(bad):
+    """Every way of naming a fire time refuses a past or NaN one.
+
+    NaN compares false against everything, so an unguarded NaN timer
+    would fire at an arbitrary heap position and ``run(until=nan)``
+    would drain the whole queue and leave the clock at NaN.
+    """
+    sim = Simulator()
+    sim.timeout(2.0)
+    with pytest.raises(ValueError):
+        sim.timeout(bad)
+    with pytest.raises(ValueError):
+        sim.call_in(bad, lambda: None)
+    with pytest.raises(ValueError):
+        sim.call_at(bad, lambda: None)
+    with pytest.raises(ValueError):
+        # the valid first member must not stay queued either
+        sim.schedule_cohort([1.0, bad], lambda cohort, k: None)
+    with pytest.raises(ValueError):
+        sim.run(until=bad)
+    assert sim.queue_depth == 1
+    sim.run()
+    assert sim.events_processed == 1
+    assert sim.now == 2.0
+
+
 def test_run_until_time_stops_clock_exactly():
     sim = Simulator()
     sim.timeout(10.0)
@@ -71,6 +98,19 @@ def test_call_at_past_raises():
     sim = Simulator(initial_time=10.0)
     with pytest.raises(ValueError):
         sim.call_at(5.0, lambda: None)
+
+
+def test_cancelled_timer_defuses_without_firing():
+    """The kernel's cancel idiom (defuse a failed event) drains cleanly."""
+    sim = Simulator()
+    fired = []
+    ok = sim.timeout(1.0)
+    ok.callbacks.append(lambda ev: fired.append("ok"))
+    doomed = sim.event()
+    doomed.fail(RuntimeError("cancelled"))
+    doomed.defused = True  # nobody will wait on it: swallow the failure
+    sim.run()
+    assert fired == ["ok"]
 
 
 def test_events_fire_in_time_order_with_fifo_ties():
@@ -398,6 +438,35 @@ def test_counters_persist_across_run_calls():
     whole.run()
     assert sim.events_processed == whole.events_processed
     assert sim.peak_queue_depth == whole.peak_queue_depth
+
+
+def test_queue_depth_counts_staged_flushed_and_immediate_events():
+    """Depths across the staged -> flushed -> drained lifecycle.
+
+    Zero-delay FIFO events and staged timers not yet sifted into the
+    heap both count, and ``peek`` forcing the flush changes nothing.
+    """
+    sim = Simulator()
+    for _ in range(3):
+        sim.timeout(0.0)  # zero-delay FIFO (immediate deque)
+    for i in range(4):
+        sim.timeout(1.0 + i)  # staged timers, not yet flushed
+    sim.timeout(1e9)
+    staged = sim.queue_depth
+    next_t = sim.peek()  # forces the flush into the heap
+    flushed = sim.queue_depth
+    sim.run()
+    assert (staged, next_t, flushed) == (8, 0.0, 8)
+    assert (sim.events_processed, sim.queue_depth, sim.peak_queue_depth) == (8, 0, 8)
+
+
+def test_peak_queue_depth_counts_every_pending_timer():
+    sim = Simulator()
+    for i in range(50):
+        sim.timeout((i * 7919) % 100 * 0.5)
+    sim.timeout(1e12)
+    sim.run()
+    assert (sim.peak_queue_depth, sim.events_processed) == (51, 51)
 
 
 def test_obs_records_one_kernel_run_span_per_call():

@@ -1,12 +1,11 @@
 """Property checks on workflow DAG generation: the WaaS demand model
-must be acyclic, seed-reproducible, and immune to kernel mode knobs."""
+must be acyclic and seed-reproducible."""
 
 import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcore import set_default_dispatch, set_default_scheduler
 from repro.workloads.generators import DAG_SHAPES, make_workflow_dag
 
 dag_args = dict(
@@ -59,26 +58,6 @@ def test_property_work_survives_json_round_trip(shape, n_tasks, seed):
     dag = make_workflow_dag(shape, n_tasks=n_tasks, seed=seed)
     works = [t.cpu_work for t in dag.tasks]
     assert json.loads(json.dumps(works)) == works
-
-
-@settings(max_examples=20, deadline=None)
-@given(**dag_args)
-def test_property_generation_ignores_kernel_mode_knobs(shape, n_tasks, seed):
-    """The demand model must not read the dispatch/scheduler defaults —
-    otherwise the bench's byte-identity pins across modes would be a
-    property of luck rather than construction."""
-    baseline = make_workflow_dag(shape, n_tasks=n_tasks, seed=seed)
-    old_sched = set_default_scheduler("heap")
-    old_disp = set_default_dispatch("cohort")
-    try:
-        for sched in ("heap", "wheel"):
-            for disp in ("scalar", "cohort"):
-                set_default_scheduler(sched)
-                set_default_dispatch(disp)
-                assert make_workflow_dag(shape, n_tasks=n_tasks, seed=seed) == baseline
-    finally:
-        set_default_scheduler(old_sched)
-        set_default_dispatch(old_disp)
 
 
 def test_chain_and_fanout_structure():
