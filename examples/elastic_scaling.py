@@ -1,20 +1,21 @@
 #!/usr/bin/env python
 """Elastic scaling: the paper's future-work feature, working.
 
-Deploys a one-worker cluster, attaches the autoscaler, then submits a
-burst of 12 statistical jobs.  The scaler watches the Condor queue, grows
-the pool with c1.medium workers through ``gp-instance-update``, and
-shrinks it again once the queue drains — "users pay only for the
-resources they use, while also being able to scale up to meet resource
-requirements" (Sec. III-C).
+Deploys a one-worker cluster, attaches the elastic provisioner with the
+queue-depth policy, then submits a burst of 12 statistical jobs.  The
+provisioner watches the Condor queue, grows the pool with c1.medium
+workers through ``gp-instance-update``, and shrinks it again once the
+queue drains — "users pay only for the resources they use, while also
+being able to scale up to meet resource requirements" (Sec. III-C).
 
 Run:  python examples/elastic_scaling.py
 """
 
 from repro.calibration import MB
-from repro.core import CloudTestbed, ElasticScaler, ScalerPolicy, usecase_topology
+from repro.core import CloudTestbed, usecase_topology
 from repro.galaxy import JobState
 from repro.provision import GlobusProvision
+from repro.waas import ElasticProvisioner, QueueDepthPolicy
 from repro.workloads import make_expression_matrix_bytes
 
 
@@ -30,15 +31,9 @@ def main() -> None:
         app = gpi.deployment.galaxy
         history = app.create_history("boliu", "burst")
 
-        scaler = ElasticScaler(
-            gp, gpi.id,
-            policy=ScalerPolicy(
-                check_interval_s=30.0,
-                scale_up_queue_depth=2,
-                scale_down_idle_checks=3,
-                max_workers=4,
-                worker_instance_type="c1.medium",
-            ),
+        scaler = ElasticProvisioner(
+            gp, gpi.id, QueueDepthPolicy(),
+            domain="simple", check_interval_s=30.0, max_workers=4,
         )
         scaler.start()
 
@@ -65,7 +60,7 @@ def main() -> None:
         print("\nScaler events:")
         for event in scaler.events:
             print(f"  t={event.time:7.0f}s  {event.action:10s} "
-                  f"workers={event.workers}  queue={event.queue_depth}")
+                  f"workers={event.workers_after}  queue={event.queue_depth}")
         by_machine = {}
         for job in jobs:
             by_machine[job.machine] = by_machine.get(job.machine, 0) + 1

@@ -8,18 +8,23 @@ This walks the happy path in ~40 lines of API:
 2. deploy the paper's ``galaxy.conf`` topology with Globus Provision;
 3. pull a dataset in through *Get Data via Globus Online*;
 4. run a CRData statistical tool on the Condor pool;
-5. look at the history panel, exactly what the Galaxy UI would show.
+5. look at the history panel, exactly what the Galaxy UI would show;
+6. draw the deployment timeline from the run's recorded obs spans.
 
 Run:  python examples/quickstart.py
 """
 
+from repro import obs
 from repro.core import CVRG_DATA_ENDPOINT, FOUR_CEL_PATH, CloudTestbed, usecase_topology
 from repro.provision import GlobusProvision
+from repro.reporting import render_timeline
 from repro.tools_globus import GET_DATA_TOOL_ID
 
 
 def main() -> None:
-    bed = CloudTestbed(seed=0)
+    # everything built inside the capture block records obs spans
+    with obs.capture() as cap:
+        bed = CloudTestbed(seed=0)
     gp = GlobusProvision(bed)
 
     # 1-2: create and start a GP instance from the paper's topology.
@@ -69,11 +74,9 @@ def main() -> None:
         print(f"\nTerminated {gpi.id}.  "
               f"Total simulated cost: ${bed.total_cost():.4f}")
 
-        from repro.reporting import render_timeline
-
-        print("\n" + render_timeline(bed.ctx.trace))
-
     bed.ctx.sim.run(until=bed.ctx.sim.process(scenario()))
+    # 6: boots, converges and GO tasks on one time axis.
+    print("\n" + render_timeline(cap))
 
 
 if __name__ == "__main__":

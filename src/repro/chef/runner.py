@@ -76,7 +76,6 @@ class ChefRunner:
         report = ConvergeReport(
             node=node.name, run_list=run_list, started_at=self.ctx.now
         )
-        self.ctx.log("chef", "converge-start", node=node.name, run_list=run_list)
         obs = self.ctx.obs
         track = f"chef/{node.name}"
         span = obs.start("chef.converge", track=track, cause=cause, node=node.name)
@@ -127,12 +126,5 @@ class ChefRunner:
                 "applied": len(report.applied),
                 "skipped": len(report.skipped),
             }
-        )
-        self.ctx.log(
-            "chef",
-            "converge-done",
-            node=node.name,
-            duration=report.duration_s,
-            applied=len(report.applied),
         )
         return report

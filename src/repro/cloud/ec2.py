@@ -207,7 +207,6 @@ class MockEC2:
             and float(self.ctx.stream("ec2.capacity").random())
             < self.capacity_error_rate
         ):
-            self.ctx.log("ec2", "capacity-error", type=instance_type)
             obs = self.ctx.obs
             obs.counter("ec2.capacity_errors").inc()
             obs.instant("ec2.capacity-error", track="ec2", type=instance_type)
@@ -233,7 +232,6 @@ class MockEC2:
             )
             self.instances[iid] = inst
             self.instances[iid]._running_event = self.ctx.sim.event()
-            self.ctx.log("ec2", "launch", instance=iid, type=itype.name)
             obs = self.ctx.obs
             if obs.enabled:
                 span = obs.start(
@@ -274,7 +272,6 @@ class MockEC2:
             return  # terminated while booting
         inst.state = InstanceState.RUNNING
         self.meter.start(inst.id, inst.instance_type, self.ctx.now)
-        self.ctx.log("ec2", "running", instance=inst.id)
         span = self._boot_spans.pop(inst.id, None)
         if span is not None:
             self.ctx.obs.finish(span)
@@ -316,12 +313,12 @@ class MockEC2:
                 raise EC2Error(f"cannot stop {iid} in state {inst.state.value}")
             inst.state = InstanceState.STOPPING
             self.meter.stop(iid, self.ctx.now)
-            self.ctx.log("ec2", "stopping", instance=iid)
+            self.ctx.obs.instant("ec2.stopping", track="ec2", instance=iid)
 
             def _finish(i=inst):
                 if i.state == InstanceState.STOPPING:
                     i.state = InstanceState.STOPPED
-                    self.ctx.log("ec2", "stopped", instance=i.id)
+                    self.ctx.obs.instant("ec2.stopped", track="ec2", instance=i.id)
 
             self.ctx.sim.call_in(STOP_LATENCY_S, _finish)
 
@@ -335,7 +332,6 @@ class MockEC2:
             inst.state = InstanceState.PENDING
             if inst._running_event is None:
                 inst._running_event = self.ctx.sim.event()
-            self.ctx.log("ec2", "restart", instance=iid)
             obs = self.ctx.obs
             if obs.enabled:
                 span = obs.start(
@@ -359,7 +355,7 @@ class MockEC2:
                 self.meter.stop(iid, self.ctx.now)
             was_pending = inst.state == InstanceState.PENDING
             inst.state = InstanceState.SHUTTING_DOWN
-            self.ctx.log("ec2", "terminating", instance=iid)
+            self.ctx.obs.instant("ec2.terminating", track="ec2", instance=iid)
             span = self._boot_spans.pop(iid, None)
             if span is not None:
                 self.ctx.obs.finish(span, status="cancelled", error="terminated while booting")
@@ -371,7 +367,7 @@ class MockEC2:
 
             def _finish(i=inst):
                 i.state = InstanceState.TERMINATED
-                self.ctx.log("ec2", "terminated", instance=i.id)
+                self.ctx.obs.instant("ec2.terminated", track="ec2", instance=i.id)
 
             self.ctx.sim.call_in(0.0 if was_pending else TERMINATE_LATENCY_S, _finish)
 

@@ -149,9 +149,6 @@ class Startd:
         job.state = JobState.RUNNING
         job.start_time = self.ctx.now
         job.machine_name = self.machine.name
-        self.ctx.log(
-            "condor", "match", job=job.id, machine=self.machine.name, slot=slot
-        )
         obs = self.ctx.obs
         if obs.enabled:
             track = f"condor/job-{job.id}"
@@ -190,7 +187,6 @@ class Startd:
             job.on_complete(job)
         if job.completed is not None and not job.completed.triggered:
             job.completed.succeed(job)
-        self.ctx.log("condor", "complete", job=job.id, machine=self.machine.name)
         obs = self.ctx.obs
         if obs.enabled:
             obs.finish_open(f"condor/job-{job.id}")  # the condor.run span
@@ -210,7 +206,6 @@ class Startd:
         obs = self.ctx.obs
         if job.state == JobState.REMOVED:
             # condor_rm while running: free the slot, nothing to rematch
-            self.ctx.log("condor", "removed", job=job.id, machine=self.machine.name)
             if obs.enabled:
                 obs.finish_open(
                     f"condor/job-{job.id}", status="cancelled", error="condor_rm"
@@ -222,7 +217,6 @@ class Startd:
             job.machine_name = None
             job.start_time = None
             job.evictions += 1
-            self.ctx.log("condor", "evict", job=job.id, machine=self.machine.name)
             if obs.enabled:
                 track = f"condor/job-{job.id}"
                 obs.finish_open(track, status="error", error="evicted")
@@ -444,7 +438,10 @@ class CondorPool:
         startd.pool = self
         self.startds[machine.name] = startd
         self._update_free(startd)
-        self.ctx.log("condor", "startd-join", machine=machine.name, cores=machine.cores)
+        self.ctx.obs.instant(
+            "condor.startd-join", track="condor",
+            machine=machine.name, cores=machine.cores,
+        )
         self._wake_negotiator()
         return startd
 
@@ -464,7 +461,7 @@ class CondorPool:
             def _finish(_ev: SimEvent) -> None:
                 self.startds.pop(name, None)
                 self._free.pop(name, None)
-                self.ctx.log("condor", "startd-leave", machine=name)
+                self.ctx.obs.instant("condor.startd-leave", track="condor", machine=name)
                 done.succeed(name)
 
             if drained.processed:
@@ -476,7 +473,9 @@ class CondorPool:
             startd.evict_all()
             self.startds.pop(name, None)
             self._free.pop(name, None)
-            self.ctx.log("condor", "startd-leave", machine=name, evicted=True)
+            self.ctx.obs.instant(
+                "condor.startd-leave", track="condor", machine=name, evicted=True
+            )
             done.succeed(name)
         return done
 
@@ -508,7 +507,6 @@ class CondorPool:
         )
         if self.fair_share and self.schedd.idle_count_of(owner) == 1:
             self._enter_owner(job)  # the owner had no idle job until now
-        self.ctx.log("condor", "submit", job=job.id, owner=owner, work=cpu_work)
         obs = self.ctx.obs
         if obs.enabled:
             # ``cause`` names the submitter's span (a Galaxy job, a WaaS
@@ -547,7 +545,6 @@ class CondorPool:
             self.ctx.obs.finish_open(
                 f"condor/job-{job.id}", status="cancelled", error="condor_rm"
             )
-        self.ctx.log("condor", "rm", job=job.id)
 
     # -- stats -------------------------------------------------------------------
     @property

@@ -2,12 +2,12 @@
 
 This package glues the substrates together: the Chef cookbooks for the
 Galaxy/Globus/CRData stack (:mod:`repro.core.recipes`), the simulated
-world (:mod:`repro.core.testbed`), the Sec. V-A use-case driver
-(:mod:`repro.core.usecase`) and the elastic-scaling extension
-(:mod:`repro.core.elastic`).
+world (:mod:`repro.core.testbed`) and the Sec. V-A use-case driver
+(:mod:`repro.core.usecase`).  The elastic-scaling extension is
+:class:`repro.waas.ElasticProvisioner` driven by a
+:mod:`repro.waas.policies` policy.
 """
 
-from .elastic import ElasticScaler, ScalerEvent, ScalerPolicy
 from .recipes import (
     GALAXY_HEAD_RUN_LIST,
     build_galaxy_cookbook,
@@ -26,11 +26,8 @@ __all__ = [
     "AFFY_CEL_PATH",
     "CVRG_DATA_ENDPOINT",
     "CloudTestbed",
-    "ElasticScaler",
     "FOUR_CEL_PATH",
     "GALAXY_HEAD_RUN_LIST",
-    "ScalerEvent",
-    "ScalerPolicy",
     "UseCaseError",
     "UseCaseResult",
     "build_galaxy_cookbook",

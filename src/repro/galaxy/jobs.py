@@ -367,7 +367,6 @@ class JobManager:
         for ds in outputs.values():
             ds.creating_job_id = job.id
         job.state = JobState.QUEUED
-        self.ctx.log("galaxy", "job-submit", job=job.id, tool=tool.id, user=user)
         obs = self.ctx.obs
         if obs.enabled:
             job.obs_span_id = obs.start(
@@ -497,7 +496,6 @@ class JobManager:
             ds.state = DatasetState.OK
         job.state = JobState.OK
         job.end_time = self.ctx.now
-        self.ctx.log("galaxy", "job-ok", job=job.id, machine=job.machine)
         obs = self.ctx.obs
         if obs.enabled:
             obs.finish_open(f"galaxy/job-{job.id}")
@@ -513,7 +511,6 @@ class JobManager:
         for ds in job.outputs.values():
             ds.state = DatasetState.ERROR
             ds.info = message
-        self.ctx.log("galaxy", "job-error", job=job.id, error=message)
         obs = self.ctx.obs
         if obs.enabled:
             obs.finish_open(f"galaxy/job-{job.id}", status="error", error=message)

@@ -167,8 +167,8 @@ class Deployer:
         yield self.ctx.sim.all_of(procs)
         self._wire(deployment)
         deployment.deploy_seconds = self.ctx.now - start
-        self.ctx.log(
-            "gp", "deployed",
+        self.ctx.obs.instant(
+            "gp.deployed", track="gp",
             nodes=len(deployment.nodes), seconds=deployment.deploy_seconds,
         )
         return deployment
@@ -391,9 +391,10 @@ class Deployer:
         report.removed = list(diff.removed_nodes)
         report.retyped = list(diff.type_changes)
         report.seconds = self.ctx.now - start
-        self.ctx.log("gp", "updated", seconds=report.seconds,
-                     added=report.added, removed=report.removed,
-                     retyped=report.retyped)
+        self.ctx.obs.instant(
+            "gp.updated", track="gp", seconds=report.seconds,
+            added=report.added, removed=report.removed, retyped=report.retyped,
+        )
         return report
 
     def _runtime_for(self, deployment: Deployment, domain: str) -> DomainRuntime:

@@ -1,17 +1,13 @@
-"""Deployment timeline: a text Gantt chart from trace records or spans.
+"""Deployment timeline: a text Gantt chart from obs spans.
 
 Renders what happened when during a GP deployment — instance boots,
 Chef converges per host, and Globus Online transfer tasks — which makes
 the Fig. 10 deployment-time structure visible at a glance.
 
-Two input forms are accepted everywhere a trace is:
-
-* a :class:`~repro.simcore.TraceLog` (the classic path, reconstructed
-  from ``ec2``/``chef``/``globus`` records);
-* anything :func:`repro.obs.export.as_docs` understands — an
-  :class:`~repro.obs.ObsRecorder`, a :class:`~repro.obs.Capture`, or
-  exported doc dicts — in which case intervals come straight from the
-  recorded ``ec2.boot`` / ``chef.converge`` / ``go.task`` spans.
+The input is anything :func:`repro.obs.export.as_docs` understands — an
+:class:`~repro.obs.ObsRecorder`, a :class:`~repro.obs.Capture`, or
+exported doc dicts; intervals come from the recorded ``ec2.boot`` /
+``chef.converge`` / ``go.task`` spans.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..obs.export import as_docs
-from ..simcore import TraceLog
 
 
 @dataclass
@@ -33,29 +28,28 @@ class Interval:
         return self.end - self.start
 
 
-def collect_intervals(source: "TraceLog | object") -> list[Interval]:
-    """Boot, converge, and transfer intervals from a trace or from spans."""
-    if hasattr(source, "records"):
-        return _intervals_from_trace(source)
-    return _intervals_from_spans(source)
-
-
-#: obs span name -> (label prefix, attribute naming the entity)
+#: obs span name -> (label prefix, attribute naming the entity, whether
+#: only a span that finished ``ok`` gets a row).  A boot cancelled by
+#: ``terminate_instances`` or a converge that raised never happened as a
+#: deployment step; a failed GO task still occupied its time.
 _SPAN_ROWS = {
-    "ec2.boot": ("boot", "instance"),
-    "chef.converge": ("chef", "node"),
-    "go.task": ("go", "task"),
+    "ec2.boot": ("boot", "instance", True),
+    "chef.converge": ("chef", "node", True),
+    "go.task": ("go", "task", False),
 }
 
 
-def _intervals_from_spans(source) -> list[Interval]:
+def collect_intervals(source) -> list[Interval]:
+    """Boot, converge, and transfer intervals from recorded spans."""
     intervals: list[Interval] = []
     for doc in as_docs(source):
         for span in doc.get("spans", ()):
             row = _SPAN_ROWS.get(span["name"])
             if row is None or span.get("end") is None:
                 continue
-            prefix, key = row
+            prefix, key, ok_only = row
+            if ok_only and span.get("status", "ok") != "ok":
+                continue
             entity = (span.get("attrs") or {}).get(key, "?")
             intervals.append(
                 Interval(f"{prefix} {entity}", float(span["start"]), float(span["end"]))
@@ -63,34 +57,7 @@ def _intervals_from_spans(source) -> list[Interval]:
     return intervals
 
 
-def _intervals_from_trace(trace: TraceLog) -> list[Interval]:
-    intervals: list[Interval] = []
-    boot_starts: dict[str, float] = {}
-    go_starts: dict[str, float] = {}
-    trace_start = trace.records[0].time if trace.records else 0.0
-    for rec in trace.records:
-        if rec.source == "ec2" and rec.kind == "launch":
-            boot_starts[rec.detail["instance"]] = rec.time
-        elif rec.source == "ec2" and rec.kind == "running":
-            iid = rec.detail["instance"]
-            # A launch that predates the trace window still produces a
-            # (clamped) boot bar rather than vanishing from the chart.
-            start = boot_starts.pop(iid, trace_start)
-            intervals.append(Interval(f"boot {iid}", min(start, rec.time), rec.time))
-        elif rec.source == "chef" and rec.kind == "converge-done":
-            node = rec.detail["node"]
-            duration = rec.detail["duration"]
-            intervals.append(Interval(f"chef {node}", rec.time - duration, rec.time))
-        elif rec.source == "globus" and rec.kind == "task-submit":
-            go_starts[rec.detail["task"]] = rec.time
-        elif rec.source == "globus" and rec.kind == "task-done":
-            task = rec.detail["task"]
-            start = go_starts.pop(task, trace_start)
-            intervals.append(Interval(f"go {task}", min(start, rec.time), rec.time))
-    return intervals
-
-
-def render_timeline(source: "TraceLog | object", width: int = 50) -> str:
+def render_timeline(source, width: int = 50) -> str:
     """Gantt-style bars, one per interval, on a shared time axis."""
     intervals = collect_intervals(source)
     if not intervals:
@@ -101,7 +68,8 @@ def render_timeline(source: "TraceLog | object", width: int = 50) -> str:
     label_w = max(len(iv.label) for iv in intervals)
     lines = [f"deployment timeline ({t1 - t0:.0f}s total)"]
     for iv in sorted(intervals, key=lambda i: (i.start, i.label)):
-        lead = int((iv.start - t0) / span * width)
+        # an interval starting at the axis end still gets its one cell
+        lead = min(int((iv.start - t0) / span * width), width - 1)
         length = max(1, int((iv.end - iv.start) / span * width))
         bar = " " * lead + "#" * min(length, width - lead)
         lines.append(

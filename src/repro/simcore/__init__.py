@@ -15,7 +15,7 @@ Public API::
 """
 
 from .cohort import EventCohort
-from .context import SimContext, TraceLog, TraceRecord
+from .context import SimContext
 from .errors import (
     EmptySchedule,
     Interrupt,
@@ -50,8 +50,6 @@ __all__ = [
     "StopSimulation",
     "Store",
     "Timeout",
-    "TraceLog",
-    "TraceRecord",
     "URGENT",
     "UntriggeredEvent",
 ]

@@ -71,8 +71,9 @@ class _BaselineUploader:
             checksum=node.checksum,
         )
         elapsed = self.ctx.now - start
-        self.ctx.log(
-            "upload", model.name, path=dst_path, bytes=node.size, seconds=elapsed
+        self.ctx.obs.instant(
+            "upload.done", track="upload", protocol=model.name,
+            path=dst_path, bytes=node.size, seconds=elapsed,
         )
         return UploadResult(
             protocol=model.name,

@@ -272,8 +272,9 @@ class GlobusOnline:
                 continue
             expiry = min(self.ctx.now + lifetime_s, cred.not_after)
             ep.activations[username] = expiry
-            self.ctx.log(
-                "globus", "activate", endpoint=name, user=username, expiry=expiry
+            self.ctx.obs.instant(
+                "globus.activate", track="globus",
+                endpoint=name, user=username, expiry=expiry,
             )
             return expiry
         if last_error is not None:
@@ -327,15 +328,6 @@ class GlobusOnline:
         )
         self.tasks[task.task_id] = task
         self._event(task, "SUBMITTED", f"{len(spec.items)} item(s)")
-        self.ctx.log(
-            "globus",
-            "task-submit",
-            task=task.task_id,
-            src=spec.source_endpoint,
-            dst=spec.dest_endpoint,
-            items=len(spec.items),
-            label=spec.label,
-        )
         obs = self.ctx.obs
         if obs.enabled:
             self._task_span_ids[task.task_id] = obs.start(
@@ -389,17 +381,7 @@ class GlobusOnline:
         self._finish(task)
 
     def _finish(self, task: TransferTask) -> None:
-        """Common terminal bookkeeping: trace record, spans, notification."""
-        self.ctx.log(
-            "globus",
-            "task-done",
-            task=task.task_id,
-            status=task.status.value,
-            bytes=task.bytes_transferred,
-            files=task.files_transferred,
-            faults=task.faults,
-            error=task.fatal_error,
-        )
+        """Common terminal bookkeeping: spans, notification."""
         obs = self.ctx.obs
         if obs.enabled:
             # closes the task span and any file span still open on a

@@ -248,14 +248,6 @@ class GridFTPServer:
             obs.counter("gridftp.transfers").inc()
             obs.counter("gridftp.chunks").inc(chunks)
             obs.counter("gridftp.bytes").inc(node.size)
-        self.ctx.log(
-            "gridftp",
-            "transfer",
-            src=f"{self.hostname}:{src_path}",
-            dst=f"{dest.hostname}:{dst_path}",
-            bytes=node.size,
-            streams=streams,
-        )
         return node.size, self.ctx.now - start
 
 

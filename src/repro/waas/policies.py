@@ -33,14 +33,29 @@ class PoolSnapshot:
     cpu_capacity: float
     #: backlogged cpu+io work sitting idle in the schedd
     idle_work: float
-    #: workflows the admission controller is holding back
-    backlog_workflows: int
+    #: workflows the admission controller is holding back (the admission
+    #: fields stay zero for a pool with no WaaS admission in front of it)
+    backlog_workflows: int = 0
     #: their total DAG work
-    backlog_work: float
+    backlog_work: float = 0.0
     #: workflows admitted and executing
-    in_flight: int
+    in_flight: int = 0
     #: tightest live deadline minus ``now`` (None when nothing is live)
     min_deadline_slack_s: Optional[float] = None
+
+    @classmethod
+    def of_pool(cls, pool, now: float, workers: int, **admission) -> "PoolSnapshot":
+        """The Condor fields read off ``pool``; ``admission`` fills the rest."""
+        return cls(
+            now=now,
+            workers=workers,
+            queue_depth=pool.schedd.idle_count(),
+            running=pool.running_count,
+            total_slots=pool.total_slots,
+            cpu_capacity=pool.total_cpu_capacity,
+            idle_work=pool.idle_work,
+            **admission,
+        )
 
     @property
     def pending_work(self) -> float:

@@ -17,7 +17,7 @@ concurrent diffs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from ..provision.instance import GlobusProvision
 from ..provision.topology import with_worker_count
@@ -45,7 +45,7 @@ class ElasticProvisioner:
         gp: GlobusProvision,
         instance_id: str,
         policy: ScalingPolicy,
-        snapshot: Callable[[], PoolSnapshot],
+        snapshot: Optional[Callable[[], PoolSnapshot]] = None,
         domain: str = "waas",
         check_interval_s: float = 60.0,
         min_workers: int = 1,
@@ -57,7 +57,9 @@ class ElasticProvisioner:
         self.gp = gp
         self.instance_id = instance_id
         self.policy = policy
-        self.snapshot = snapshot
+        #: policy input; by default the bare Condor pool's state (no
+        #: WaaS admission in front of it: admission fields zero)
+        self.snapshot = snapshot if snapshot is not None else self._pool_snapshot
         self.domain = domain
         self.check_interval_s = check_interval_s
         self.min_workers = min_workers
@@ -89,6 +91,10 @@ class ElasticProvisioner:
     def worker_count(self) -> int:
         gpi = self.gp.get(self.instance_id)
         return gpi.topology.domain(self.domain).cluster_nodes
+
+    def _pool_snapshot(self) -> PoolSnapshot:
+        pool = self.gp.get(self.instance_id).deployment.pool
+        return PoolSnapshot.of_pool(pool, self.gp.bed.ctx.now, self.worker_count())
 
     # -- the loop ----------------------------------------------------------
     def _loop(self):

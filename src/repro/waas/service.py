@@ -132,7 +132,7 @@ class WaasService:
         self.ctx.sim.schedule_cohort(
             times, self._arrival_apply, payload=requests, layer="waas.arrival"
         )
-        self.ctx.log("waas", "open", requests=len(requests), t0=t0)
+        self.ctx.obs.instant("waas.open", track="waas", requests=len(requests), t0=t0)
         return t0
 
     # -- arrivals ----------------------------------------------------------
@@ -243,10 +243,6 @@ class WaasService:
             obs.finish_open(self._track(req), status="ok" if met else "error",
                             error=None if met else "deadline-missed")
             self._wf_span_ids.pop(req.id, None)
-        self.ctx.log(
-            "waas", "workflow-done", workflow=req.id,
-            tenant=req.tenant.name, sla=met,
-        )
         self.admission.complete(req)
         if obs.enabled:
             obs.series("waas.in_flight").record(self.admission.in_flight)
@@ -280,17 +276,12 @@ class WaasService:
 
     def snapshot(self) -> PoolSnapshot:
         """The provisioner's policy input, assembled in O(log live)."""
-        pool = self.pool
         adm = self.admission
         gpi = self.gp.get(self.instance_id)
-        return PoolSnapshot(
-            now=self.ctx.now,
-            workers=gpi.topology.domain(self.domain).cluster_nodes,
-            queue_depth=pool.schedd.idle_count(),
-            running=pool.running_count,
-            total_slots=pool.total_slots,
-            cpu_capacity=pool.total_cpu_capacity,
-            idle_work=pool.idle_work,
+        return PoolSnapshot.of_pool(
+            self.pool,
+            self.ctx.now,
+            gpi.topology.domain(self.domain).cluster_nodes,
             backlog_workflows=adm.backlog_workflows,
             backlog_work=adm.backlog_work,
             in_flight=adm.in_flight,

@@ -16,7 +16,7 @@ def fingerprint(seed: int) -> tuple:
         res.top_table_head,
         tuple(res.history_panel),
         round(bed.total_cost(), 12),
-        len(bed.ctx.trace.records),
+        bed.ctx.sim.events_processed,
     )
 
 

@@ -1,10 +1,9 @@
 """Whole-system observability: spans from real deployments.
 
-These are the PR's acceptance tests: an instrumented use-case run must
-export a schema-valid Chrome trace, its span totals must reconcile with
-the trace-record timeline, repeated runs must record identical span
-trees, and recording must leave simulation output byte-identical to an
-obs-off run.
+An instrumented use-case run must export a schema-valid Chrome trace,
+its spans must reconcile with the timestamps the model keeps itself,
+repeated runs must record identical span trees, and recording must leave
+simulation output byte-identical to an obs-off run.
 """
 
 import json
@@ -29,11 +28,32 @@ def _deploy(seed: int = 60):
             yield from gp.start(gpi.id)
 
         bed.ctx.sim.run(until=bed.ctx.sim.process(scenario()))
-    return bed, cap
+    return bed, gpi, cap
+
+
+def _boot_intervals(bed):
+    """(row label, launch, first billed instant) per instance, from
+    EC2's own records: a boot lasts from launch until billing starts."""
+    first_billed = {}
+    for iv in bed.ec2.meter.intervals:
+        first_billed.setdefault(iv.instance_id, iv.start)
+    return sorted(
+        (f"boot {i.id}", i.launch_time, first_billed[i.id])
+        for i in bed.ec2.instances.values()
+    )
+
+
+def _converge_durations(gpi):
+    """(row label, duration) per converge, from each Chef node's own log."""
+    return sorted(
+        (f"chef {node.chef.name}", entry["duration"])
+        for node in gpi.deployment.nodes.values()
+        for entry in node.chef.converge_log
+    )
 
 
 def test_deployment_spans_cover_boot_and_converge():
-    bed, cap = _deploy()
+    bed, gpi, cap = _deploy()
     [doc] = cap.to_docs()
     names = {s["name"] for s in doc["spans"]}
     assert {"kernel.run", "ec2.boot", "chef.converge", "chef.recipe"} <= names
@@ -48,27 +68,26 @@ def test_deployment_spans_cover_boot_and_converge():
             assert by_id[s["parent_id"]]["name"] == "chef.converge"
 
 
-def test_span_totals_reconcile_with_timeline_intervals():
-    bed, cap = _deploy()
+def test_span_totals_reconcile_with_model_timestamps():
+    bed, gpi, cap = _deploy()
     rows = {r["name"]: r for r in summary_rows(cap)}
-    intervals = collect_intervals(bed.ctx.trace)
-
-    def interval_total(prefix):
-        return sum(iv.end - iv.start for iv in intervals if iv.label.startswith(prefix))
-
-    assert rows["ec2.boot"]["total_s"] == pytest.approx(interval_total("boot"))
-    assert rows["chef.converge"]["total_s"] == pytest.approx(interval_total("chef"))
+    boot_total = sum(end - start for _, start, end in _boot_intervals(bed))
+    converge_total = sum(d for _, d in _converge_durations(gpi))
+    assert rows["ec2.boot"]["total_s"] == pytest.approx(boot_total)
+    assert rows["chef.converge"]["total_s"] == pytest.approx(converge_total)
 
 
-def test_span_based_intervals_match_trace_based_intervals():
-    bed, cap = _deploy()
-    from_trace = sorted(
-        (iv.label, iv.start, iv.end) for iv in collect_intervals(bed.ctx.trace)
+def test_span_based_intervals_match_model_timestamps():
+    bed, gpi, cap = _deploy()
+    intervals = collect_intervals(cap)
+    boots = sorted(
+        (iv.label, iv.start, iv.end) for iv in intervals if iv.label.startswith("boot")
     )
-    from_spans = sorted(
-        (iv.label, iv.start, iv.end) for iv in collect_intervals(cap)
+    converges = sorted(
+        (iv.label, iv.duration_s) for iv in intervals if iv.label.startswith("chef")
     )
-    assert from_spans == from_trace
+    assert boots == _boot_intervals(bed)
+    assert converges == _converge_durations(gpi)
 
 
 def test_usecase_transfer_spans_reconcile_with_go_rows():
@@ -84,6 +103,48 @@ def test_usecase_transfer_spans_reconcile_with_go_rows():
     )
     assert rows["go.task"]["total_s"] == pytest.approx(go_total)
     assert result.step3_job.state.value == "ok"
+
+
+def test_usecase_records_lifecycle_instants():
+    """Infrastructure events no span covers (deploy/update done, startd
+    join, GO activation) are instants at the sim time of the action."""
+    with capture() as cap:
+        result = run_usecase(run_large=False)
+    [doc] = cap.to_docs()
+    by_name = {}
+    for inst in doc["instants"]:
+        assert inst["track"] == inst["name"].split(".")[0]
+        by_name.setdefault(inst["name"], []).append(inst)
+
+    [deployed] = by_name["gp.deployed"]
+    assert deployed["time"] == result.deploy_seconds  # the run starts at t=0
+    assert deployed["attrs"] == {"nodes": 4, "seconds": result.deploy_seconds}
+
+    step3 = result.step3_job
+    [updated] = by_name["gp.updated"]
+    assert updated["time"] == pytest.approx(step3.end_time + result.update_seconds)
+    assert updated["attrs"] == {
+        "seconds": result.update_seconds,
+        "added": ["simple-condor-wn2"],
+        "removed": [],
+        "retyped": [],
+    }
+
+    joins = [(i["time"], i["attrs"]) for i in by_name["condor.startd-join"]]
+    assert joins == [
+        (deployed["time"], {"machine": "simple-condor-wn1", "cores": 1}),
+        (updated["time"], {"machine": "simple-condor-wn2", "cores": 2}),
+    ]
+
+    fetch_start = result.deploy_seconds
+    fetch_end = fetch_start + result.transfer_small_seconds
+    endpoints = set()
+    for inst in by_name["globus.activate"]:
+        attrs = inst["attrs"]
+        assert fetch_start <= inst["time"] <= fetch_end
+        assert attrs["user"] == "boliu" and attrs["expiry"] > inst["time"]
+        endpoints.add(attrs["endpoint"])
+    assert endpoints == {"galaxy#CVRG-Galaxy", "cvrg#galaxy"}
 
 
 def test_usecase_chrome_trace_is_perfetto_valid():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cloud import InsufficientCapacity, MockEC2
 from repro.core import CloudTestbed, usecase_topology
+from repro.obs import capture
 from repro.provision import DeploymentError, GlobusProvision
 from repro.simcore import SimContext
 
@@ -22,7 +23,8 @@ def test_invalid_rate_rejected():
 
 def test_deployer_retries_through_transient_capacity_errors():
     """A 30% failure rate is absorbed by the launch retry loop."""
-    bed = CloudTestbed(seed=74, capacity_error_rate=0.3)
+    with capture():
+        bed = CloudTestbed(seed=74, capacity_error_rate=0.3)
     gp = GlobusProvision(bed)
     gpi = gp.create(usecase_topology("m1.small", cluster_nodes=2))
 
@@ -33,8 +35,7 @@ def test_deployer_retries_through_transient_capacity_errors():
     assert gpi.state.value == "Running"
     assert len(gpi.deployment.nodes) == 5
     # at least one capacity error actually fired (and was retried)
-    errors = bed.ctx.trace.filter(kind="capacity-error")
-    assert len(errors) >= 1
+    assert bed.ctx.obs.counter("ec2.capacity_errors").value >= 1
 
 
 def test_deployer_gives_up_after_persistent_capacity_errors():

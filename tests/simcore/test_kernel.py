@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.obs import NULL_RECORDER
 from repro.simcore import (
     EmptySchedule,
     Interrupt,
@@ -373,14 +374,18 @@ def test_nested_processes_compose():
     assert sim.now == 7.0
 
 
-def test_context_log_records_time_and_detail():
-    ctx = SimContext(seed=1)
-    ctx.sim.call_in(2.5, lambda: ctx.log("unit", "tick", n=1))
+def test_context_instant_records_time_and_attrs():
+    ctx = SimContext(seed=1, obs=True)
+    ctx.sim.call_in(2.5, lambda: ctx.obs.instant("unit.tick", track="unit", n=1))
     ctx.sim.run()
-    recs = ctx.trace.filter(kind="tick")
-    assert len(recs) == 1
-    assert recs[0].time == 2.5
-    assert recs[0].detail == {"n": 1}
+    ticks = [i for i in ctx.obs.instants if i["name"] == "unit.tick"]
+    assert ticks == [{"name": "unit.tick", "track": "unit", "time": 2.5, "attrs": {"n": 1}}]
+    # obs off: the shared null recorder keeps nothing
+    off = SimContext(seed=1)
+    assert off.obs is NULL_RECORDER
+    off.sim.call_in(2.5, lambda: off.obs.instant("unit.tick", track="unit", n=1))
+    off.sim.run()
+    assert NULL_RECORDER.instants == [] and NULL_RECORDER.to_dict()["instants"] == []
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))

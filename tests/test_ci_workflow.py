@@ -172,8 +172,8 @@ def test_bench_job_compares_sim_json_against_committed_baseline(workflow):
 
 
 def test_bench_job_runs_obs_smoke(workflow):
-    """An instrumented sweep runs, leaves sim JSON unchanged, and every
-    exported Chrome trace passes the schema check."""
+    """One instrumented sweep runs, leaves sim JSON unchanged, and every
+    exported Chrome trace (spans and instants) passes the schema check."""
     commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
     obs = [c for c in commands if "--obs-out" in c]
     assert obs, "bench-smoke must run an --obs-out sweep"
@@ -257,8 +257,9 @@ def test_lint_job_runs_ruff(workflow):
 
 
 def test_bench_job_runs_critpath_and_validates_all_obs_artefacts(workflow):
-    """A --critpath-out sweep runs, leaves sim JSON unchanged, and the
-    validator covers critpath docs and gauge series alongside traces."""
+    """The instrumented sweep also writes --critpath-out, its sim JSON is
+    byte-compared, and the validator covers critpath docs and gauge series
+    alongside traces."""
     commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
     critpath = [c for c in commands if "--critpath-out" in c]
     assert critpath, "bench-smoke must run a --critpath-out sweep"

@@ -1,17 +1,29 @@
-"""Deployment timeline rendering from the simulation trace."""
+"""Deployment timeline rendering from recorded obs spans."""
 
+from repro.cloud import MockEC2
 from repro.core import CloudTestbed, usecase_topology
+from repro.obs import ObsRecorder, capture
 from repro.provision import GlobusProvision
 from repro.reporting import collect_intervals, render_timeline
-from repro.simcore import TraceLog
+from repro.simcore import SimContext
 
 
-def test_empty_trace():
-    assert "no deployment activity" in render_timeline(TraceLog())
+def _recorded(*rows):
+    """An ObsRecorder holding one finished span per
+    ``(name, attrs, start, end[, status])`` row."""
+    clock = {"t": 0.0}
+    rec = ObsRecorder(label="s", clock=lambda: clock["t"])
+    for name, attrs, start, end, *status in rows:
+        clock["t"] = start
+        span = rec.start(name, **attrs)
+        clock["t"] = end
+        rec.finish(span, status=status[0] if status else "ok")
+    return rec
 
 
 def test_deployment_produces_timeline():
-    bed = CloudTestbed(seed=60)
+    with capture() as cap:
+        bed = CloudTestbed(seed=60)
     gp = GlobusProvision(bed)
     gpi = gp.create(usecase_topology("m1.small", cluster_nodes=1))
 
@@ -19,7 +31,7 @@ def test_deployment_produces_timeline():
         yield from gp.start(gpi.id)
 
     bed.ctx.sim.run(until=bed.ctx.sim.process(scenario()))
-    intervals = collect_intervals(bed.ctx.trace)
+    intervals = collect_intervals(cap)
     boots = [iv for iv in intervals if iv.label.startswith("boot")]
     converges = [iv for iv in intervals if iv.label.startswith("chef")]
     assert len(boots) == 4     # server, head, gridftp, worker
@@ -30,7 +42,7 @@ def test_deployment_produces_timeline():
     head = next(iv for iv in converges if "galaxy-condor" in iv.label)
     assert head.start >= min(b.end for b in boots) - 1e-9
 
-    art = render_timeline(bed.ctx.trace)
+    art = render_timeline(cap)
     assert "chef simple-galaxy-condor" in art
     assert "#" in art
     # every bar line has the shared axis width
@@ -38,40 +50,41 @@ def test_deployment_produces_timeline():
     assert len({ln.index("|") for ln in lines}) == 1
 
 
-def test_boot_interval_clamped_when_launch_predates_trace():
-    """An `ec2 running` record with no matching launch still gets a bar."""
-    trace = TraceLog()
-    trace.emit(100.0, "chef", "converge-start", node="n1")
-    trace.emit(130.0, "ec2", "running", instance="i-000001")
-    trace.emit(160.0, "chef", "converge-done", node="n1", duration=60.0)
-    intervals = collect_intervals(trace)
-    boots = [iv for iv in intervals if iv.label == "boot i-000001"]
-    assert len(boots) == 1
-    # clamped to the start of the trace window, not dropped
-    assert boots[0].start == 100.0
-    assert boots[0].end == 130.0
-
-
 def test_globus_tasks_appear_as_go_rows():
-    trace = TraceLog()
-    trace.emit(10.0, "globus", "task-submit", task="go-task-000001", src="a", dst="b")
-    trace.emit(55.0, "globus", "task-done", task="go-task-000001", status="SUCCEEDED")
-    # a done with no submit in the window clamps like the boot case
-    trace.emit(70.0, "globus", "task-done", task="go-task-000002", status="FAILED")
-    intervals = collect_intervals(trace)
-    by_label = {iv.label: iv for iv in intervals}
+    rec = _recorded(
+        ("go.task", {"task": "go-task-000001"}, 10.0, 55.0),
+        # a failed task still occupied its time: it keeps its row
+        ("go.task", {"task": "go-task-000002"}, 30.0, 70.0, "error"),
+    )
+    by_label = {iv.label: iv for iv in collect_intervals(rec)}
     assert by_label["go go-task-000001"].start == 10.0
     assert by_label["go go-task-000001"].end == 55.0
-    assert by_label["go go-task-000002"].start == 10.0  # trace start
-    art = render_timeline(trace)
-    assert "go go-task-000001" in art
+    assert by_label["go go-task-000002"].end == 70.0
+    art = render_timeline(rec)
+    assert "go go-task-000001" in art and "go go-task-000002" in art
+
+
+def test_cancelled_boot_and_failed_converge_draw_no_bar():
+    """A boot that ``terminate_instances`` cut short, or a converge that
+    raised, never happened as a deployment step: no row for either."""
+    with capture() as cap:
+        ctx = SimContext(seed=0)
+    ec2 = MockEC2(ctx)
+    ec2.run_instances("ami-b12ee0d8", "m1.small", count=2)
+    ctx.sim.call_in(10.0, lambda: ec2.terminate_instances(["i-00000002"]))
+    ctx.sim.run()
+    assert [iv.label for iv in collect_intervals(cap)] == ["boot i-00000001"]
+
+    rec = _recorded(
+        ("chef.converge", {"node": "n1"}, 0.0, 30.0, "error"),
+        ("chef.converge", {"node": "n2"}, 0.0, 40.0),
+    )
+    assert [iv.label for iv in collect_intervals(rec)] == ["chef n2"]
 
 
 def test_zero_span_docs_render_as_no_activity():
     """Obs docs whose tracks recorded no (finished) spans produce no
     intervals — and the renderer says so instead of dividing by zero."""
-    from repro.obs import ObsRecorder
-
     rec = ObsRecorder(label="idle")
     assert collect_intervals(rec) == []
     assert "no deployment activity" in render_timeline(rec)
@@ -84,65 +97,35 @@ def test_zero_span_docs_render_as_no_activity():
 
 
 def test_unknown_span_names_are_ignored():
-    from repro.obs import ObsRecorder
-
-    clock = {"t": 0.0}
-    rec = ObsRecorder(label="s", clock=lambda: clock["t"])
-    span = rec.start("transfer.window", track="x")  # not a timeline row
-    clock["t"] = 5.0
-    rec.finish(span)
+    rec = _recorded(("transfer.window", {}, 0.0, 5.0))  # not a timeline row
     assert collect_intervals(rec) == []
 
 
 def test_trace_with_no_go_tasks_renders_without_go_rows():
-    trace = TraceLog()
-    trace.emit(0.0, "ec2", "launch", instance="i-1")
-    trace.emit(40.0, "ec2", "running", instance="i-1")
-    trace.emit(100.0, "chef", "converge-done", node="n1", duration=60.0)
-    intervals = collect_intervals(trace)
+    rec = _recorded(
+        ("ec2.boot", {"instance": "i-1"}, 0.0, 40.0),
+        ("chef.converge", {"node": "n1"}, 40.0, 100.0),
+    )
+    intervals = collect_intervals(rec)
     assert sorted(iv.label for iv in intervals) == ["boot i-1", "chef n1"]
-    art = render_timeline(trace)
+    art = render_timeline(rec)
     assert "go " not in art
     assert "boot i-1" in art and "chef n1" in art
 
 
-def test_trace_with_unmatched_launch_yields_no_boot_interval():
-    """A launch with no running record in the window is still pending —
-    no interval, rather than a bar with a made-up end."""
-    trace = TraceLog()
-    trace.emit(0.0, "ec2", "launch", instance="i-1")
-    trace.emit(10.0, "chef", "converge-done", node="n1", duration=5.0)
-    labels = [iv.label for iv in collect_intervals(trace)]
-    assert labels == ["chef n1"]
-
-
-def test_boot_clamp_never_inverts_the_interval():
-    """When the running record lands before the clamped start (trace
-    begins after the boot completed), the bar is clamped, not inverted."""
-    trace = TraceLog()
-    trace.emit(50.0, "chef", "converge-start", node="n1")
-    trace.emit(20.0, "ec2", "running", instance="i-1")  # before records[0].time
-    trace.emit(60.0, "chef", "converge-done", node="n1", duration=10.0)
-    boots = [iv for iv in collect_intervals(trace) if iv.label == "boot i-1"]
-    assert len(boots) == 1
-    assert boots[0].start <= boots[0].end
-    assert boots[0].end == 20.0
-
-
 def test_zero_duration_interval_renders_a_visible_bar():
-    trace = TraceLog()
-    trace.emit(10.0, "globus", "task-submit", task="t1")
-    trace.emit(10.0, "globus", "task-done", task="t1", status="SUCCEEDED")
-    trace.emit(10.0, "ec2", "launch", instance="i-1")
-    trace.emit(60.0, "ec2", "running", instance="i-1")
-    art = render_timeline(trace)
-    go_line = next(ln for ln in art.splitlines() if ln.startswith("go t1"))
-    assert "#" in go_line  # length floor of one cell, even at zero duration
+    # a zero-length go task mid-axis, and one at the very end of the axis
+    for go_at in (10.0, 60.0):
+        rec = _recorded(
+            ("go.task", {"task": "t1"}, go_at, go_at),
+            ("ec2.boot", {"instance": "i-1"}, 10.0, 60.0),
+        )
+        art = render_timeline(rec)
+        go_line = next(ln for ln in art.splitlines() if ln.startswith("go t1"))
+        assert "#" in go_line  # length floor of one cell, even at zero duration
 
 
 def test_collect_intervals_accepts_obs_spans():
-    from repro.obs import ObsRecorder
-
     clock = {"t": 0.0}
     rec = ObsRecorder(label="s", clock=lambda: clock["t"])
     boot = rec.start("ec2.boot", track="ec2/i-1", instance="i-1")
