@@ -6,12 +6,13 @@ Sec. V-A use case, and the design-choice ablations DESIGN.md calls out.
 
 On top of the drivers sit the fan-out layers: ``harness`` (the parallel
 orchestrator), ``suites`` (the spec registry mapping artefacts onto
-harness columns), ``trajectory`` (the per-commit perf series), and
-``cli`` (``gp-bench`` / ``python -m repro.bench``).
+harness columns), and ``cli`` (``gp-bench`` / ``python -m repro.bench``).
+What a run costs the host is measured outside this package, by
+``perfbench/run.py`` under ``BENCHMARK.json``.
 """
 
 from . import ablations, figure10, figure11, pricing_sweep, scale, usecase  # noqa: I001
-from . import harness, suites, trajectory
+from . import harness, suites
 
 __all__ = [
     "ablations",
@@ -21,6 +22,5 @@ __all__ = [
     "pricing_sweep",
     "scale",
     "suites",
-    "trajectory",
     "usecase",
 ]

@@ -4,13 +4,17 @@ Examples::
 
     gp-bench --list                         # what would run
     gp-bench --smoke --workers 4            # CI smoke sweep, fanned out
-    gp-bench scale --workers 4 --json-out suite.json --trajectory
+    gp-bench scale --workers 4 --json-out suite.json
     gp-bench fig10 fig11 --workers 2        # a subset of suites
     gp-bench usecase --smoke --obs-out obs/ # spans: Chrome trace + summary
 
-Exit status is non-zero if any task failed or timed out — or if an
+Exit status is 1 if any task failed or timed out — or if an
 otherwise-ok task's payload reports ``tasks_failed > 0`` — so CI can
-gate on the sweep directly.
+gate on the sweep directly; it is 2 for an unknown suite, a
+``--workers`` below 1 or a ``--timeout`` that is not positive.
+
+Payloads and ``--sim-json-out`` hold simulated results only; what a run
+costs the host is measured by ``perfbench/run.py``, not here.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import pathlib
 import sys
 
 from ..obs import chrome_trace, critpath_doc, spans_jsonl, summary_table, timeseries_jsonl
-from . import suites, trajectory
+from . import suites
 from .harness import run_suite
 
 
@@ -97,21 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--trajectory",
-        nargs="?",
-        type=pathlib.Path,
-        const=trajectory.DEFAULT_PATH,
-        default=None,
-        metavar="PATH",
-        help=f"append a perf-trajectory record (default path: {trajectory.DEFAULT_PATH})",
-    )
-    parser.add_argument(
-        "--commit", help="override the commit stamped into the trajectory record"
-    )
-    parser.add_argument(
-        "--date", help="override the date stamped into the trajectory record"
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list suites and specs, then exit"
     )
     parser.add_argument(
@@ -183,7 +172,12 @@ def write_critpath_outputs(result, out_dir: pathlib.Path) -> list[pathlib.Path]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
+    if not args.timeout > 0:  # also rejects nan, which would never time out
+        parser.error("--timeout must be positive")
 
     for name in args.suites:
         if name not in suites.names():
@@ -257,15 +251,6 @@ def main(argv: list[str] | None = None) -> int:
         bundle = build_bundle(result)
         bundle_path = write_bundle(bundle, args.bundle_out / f"{suite.name}.bundle.json")
         print(f"wrote {bundle_path} (digest {bundle.digest()[:12]}...)")
-
-    if args.trajectory is not None:
-        record = trajectory.from_suite_result(
-            result, commit=args.commit, date=args.date
-        )
-        records = trajectory.append(record, args.trajectory)
-        print()
-        print(trajectory.render(records, last=10))
-        print(f"appended to {args.trajectory}")
 
     payload_failures = result.payload_failures()
     if payload_failures and result.ok:

@@ -7,9 +7,9 @@ module industrializes: a suite of :class:`BenchSpec` columns is executed
 across a pool of persistent worker processes and merged back into one
 :class:`SuiteResult` in **spec order**, so the merged document is
 byte-identical no matter how many workers ran it or in which order tasks
-finished.  Only the ``wall_seconds``/``events_per_sec`` fields are
-host-dependent; :meth:`SuiteResult.sim_json` strips them for the
-determinism pins.
+finished.  Payloads carry simulated results only; the one
+host-dependent field is each task's ``wall_seconds``, which
+:meth:`SuiteResult.sim_json` leaves out for the determinism pins.
 
 Robustness contract:
 
@@ -41,12 +41,6 @@ from dataclasses import dataclass, field
 
 from ..obs.recorder import capture
 from ..reporting import render_table
-
-#: metric keys that legitimately vary between hosts/runs; everything else
-#: in a payload must be byte-identical for a given spec.
-HOST_DEPENDENT_KEYS = frozenset(
-    {"wall_seconds", "events_per_sec", "jobs_per_sec", "speedup_vs_scalar"}
-)
 
 #: registry of task callables the specs reference by name (see
 #: :func:`task`); populated by ``repro.bench.suites`` on import.
@@ -222,10 +216,9 @@ class SuiteResult:
     def sim_dict(self) -> dict:
         """The host-independent view: byte-identical across worker counts.
 
-        Drops every per-task wall-clock field (recursively, so nested
-        kernel counters like ``events_per_sec`` go too), the per-task
-        error text (tracebacks carry PIDs/paths), and the suite-level
-        timing/worker fields.
+        Payloads go in as the tasks returned them; dropped are each
+        task's ``wall_seconds``, its error text (tracebacks carry
+        PIDs/paths), and the suite-level timing/worker fields.
         """
         return {
             "suite": self.suite,
@@ -236,7 +229,7 @@ class SuiteResult:
                     "task": t.spec.task,
                     "params": dict(t.spec.params),
                     "status": t.status,
-                    "payload": _strip_host_dependent(t.payload),
+                    "payload": t.payload,
                 }
                 for t in self.tasks
             ],
@@ -277,18 +270,6 @@ class SuiteResult:
             f"workers={self.workers}, wall {self.wall_seconds:.2f}s"
         )
         return render_table(["spec", "status", "wall (s)", "error"], rows, title=title)
-
-
-def _strip_host_dependent(obj):
-    if isinstance(obj, dict):
-        return {
-            k: _strip_host_dependent(v)
-            for k, v in obj.items()
-            if k not in HOST_DEPENDENT_KEYS
-        }
-    if isinstance(obj, list):
-        return [_strip_host_dependent(v) for v in obj]
-    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ estimator (``repro.cloud.estimator``), with two built-in checks:
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
 
 from ..cloud.estimator import (
@@ -66,9 +65,6 @@ class PricingSweepResult:
     scalar_max_abs_diff: float
     cheapest: str
     fastest: str
-    #: host-dependent throughput figures (stripped from sim JSON)
-    jobs_per_sec: float = 0.0
-    speedup_vs_scalar: float = 0.0
 
     def check_shape(self) -> None:
         """The invariants the sweep guarantees; raises AssertionError."""
@@ -100,8 +96,6 @@ class PricingSweepResult:
             "scalar_max_abs_diff": self.scalar_max_abs_diff,
             "cheapest": self.cheapest,
             "fastest": self.fastest,
-            "jobs_per_sec": self.jobs_per_sec,
-            "speedup_vs_scalar": self.speedup_vs_scalar,
             "rendered": self.render(),
         }
         return doc
@@ -146,15 +140,11 @@ def run(config: PricingSweepConfig | None = None) -> PricingSweepResult:
         max_mb=config.max_mb,
     )
 
-    t0 = time.perf_counter()
     est = estimate_batch(tool, sizes)
-    vector_wall = time.perf_counter() - t0
 
     # Equivalence: re-price a leading slice with the per-sample loop.
     k = max(1, min(config.scalar_check_jobs, config.n_jobs))
-    t1 = time.perf_counter()
     ref = estimate_scalar_loop(tool, sizes[:k])
-    scalar_wall = time.perf_counter() - t1
     diff = max(
         float(abs(est.seconds[:k] - ref.seconds).max()),
         float(abs(est.cost_usd[:k] - ref.cost_usd).max()),
@@ -169,7 +159,6 @@ def run(config: PricingSweepConfig | None = None) -> PricingSweepResult:
         for itype in anchor_est.instance_types
     }
 
-    scalar_per_job = scalar_wall / k
     return PricingSweepResult(
         config=config,
         instance_types=list(est.instance_types),
@@ -181,8 +170,4 @@ def run(config: PricingSweepConfig | None = None) -> PricingSweepResult:
         scalar_max_abs_diff=diff,
         cheapest=est.cheapest(),
         fastest=est.fastest(),
-        jobs_per_sec=(config.n_jobs / vector_wall) if vector_wall > 0 else 0.0,
-        speedup_vs_scalar=(
-            (scalar_per_job * config.n_jobs) / vector_wall if vector_wall > 0 else 0.0
-        ),
     )

@@ -3,28 +3,25 @@
 The paper's experiments stop at a handful of nodes and two transfers; the
 north star is a substrate that prices *campaigns*.  This driver deploys a
 GP topology in the 128–256 node range, then pushes hundreds of concurrent
-Globus transfers and thousands of Condor jobs through it, and reports how
-fast the simulator chews through that world: events/second of wall time,
-peak scheduler queue depth, and total wall/sim time.
+Globus transfers and thousands of Condor jobs through it, and reports
+what the simulator did with that world: events processed, peak scheduler
+queue depth, and deploy/total sim time.
 
-The same harness runs two ways:
+The same driver runs two ways:
 
-* ``FULL_CONFIG`` — the headline numbers, written to ``BENCH_scale.json``
-  by ``benchmarks/bench_scale.py`` (minutes of wall time);
+* ``FULL_CONFIG`` — the 128-node headline of ``gp-bench scale``;
 * ``SMOKE_CONFIG`` — a tiny topology exercising every code path in well
   under a second, run in tier-1 by ``tests/bench/test_scale_smoke.py``.
 
 Everything in the workload is derived deterministically from the config
 (no wall-clock or unseeded randomness), so two runs with the same config
-produce byte-identical simulation metrics; only ``wall_seconds`` and
-``events_per_sec`` vary with the host machine.
+produce byte-identical results.  What a run costs the host is measured
+by ``perfbench/run.py``, not here.
 """
 
 from __future__ import annotations
 
-import gc
 import json
-import time
 from dataclasses import asdict, dataclass
 
 from .. import calibration
@@ -68,9 +65,7 @@ class ScaleResult:
     nodes: int
     deploy_sim_seconds: float
     sim_seconds: float
-    wall_seconds: float
     events_processed: int
-    events_per_sec: float
     peak_queue_depth: int
     transfers_succeeded: int
     jobs_completed: int
@@ -120,45 +115,33 @@ def run(config: ScaleConfig = FULL_CONFIG) -> ScaleResult:
     )
     _stage_inputs(bed, config)
 
-    # Measure with the cyclic collector paused (as ``timeit`` does): the
-    # kernel pauses it per drain anyway, but keeping it off across the
-    # whole timed region stops deploy-phase garbage from being collected
-    # inside the load phase's measurement.  Restored before returning.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        wall_start = time.perf_counter()
-        deploy_proc = bed.ctx.sim.process(deployer.deploy(topology), name="deploy")
-        deployment = bed.run(until=deploy_proc)
-        deploy_sim_seconds = bed.now
+    deploy_proc = bed.ctx.sim.process(deployer.deploy(topology), name="deploy")
+    deployment = bed.run(until=deploy_proc)
+    deploy_sim_seconds = bed.now
 
-        def scenario(ctx):
-            tasks = []
-            for i in range(config.transfers):
-                spec = TransferSpec(
-                    source_endpoint=CVRG_DATA_ENDPOINT,
-                    dest_endpoint=deployment.endpoint_name,
-                    items=[TransferItem(_input_path(i), _input_path(i))],
-                    label=f"scale-{i:04d}",
-                    notify=False,
-                )
-                tasks.append(bed.go.submit("boliu", spec))
-            pool = deployment.pool
-            jobs = [
-                pool.submit(cpu_work=_job_work(config, i), owner=f"user{i % 8}")
-                for i in range(config.jobs)
-            ]
-            waits = [bed.go.when_done(t) for t in tasks]
-            waits += [pool.when_done(j) for j in jobs]
-            yield ctx.sim.all_of(waits)
-            return tasks, jobs
+    def scenario(ctx):
+        tasks = []
+        for i in range(config.transfers):
+            spec = TransferSpec(
+                source_endpoint=CVRG_DATA_ENDPOINT,
+                dest_endpoint=deployment.endpoint_name,
+                items=[TransferItem(_input_path(i), _input_path(i))],
+                label=f"scale-{i:04d}",
+                notify=False,
+            )
+            tasks.append(bed.go.submit("boliu", spec))
+        pool = deployment.pool
+        jobs = [
+            pool.submit(cpu_work=_job_work(config, i), owner=f"user{i % 8}")
+            for i in range(config.jobs)
+        ]
+        waits = [bed.go.when_done(t) for t in tasks]
+        waits += [pool.when_done(j) for j in jobs]
+        yield ctx.sim.all_of(waits)
+        return tasks, jobs
 
-        proc = bed.ctx.sim.process(scenario(bed.ctx), name="scale-load")
-        tasks, jobs = bed.run(until=proc)
-        wall = time.perf_counter() - wall_start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    proc = bed.ctx.sim.process(scenario(bed.ctx), name="scale-load")
+    tasks, jobs = bed.run(until=proc)
 
     sim = bed.ctx.sim
     return ScaleResult(
@@ -166,9 +149,7 @@ def run(config: ScaleConfig = FULL_CONFIG) -> ScaleResult:
         nodes=len(deployment.nodes),
         deploy_sim_seconds=deploy_sim_seconds,
         sim_seconds=bed.now,
-        wall_seconds=wall,
         events_processed=sim.events_processed,
-        events_per_sec=sim.events_processed / wall if wall > 0 else 0.0,
         peak_queue_depth=sim.peak_queue_depth,
         transfers_succeeded=sum(
             1 for t in tasks if t.status is TaskStatus.SUCCEEDED

@@ -16,15 +16,15 @@ Shapes:
 * ``FULL_GRID`` — the 1k-tenant and 100k-tenant grids.
 
 Everything is derived from the config seed; two runs with the same
-config are byte-identical in every simulation metric regardless of
-worker count or whether observability is recording.
+config are byte-identical in every field regardless of worker count or
+whether observability is recording.  What a run costs the host is
+measured by ``perfbench/run.py``'s ``waas`` workload, not here.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 from ..core.testbed import CloudTestbed
@@ -124,9 +124,7 @@ def _percentile(values: list[float], p: float) -> float:
 
 @dataclass
 class WaasResult:
-    """One policy run.  Simulation metrics are seed-deterministic; only
-    the ``wall_seconds``/``events_per_sec`` pair varies by host (and is
-    stripped from committed baselines by the harness)."""
+    """One policy run; every field is seed-deterministic."""
 
     config: WaasConfig
     policy: dict
@@ -135,9 +133,7 @@ class WaasResult:
     arrival_span_s: float
     deploy_sim_seconds: float
     sim_seconds: float
-    wall_seconds: float
     events_processed: int
-    events_per_sec: float
     workflows_completed: int
     workflows_rejected: int
     sla_met: int
@@ -203,7 +199,6 @@ def run(config: WaasConfig = SMOKE_CONFIG) -> WaasResult:
         seed=config.seed,
     )
 
-    wall_start = time.perf_counter()
     gpi = gp.create(topology)
     start_proc = bed.ctx.sim.process(gp.start(gpi.id), name="gp-start")
     bed.run(until=start_proc)
@@ -230,7 +225,6 @@ def run(config: WaasConfig = SMOKE_CONFIG) -> WaasResult:
 
     proc = bed.ctx.sim.process(drive(bed.ctx), name="waas-drive")
     bed.run(until=proc)
-    wall = time.perf_counter() - wall_start
 
     sim = bed.ctx.sim
     meter = bed.ec2.meter
@@ -245,9 +239,7 @@ def run(config: WaasConfig = SMOKE_CONFIG) -> WaasResult:
         arrival_span_s=round(plan.span_s, 3),
         deploy_sim_seconds=deploy_sim_seconds,
         sim_seconds=now,
-        wall_seconds=wall,
         events_processed=sim.events_processed,
-        events_per_sec=sim.events_processed / wall if wall > 0 else 0.0,
         workflows_completed=len(service.completed),
         workflows_rejected=len(service.rejected),
         sla_met=service.sla_met,

@@ -12,6 +12,7 @@ import pathlib
 import pytest
 
 from repro.bench import figure10, figure11, harness, suites, usecase
+from repro.obs import critpath_doc
 
 pytestmark = pytest.mark.bench
 
@@ -55,4 +56,28 @@ def test_waas_1k_queue_depth_sim_json_is_pinned():
     committed = RESULTS_DIR / "waas_1k_queue_depth_sim.json"
     assert waas_1k_sim_json() == committed.read_text(), (
         "the 1k-tenant WaaS run drifted: a perf change altered simulation behaviour"
+    )
+
+
+#: the scale-smoke grid's critical path: per-layer seconds summed over
+#: its three contexts, and the longest context's makespan
+SCALE_SMOKE_CRITPATH_LAYERS = {
+    "boot": 270.0,
+    "converge": 1338.0,
+    "execute": 195.59405940594058,
+    "queue": 797.0792079207919,
+}
+SCALE_SMOKE_CRITPATH_MAKESPAN_S = 881.5198019801979
+
+
+def test_scale_smoke_critical_path_is_pinned():
+    """Layer seconds are simulated time, not host time, so the tolerance
+    is tight: any drift is a behaviour change, not jitter."""
+    result = harness.run_suite(suites.scale_suite(smoke=True), obs=True)
+    doc = critpath_doc(result.obs_docs(), suite="scale")
+    assert set(doc["layers"]) == set(SCALE_SMOKE_CRITPATH_LAYERS)
+    for layer, seconds in SCALE_SMOKE_CRITPATH_LAYERS.items():
+        assert doc["layers"][layer] == pytest.approx(seconds, rel=0, abs=1e-6), layer
+    assert doc["makespan_s"] == pytest.approx(
+        SCALE_SMOKE_CRITPATH_MAKESPAN_S, rel=0, abs=1e-6
     )

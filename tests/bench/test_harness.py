@@ -5,7 +5,6 @@ speedup; concurrency is pinned with sleep-bound (I/O-shaped) tasks that
 overlap regardless of core count.
 """
 
-import json
 import time
 
 import pytest
@@ -74,13 +73,25 @@ def test_merge_preserves_spec_order_not_completion_order():
     assert [t.spec.name for t in result.tasks] == ["slow", "fast1", "fast2"]
 
 
-def test_sim_json_strips_host_dependent_fields():
-    result = run_suite(suites.scale_suite(smoke=True), workers=1)
-    text = result.sim_json()
-    assert '"wall_seconds"' not in text
-    assert '"events_per_sec"' not in text
-    assert '"events_processed"' in text  # the deterministic counters stay
-    doc = json.loads(text)
+def _keys(obj) -> set[str]:
+    """Every dict key in a JSON document, at any depth."""
+    if isinstance(obj, dict):
+        return set(obj).union(*(_keys(v) for v in obj.values()))
+    if isinstance(obj, list):
+        return set().union(*(_keys(v) for v in obj))
+    return set()
+
+
+def test_payloads_carry_no_host_timings():
+    """Drivers return simulated results only, so ``sim_dict()`` takes
+    every payload as the task returned it."""
+    suite = suites.combined(["scale", "pricing_sweep"], smoke=True)
+    result = run_suite(suite, workers=1)
+    keys = _keys([t.payload for t in result.tasks])
+    assert "events_processed" in keys  # the deterministic counters stay
+    assert not keys & {"wall_seconds", "events_per_sec", "jobs_per_sec", "speedup_vs_scalar"}
+    doc = result.sim_dict()
+    assert [t["payload"] for t in doc["tasks"]] == [t.payload for t in result.tasks]
     assert doc["config_digest"] == result.config_digest()
 
 

@@ -62,3 +62,21 @@ def test_cli_exits_zero_when_payloads_are_clean(monkeypatch):
         ),
     )
     assert cli.main(["clean", "-q"]) == 0
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["-w", "0"], "--workers must be at least 1"),
+        (["--workers", "-3"], "--workers must be at least 1"),
+        (["-w", "2", "--timeout", "0"], "--timeout must be positive"),
+        (["--timeout", "-1"], "--timeout must be positive"),
+        (["--timeout", "nan"], "--timeout must be positive"),
+    ],
+    ids=["workers-0", "workers-negative", "timeout-0", "timeout-negative", "timeout-nan"],
+)
+def test_cli_rejects_bad_worker_and_timeout_counts(flags, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fig11", "--smoke", "-q", *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

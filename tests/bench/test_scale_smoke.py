@@ -1,9 +1,9 @@
 """Tier-1 smoke coverage of the scale benchmark harness.
 
-The full 128-node run lives in ``benchmarks/bench_scale.py`` (marked
-``slow``); here a tiny topology exercises the same code path — deploy,
-concurrent transfers, Condor load, metric collection — in well under a
-second, and pins that the simulation metrics are seed-deterministic.
+The full 128-node run is ``gp-bench scale``; here a tiny topology
+exercises the same code path — deploy, concurrent transfers, Condor
+load, metric collection — in well under a second, and pins that the
+simulation metrics are seed-deterministic.
 """
 
 import pytest
@@ -19,7 +19,6 @@ def test_smoke_config_completes_and_checks_shape():
     assert result.nodes == scale.SMOKE_CONFIG.nodes
     assert result.transfers_succeeded == scale.SMOKE_CONFIG.transfers
     assert result.jobs_completed == scale.SMOKE_CONFIG.jobs
-    assert result.events_per_sec > 0
 
 
 def test_smoke_metrics_are_seed_deterministic():
