@@ -6,12 +6,13 @@ Examples::
     gp-bench --smoke --workers 4            # CI smoke sweep, fanned out
     gp-bench scale --workers 4 --json-out suite.json
     gp-bench fig10 fig11 --workers 2        # a subset of suites
-    gp-bench usecase --smoke --obs-out obs/ # spans: Chrome trace + summary
+    gp-bench usecase --smoke --run-out run/ # bundle + trace/critpath views
 
 Exit status is 1 if any task failed or timed out — or if an
 otherwise-ok task's payload reports ``tasks_failed > 0`` — so CI can
 gate on the sweep directly; it is 2 for an unknown suite, a
-``--workers`` below 1 or a ``--timeout`` that is not positive.
+``--workers`` below 1, a ``--timeout`` that is not positive, or a
+``--run-out`` that is an existing file or non-empty directory.
 
 Payloads and ``--sim-json-out`` hold simulated results only; what a run
 costs the host is measured by ``perfbench/run.py``, not here.
@@ -20,11 +21,9 @@ costs the host is measured by ``perfbench/run.py``, not here.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
-from ..obs import chrome_trace, critpath_doc, spans_jsonl, summary_table, timeseries_jsonl
 from . import suites
 from .harness import run_suite
 
@@ -68,36 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the host-independent simulation metrics (JSON) here",
     )
     parser.add_argument(
-        "--obs-out",
+        "--run-out",
         type=pathlib.Path,
         metavar="DIR",
         help=(
-            "record spans/metrics in every task and write, per suite, a"
-            " Chrome trace_event JSON (Perfetto-loadable), a JSONL span"
-            " log, and a text summary into DIR; simulation results are"
-            " unaffected (see --list for which suites record spans)"
-        ),
-    )
-    parser.add_argument(
-        "--critpath-out",
-        type=pathlib.Path,
-        metavar="DIR",
-        help=(
-            "record spans in every task and write, per suite, the causal"
-            " critical-path document (<suite>.critpath.json: makespan-"
-            "dominating chain + per-layer attribution) into DIR, plus a"
-            " rendered attribution table on stdout; implies span capture"
-        ),
-    )
-    parser.add_argument(
-        "--bundle-out",
-        type=pathlib.Path,
-        metavar="DIR",
-        help=(
-            "export a provenance bundle (topology + calibration digest +"
-            " scenario/seeds + span log + sim JSON) into DIR as"
-            " <suite>.bundle.json; implies span capture; replay/verify it"
-            " with gp-replay"
+            "record spans and write the run directory into DIR (new or empty):"
+            " the provenance bundle plus, per suite, its trace, timeseries,"
+            " critpath and summary views; gp-replay DIR checks it"
         ),
     )
     parser.add_argument(
@@ -112,63 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _list_suites(smoke: bool) -> None:
     for name in suites.names():
         suite = suites.get(name, smoke=smoke)
-        obs = "obs-out: yes" if suite.supports_obs else "obs-out: no"
-        print(f"{name}: {suite.description} ({len(suite.specs)} specs, {obs})")
+        print(f"{name}: {suite.description} ({len(suite.specs)} specs)")
         for spec in suite.specs:
             print(f"  {spec.name}  [{spec.task}] {spec.params or ''}")
-
-
-def write_obs_outputs(result, out_dir: pathlib.Path) -> list[pathlib.Path]:
-    """Write per-suite trace artefacts from a suite result's obs docs.
-
-    Tasks are grouped by the suite prefix of their spec name
-    (``fig10/m1.small/w1`` -> ``fig10``), so a combined run still yields
-    one trace file set per constituent suite.  Returns the written paths.
-    """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[pathlib.Path] = []
-    for group, docs in sorted(_obs_groups(result).items()):
-        trace_path = out_dir / f"{group}.trace.json"
-        trace_path.write_text(json.dumps(chrome_trace(docs), sort_keys=True) + "\n")
-        written.append(trace_path)
-        jsonl_path = out_dir / f"{group}.spans.jsonl"
-        jsonl_path.write_text(spans_jsonl(docs))
-        written.append(jsonl_path)
-        series_path = out_dir / f"{group}.timeseries.jsonl"
-        series_path.write_text(timeseries_jsonl(docs))
-        written.append(series_path)
-        summary_path = out_dir / f"{group}.summary.txt"
-        summary_path.write_text(
-            summary_table(docs, title=f"{group}: span summary (sim-seconds)") + "\n"
-        )
-        written.append(summary_path)
-    return written
-
-
-def _obs_groups(result) -> dict[str, list[dict]]:
-    """Obs docs grouped by the suite prefix of their spec name."""
-    groups: dict[str, list[dict]] = {}
-    for t in result.tasks:
-        if not t.obs:
-            continue
-        groups.setdefault(t.spec.name.split("/", 1)[0], []).extend(t.obs)
-    return groups
-
-
-def write_critpath_outputs(result, out_dir: pathlib.Path) -> list[pathlib.Path]:
-    """Write per-suite ``.critpath.json`` documents; returns the paths.
-
-    Built purely from spans (never metrics), with deterministic tie
-    breaks — the files are byte-identical across worker counts.
-    """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[pathlib.Path] = []
-    for group, docs in sorted(_obs_groups(result).items()):
-        doc = critpath_doc(docs, suite=group)
-        path = out_dir / f"{group}.critpath.json"
-        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-        written.append(path)
-    return written
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -178,6 +100,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--workers must be at least 1")
     if not args.timeout > 0:  # also rejects nan, which would never time out
         parser.error("--timeout must be positive")
+    # a stale view from an earlier run would fail gp-replay's directory check
+    run_out = args.run_out
+    if run_out is not None and run_out.exists() and (
+        not run_out.is_dir() or any(run_out.iterdir())
+    ):
+        parser.error(f"--run-out {run_out} must be a new or empty directory")
 
     for name in args.suites:
         if name not in suites.names():
@@ -192,19 +120,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     suite = suites.combined(args.suites or None, smoke=args.smoke)
-    if args.obs_out and not suite.supports_obs:
-        print(
-            "note: none of the selected suites drives a simulation;"
-            " --obs-out will record no spans",
-            file=sys.stderr,
-        )
     mode = f"{args.workers} workers" if args.workers > 1 else "sequential"
-    capture_spans = (
-        args.obs_out is not None
-        or args.bundle_out is not None
-        or args.critpath_out is not None
-    )
-    obs_note = ", obs" if capture_spans else ""
+    obs_note = ", obs" if run_out is not None else ""
     print(
         f"running suite {suite.name!r}: {len(suite.specs)} specs,"
         f" {mode}{obs_note}"
@@ -220,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         default_timeout_s=args.timeout,
         progress=progress,
-        obs=capture_spans,
+        obs=run_out is not None,
     )
 
     print()
@@ -232,25 +149,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.sim_json_out:
         args.sim_json_out.write_text(result.sim_json() + "\n")
         print(f"wrote {args.sim_json_out}")
-    if args.obs_out:
-        for path in write_obs_outputs(result, args.obs_out):
-            print(f"wrote {path}")
-    if args.critpath_out:
-        # imported lazily like the other reporting renderers
-        from ..reporting import render_critpath
-
-        for path in write_critpath_outputs(result, args.critpath_out):
-            print(f"wrote {path}")
-            doc = json.loads(path.read_text())
-            print(render_critpath(doc))
-    if args.bundle_out:
-        # imported lazily: most gp-bench invocations never bundle, and
-        # the provenance package pulls in the replay machinery
-        from ..provenance import build_bundle, write_bundle
+    if run_out is not None:
+        # imported lazily: the provenance package pulls in the replay machinery
+        from ..provenance import build_bundle, write_run_dir
 
         bundle = build_bundle(result)
-        bundle_path = write_bundle(bundle, args.bundle_out / f"{suite.name}.bundle.json")
-        print(f"wrote {bundle_path} (digest {bundle.digest()[:12]}...)")
+        if not bundle.spans:
+            print(
+                f"note: no task recorded spans; {run_out} holds the bundle alone",
+                file=sys.stderr,
+            )
+        bundle_path, *views = write_run_dir(bundle, run_out)
+        print(f"wrote {bundle_path} (digest {bundle.digest()[:12]}...) + {len(views)} view(s)")
 
     payload_failures = result.payload_failures()
     if payload_failures and result.ok:

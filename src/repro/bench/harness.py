@@ -111,10 +111,6 @@ class BenchSuite:
     name: str
     description: str
     specs: tuple[BenchSpec, ...]
-    #: whether the suite's tasks drive simulations that record spans —
-    #: ``gp-bench --obs-out`` only produces trace files for suites that do
-    #: (the pricing sweep is a closed-form estimator with no event loop)
-    supports_obs: bool = True
 
     def config_digest(self) -> str:
         return config_digest(self.specs)
@@ -131,10 +127,10 @@ class TaskResult:
     """Outcome of one spec: ``ok``, ``failed``, or ``timeout``.
 
     ``obs`` carries the observability docs recorded while the task ran
-    (one per simulation context; see :mod:`repro.obs`).  It is transport
-    data for the exporters only and deliberately absent from
+    (one per simulation context; see :mod:`repro.obs`): a provenance
+    bundle's ``spans`` section.  They are deliberately absent from
     :meth:`to_dict`/``sim_dict`` so result JSON — including the committed
-    determinism baselines — is identical with or without ``--obs-out``.
+    determinism baselines — is identical with or without ``--run-out``.
     """
 
     spec: BenchSpec

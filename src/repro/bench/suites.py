@@ -280,8 +280,6 @@ def pricing_sweep_suite(smoke: bool = False) -> BenchSuite:
         "pricing_sweep",
         "Vectorized batch pricing across the Fig. 10 instance grid",
         tuple(_pricing_spec(cfg) for cfg in grid),
-        # closed-form estimator: builds no SimContext, records no spans
-        supports_obs=False,
     )
 
 
@@ -374,18 +372,10 @@ def combined(selected: list[str] | None = None, smoke: bool = False) -> BenchSui
     """Merge the selected suites (default: all) into one ordered suite."""
     selected = list(selected) if selected else names()
     specs: list[BenchSpec] = []
-    supports_obs = False
     for name in selected:
-        suite = get(name, smoke=smoke)
-        specs.extend(suite.specs)
-        supports_obs = supports_obs or suite.supports_obs
+        specs.extend(get(name, smoke=smoke).specs)
     if selected == names():
         label = "smoke" if smoke else "full"
     else:
         label = "+".join(selected) + ("-smoke" if smoke else "")
-    return BenchSuite(
-        label,
-        f"suites: {', '.join(selected)}",
-        tuple(specs),
-        supports_obs,
-    )
+    return BenchSuite(label, f"suites: {', '.join(selected)}", tuple(specs))

@@ -11,8 +11,13 @@ singletons and simulation output is byte-identical to an uninstrumented
 build — CI enforces this.  Enabled, a run exports:
 
 * a Chrome ``trace_event`` JSON loadable in Perfetto / ``about://tracing``;
-* a flat JSONL span log;
+* a ``(t, value)`` gauge sample log (:mod:`repro.obs.timeseries`);
+* the causal critical path (:mod:`repro.obs.critpath`);
 * a text summary table (count / total / p50 / p95 per span name).
+
+``gp-bench --run-out`` writes each as a view of a provenance bundle's
+``spans`` section (:mod:`repro.provenance.rundir`), schema-checked by
+:mod:`repro.obs.validate`.
 
 Enable per context::
 
@@ -20,7 +25,7 @@ Enable per context::
     ...
     print(summary_table(ctx.obs))
 
-or for everything built inside a block (how ``gp-bench --obs-out`` taps
+or for everything built inside a block (how ``gp-bench --run-out`` taps
 simulations constructed deep inside benchmark tasks)::
 
     with capture() as cap:
@@ -33,8 +38,6 @@ from .export import (
     annotations,
     as_docs,
     chrome_trace,
-    metrics_rows,
-    spans_jsonl,
     summary_rows,
     summary_table,
 )
@@ -79,11 +82,9 @@ __all__ = [
     "critpath_doc",
     "first_span_divergence",
     "layer_of",
-    "metrics_rows",
     "recorder_for_context",
     "render_span_divergence",
     "series_points",
-    "spans_jsonl",
     "summary_rows",
     "summary_table",
     "timeseries_jsonl",

@@ -1,10 +1,10 @@
-"""Exporters: Chrome ``trace_event`` JSON, flat JSONL, and a summary table.
+"""Exporters: Chrome ``trace_event`` JSON and a span summary table.
 
 All exporters consume the JSON-safe *doc* form produced by
 :meth:`~repro.obs.recorder.ObsRecorder.to_dict` (or
 :meth:`~repro.obs.recorder.Capture.to_docs`), so the same code path
 serves in-process use, the benchmark harness (docs ride back from worker
-processes over a pipe), and files re-read from disk.
+processes over a pipe), and a provenance bundle's ``spans`` section.
 
 The Chrome trace uses complete (``ph: "X"``) events — one per closed
 span, timestamped in microseconds of *simulated* time — plus thread
@@ -15,14 +15,12 @@ Perfetto / ``about://tracing``.
 
 from __future__ import annotations
 
-import json
 import math
 
 __all__ = [
     "annotations",
     "as_docs",
     "chrome_trace",
-    "spans_jsonl",
     "summary_rows",
     "summary_table",
 ]
@@ -82,7 +80,7 @@ def chrome_trace(source) -> dict:
     Tracks map to thread ids in first-appearance order per context; each
     context is its own process.  Events are sorted by (pid, tid, ts) so
     per-track timestamps are monotone by construction — the property
-    :mod:`repro.obs.validate` checks in CI.
+    :func:`repro.obs.validate.check_chrome_trace` checks.
     """
     docs = as_docs(source)
     events: list[dict] = []
@@ -147,17 +145,6 @@ def chrome_trace(source) -> dict:
     timed = [e for e in events if e["ph"] != "M"]
     timed.sort(key=lambda e: (e["pid"], e["tid"], e["ts"]))
     return {"traceEvents": metadata + timed, "displayTimeUnit": "ms"}
-
-
-def spans_jsonl(source) -> str:
-    """Flat span log: one JSON object per line, in recording order."""
-    docs = as_docs(source)
-    lines = []
-    for i, doc in enumerate(docs):
-        label = doc.get("label") or f"sim-{i}"
-        for span in doc.get("spans", ()):
-            lines.append(json.dumps(dict(span, context=label), sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -234,20 +221,3 @@ def summary_table(source, title: str = "span summary (sim-seconds)") -> str:
         ],
         title=title,
     )
-
-
-def metrics_rows(source) -> list[tuple]:
-    """Flattened metrics across contexts (context, name, type, value)."""
-    rows: list[tuple] = []
-    for i, doc in enumerate(as_docs(source)):
-        label = doc.get("label") or f"sim-{i}"
-        for name, metric in sorted((doc.get("metrics") or {}).items()):
-            kind = metric.get("type")
-            if kind == "histogram":
-                value = f"n={metric['count']} total={metric['total']:.2f}"
-            elif kind == "gauge":
-                value = f"{metric['value']} (max {metric['max']})"
-            else:
-                value = str(metric.get("value"))
-            rows.append((label, name, kind, value))
-    return rows

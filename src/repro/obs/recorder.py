@@ -24,7 +24,7 @@ off — the property CI's obs-smoke step enforces.
 Harness integration: :func:`capture` installs a process-wide default so
 that every :class:`~repro.simcore.context.SimContext` built inside the
 ``with`` block records into a fresh recorder.  That is how ``gp-bench
---obs-out`` reaches simulations constructed deep inside benchmark tasks
+--run-out`` reaches simulations constructed deep inside benchmark tasks
 without threading a parameter through every constructor.
 """
 
@@ -412,7 +412,7 @@ NULL_RECORDER = NullRecorder()
 
 
 # ---------------------------------------------------------------------------
-# Process-wide capture (the --obs-out plumbing)
+# Process-wide capture (the --run-out plumbing)
 # ---------------------------------------------------------------------------
 
 

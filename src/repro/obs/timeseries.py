@@ -14,7 +14,7 @@ export as a flat JSONL file via :func:`timeseries_jsonl`::
     {"context": "sim-0", "series": "condor.idle_jobs", "t": 12.5, "value": 3}
 
 one object per line, series in sorted-name order per context, points in
-recording order — the artefact ``gp-bench --obs-out`` writes as
+recording order — the view ``gp-bench --run-out`` writes as
 ``<suite>.timeseries.jsonl`` and the autoscaling policies' post-hoc
 analysis consumes.
 """

@@ -1,37 +1,25 @@
-"""Schema checks for exported observability artefacts.
+"""Schema checks ``gp-replay DIR`` runs over a run directory's views.
 
-CI's obs-smoke step runs this over everything the harness wrote::
+* :func:`check_chrome_trace` — Chrome ``trace_event`` JSON: object with
+  a ``traceEvents`` list, known phases (``X``/``i``/``M``), integer
+  ``pid``/``tid``, finite non-negative ``ts``/``dur``, per (pid, tid)
+  track monotone ``ts`` — the ordering Perfetto relies on;
+* :func:`check_critpath` — critical-path documents: version/suite/
+  contexts present, per-context segments contiguous and non-negative,
+  segment durations summing to the makespan, layer totals matching the
+  segments;
+* :func:`check_timeseries` — gauge sample logs: one JSON object per line
+  with ``context``/``series``/``t``/``value``, finite non-negative times,
+  per-series times monotone non-decreasing.
 
-    python -m repro.obs.validate obs-out/*.trace.json \\
-        critpath-out/*.critpath.json obs-out/*.timeseries.jsonl
-
-The checker dispatches on filename suffix:
-
-* ``*.critpath.json`` — critical-path documents (:func:`check_critpath`):
-  version/suite/contexts present, per-context segments contiguous and
-  non-negative, segment durations summing to the makespan, layer totals
-  matching the segments;
-* ``*.timeseries.jsonl`` — gauge sample logs (:func:`check_timeseries`):
-  one JSON object per line with ``context``/``series``/``t``/``value``,
-  finite non-negative times, per-series times monotone non-decreasing;
-* anything else — Chrome ``trace_event`` JSON
-  (:func:`check_chrome_trace`): object with a ``traceEvents`` list, known
-  phases (``X``/``i``/``M``), integer ``pid``/``tid``, finite
-  non-negative ``ts``/``dur``, per (pid, tid) track monotone ``ts`` — the
-  ordering Perfetto relies on.
-
-Regardless of flavour, an empty file and a truncated/malformed file are
-reported as distinct named errors, and neither ever counts as valid.
+Each returns a list of violations; empty means valid.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
-import sys
 
-__all__ = ["check_chrome_trace", "check_critpath", "check_timeseries", "main"]
+__all__ = ["check_chrome_trace", "check_critpath", "check_timeseries"]
 
 #: tolerance for "segment durations sum to the makespan" (sim-seconds)
 _SUM_TOL = 1e-6
@@ -187,74 +175,3 @@ def check_timeseries(lines: list[tuple[int, dict]]) -> list[str]:
             )
         last_t[key] = t
     return errors
-
-
-def _check_file(path: pathlib.Path, text: str) -> tuple[list[str], str]:
-    """Dispatch on filename flavour; return (errors, ok-message)."""
-    name = path.name
-    if name.endswith(".timeseries.jsonl"):
-        parsed: list[tuple[int, dict]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                parsed.append((lineno, json.loads(line)))
-            except ValueError as exc:
-                return [f"truncated or malformed JSON on line {lineno}: {exc}"], ""
-        return check_timeseries(parsed), f"ok ({len(parsed)} samples)"
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        return [f"truncated or malformed JSON: {exc}"], ""
-    if name.endswith(".critpath.json"):
-        errors = check_critpath(doc)
-        n = len(doc.get("contexts", [])) if isinstance(doc, dict) else 0
-        return errors, f"ok ({n} contexts)"
-    errors = check_chrome_trace(doc)
-    n = 0
-    if isinstance(doc, dict) and isinstance(doc.get("traceEvents"), list):
-        n = sum(
-            1
-            for e in doc["traceEvents"]
-            if isinstance(e, dict) and e.get("ph") == "X"
-        )
-    return errors, f"ok ({n} spans)"
-
-
-def main(argv: list[str] | None = None) -> int:
-    paths = [pathlib.Path(p) for p in (argv if argv is not None else sys.argv[1:])]
-    if not paths:
-        print(
-            "usage: python -m repro.obs.validate "
-            "TRACE.json [X.critpath.json X.timeseries.jsonl ...]",
-            file=sys.stderr,
-        )
-        return 2
-    failed = False
-    for path in paths:
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            print(f"{path}: unreadable: {exc}", file=sys.stderr)
-            failed = True
-            continue
-        # An empty (or whitespace-only) file means the exporter never ran
-        # or died before writing — name that case instead of letting it
-        # surface as a generic JSON parse error, and never let any
-        # no-content case count as valid.
-        if not text.strip():
-            print(f"{path}: empty trace file (no content to validate)", file=sys.stderr)
-            failed = True
-            continue
-        errors, ok_msg = _check_file(path, text)
-        if errors:
-            failed = True
-            for err in errors:
-                print(f"{path}: {err}", file=sys.stderr)
-        else:
-            print(f"{path}: {ok_msg}")
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -3,7 +3,7 @@
 The observability subsystem records what a run *did*; this package closes
 the loop by recording everything needed to *do it again* and prove the
 two runs match.  A :class:`ProvenanceBundle` is a single self-describing
-JSON document with five content-digested sections:
+JSON document with six content-digested sections:
 
 * ``calibration`` — the named constants in :mod:`repro.calibration` plus
   their digest, so replays on drifted calibration fail loudly;
@@ -13,14 +13,18 @@ JSON document with five content-digested sections:
   tampering is a first-class detectable corruption;
 * ``topology`` — the deployed topology/update specs, captured via
   ``obs.annotate`` hooks in the deployer;
+* ``spans`` — the obs docs (spans, instants, metrics, gauge series) the
+  run recorded, one per simulation context;
 * ``sim`` — the host-independent simulation output the replay must
   reproduce byte-identically.
 
-``gp-replay`` (:mod:`repro.provenance.cli`) verifies bundle integrity,
-re-executes the scenario, and either proves byte-identity (exit 0),
-reports the first structured divergence (exit 1), or — with
-``--override instance_type=... / seed=...`` — runs the same trace under
-altered inputs and emits a makespan/cost/events comparison report.
+``gp-replay`` (:mod:`repro.provenance.cli`) verifies a bundle, or a
+``gp-bench --run-out`` directory of one bundle and the views derived
+from its spans (:mod:`repro.provenance.rundir`), re-executes the
+scenario, and either proves byte-identity (exit 0), reports the first
+structured divergence (exit 1), or — with ``--override
+instance_type=... / seed=...`` — runs the same trace under altered
+inputs and emits a makespan/cost/events comparison report.
 """
 
 from .bundle import (
@@ -40,6 +44,7 @@ from .replay import (
     replay,
     verify_bundle,
 )
+from .rundir import read_run_dir, run_views, write_run_dir
 
 __all__ = [
     "BUNDLE_FORMAT",
@@ -51,8 +56,11 @@ __all__ = [
     "build_bundle",
     "parse_overrides",
     "read_bundle",
+    "read_run_dir",
     "rebuild_suite",
     "replay",
+    "run_views",
     "verify_bundle",
     "write_bundle",
+    "write_run_dir",
 ]

@@ -61,6 +61,16 @@ class BundleError(Exception):
         calibration.drift       bundled constants differ from the live code
         scenario.malformed      the scenario cannot rebuild a suite
         override.unknown        an unsupported counterfactual override key
+        override.invalid        an override value of the wrong type
+        override.unused         an override that no bundled spec takes
+        run.bundle-count        a run directory holds zero or several bundles
+        run.extra-file          a file that is neither the bundle nor a view
+        run.view-missing        a view the bundle derives is absent
+        run.view-empty          a view file is empty
+        run.view-mismatch       a view file differs from the derived view
+        run.view-schema         a derived view fails its schema check
+
+    ``run.*`` view and file errors name the file in ``detail["file"]``.
     """
 
     def __init__(

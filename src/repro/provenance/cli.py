@@ -2,21 +2,28 @@
 
 Examples::
 
+    gp-replay run-out/                           # run directory: bundle + views
     gp-replay smoke.bundle.json                  # byte-identity verification
     gp-replay smoke.bundle.json --check-only     # integrity/calibration only
     gp-replay smoke.bundle.json --export-sim sim.json   # extract bundled sim
     gp-replay usecase.bundle.json --override instance_type=c1.medium
     gp-replay smoke.bundle.json --override seed=7
 
+A directory (``gp-bench --run-out``) must hold one bundle and only its
+views (:mod:`repro.provenance.rundir`); then it is replayed as a file.
+
 Exit status:
 
 * ``0`` — bundle verified (replay byte-identical), or counterfactual ran
   with every task ok;
 * ``1`` — replay diverged from the bundled run, or replayed tasks failed;
-* ``2`` — usage errors (bad ``--override`` syntax, unknown keys);
-* ``3`` — the bundle itself is corrupt (digest/section/calibration); the
-  structured :class:`~repro.provenance.bundle.BundleError` document is
-  printed as JSON on stderr.
+* ``2`` — usage errors: bad ``--override`` syntax, keys, values or one
+  no bundled spec takes, ``--workers`` below 1;
+* ``3`` — the bundle or run directory cannot be trusted (digest/section/
+  calibration/scenario, or a ``run.*`` file problem).
+
+Exits 2 and 3 print the structured
+:class:`~repro.provenance.bundle.BundleError` document as JSON on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ import pathlib
 import sys
 
 from .bundle import BundleError, read_bundle
-from .replay import parse_overrides, replay, verify_bundle
+from .replay import parse_overrides, rebuild_suite, replay, verify_bundle
+from .rundir import read_run_dir
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
             " counterfactual overrides and report metric deltas."
         ),
     )
-    parser.add_argument("bundle", type=pathlib.Path, help="bundle JSON file")
+    parser.add_argument("path", type=pathlib.Path, help="bundle JSON file or run directory")
     parser.add_argument(
         "--override",
         action="append",
@@ -54,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check-only",
         action="store_true",
-        help="verify bundle integrity and calibration, then exit (no replay)",
+        help="verify the bundle and a run directory's views, then exit (no replay)",
     )
     parser.add_argument(
         "--export-sim",
@@ -81,20 +89,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
 
     try:
         overrides = parse_overrides(args.override)
+        if args.path.is_dir():
+            bundle = read_run_dir(args.path)
+        else:
+            bundle = read_bundle(args.path)
+            verify_bundle(bundle)
+        # the scenario must rebuild a suite that takes every override
+        rebuild_suite(bundle, overrides)
     except BundleError as exc:
         print(json.dumps(exc.to_dict(), sort_keys=True), file=sys.stderr)
-        return 2
-
-    try:
-        bundle = read_bundle(args.bundle)
-        verify_bundle(bundle)
-    except BundleError as exc:
-        print(json.dumps(exc.to_dict(), sort_keys=True), file=sys.stderr)
-        return 3
+        return 2 if exc.code.startswith("override.") else 3
 
     if args.export_sim:
         args.export_sim.write_text(bundle.sim_json() + "\n")

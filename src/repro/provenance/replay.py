@@ -11,10 +11,8 @@ Counterfactual replay (``overrides``) re-runs the same scenario under
 altered inputs — a different instance type or seed — and reports
 per-metric deltas instead of demanding byte identity.
 
-This is also the standing safety gate the ROADMAP wants before
-multi-process sharding surgery: any kernel change that breaks
-reproduction of a committed bundle fails here with the exact JSON path
-that diverged.
+Any kernel change that breaks reproduction of a bundle fails here,
+naming the exact JSON path and the first span that diverged.
 """
 
 from __future__ import annotations
@@ -118,7 +116,12 @@ def parse_overrides(pairs: list[str]) -> dict:
                 "override.unknown",
                 f"unsupported override {key!r}; choose from {OVERRIDE_KEYS}",
             )
-        out[key] = int(value) if key == "seed" else value.strip()
+        try:
+            out[key] = int(value) if key == "seed" else value.strip()
+        except ValueError:
+            raise BundleError(
+                "override.invalid", f"override {pair!r}: seed must be an integer"
+            ) from None
     return out
 
 
@@ -128,13 +131,15 @@ def rebuild_suite(
     """The bundled scenario as a runnable suite, seeds re-applied.
 
     Overrides patch spec params in place: ``seed`` replaces every seed
-    the seeds section lists, ``instance_type`` every param of that name.
-    Scenario keys other than ``suite`` and ``specs`` are ignored, so
-    bundles whose scenario still names a kernel ``scheduler`` and
-    ``dispatch`` rebuild the same suite.
+    the seeds section lists, ``instance_type`` every param of that name;
+    an override that no spec takes raises ``override.unused``.  Scenario
+    keys other than ``suite`` and ``specs`` are ignored, so bundles whose
+    scenario still names a kernel ``scheduler`` and ``dispatch`` rebuild
+    the same suite.
     """
     overrides = overrides or {}
     scenario = bundle.scenario
+    applied: set[str] = set()
     try:
         suite_name = scenario["suite"]
         spec_docs = scenario["specs"]
@@ -144,10 +149,10 @@ def rebuild_suite(
             name = doc["name"]
             if name in bundle.seeds:
                 params["seed"] = bundle.seeds[name]
-            if "seed" in overrides and "seed" in params:
-                params["seed"] = overrides["seed"]
-            if "instance_type" in overrides and "instance_type" in params:
-                params["instance_type"] = overrides["instance_type"]
+            for key in OVERRIDE_KEYS:
+                if key in overrides and key in params:
+                    params[key] = overrides[key]
+                    applied.add(key)
             specs.append(
                 BenchSpec(
                     name=name,
@@ -156,7 +161,7 @@ def rebuild_suite(
                     timeout_s=doc.get("timeout_s"),
                 )
             )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise BundleError(
             "scenario.malformed",
             f"scenario section cannot rebuild a suite: {exc!r}",
@@ -165,6 +170,14 @@ def rebuild_suite(
     if not specs:
         raise BundleError(
             "scenario.malformed", "scenario lists no specs", section="scenario"
+        )
+    unused = sorted(set(overrides) - applied)
+    if unused:
+        raise BundleError(
+            "override.unused",
+            f"no bundled spec takes override {unused[0]!r}",
+            section="scenario",
+            detail={"keys": unused},
         )
     return BenchSuite(
         suite_name, f"replay of bundled suite {suite_name!r}", tuple(specs)

@@ -1,6 +1,6 @@
 """Plain-text reporting used by benchmarks, replay, and examples."""
 
-from .critpath import critpath_rows, render_critpath, render_critpath_chain
+from .critpath import render_critpath
 from .divergence import (
     Divergence,
     comparison_rows,
@@ -17,12 +17,10 @@ __all__ = [
     "Divergence",
     "collect_intervals",
     "comparison_rows",
-    "critpath_rows",
     "first_divergence",
     "flatten_numeric",
     "render_comparison",
     "render_critpath",
-    "render_critpath_chain",
     "render_divergence",
     "render_series",
     "render_table",

@@ -3,85 +3,34 @@
 Consumes the ``.critpath.json`` document built by
 :func:`repro.obs.critpath.critpath_doc` and renders the per-layer phase
 breakdown the paper reports — boot / converge / transfer / queue /
-execute seconds and their share of the critical path — plus, optionally,
-the dominating chain segment by segment.
+execute seconds — one row per simulation context.
 """
 
 from __future__ import annotations
 
 from .tables import render_table
 
-__all__ = ["critpath_rows", "render_critpath", "render_critpath_chain"]
+__all__ = ["render_critpath"]
 
 
-def critpath_rows(doc: dict) -> list[dict]:
-    """Layer attribution rows (layer, seconds, percent), largest first."""
-    total = float(doc.get("critical_path_s") or 0.0)
-    rows = []
-    for layer, seconds in (doc.get("layers") or {}).items():
-        rows.append(
-            {
-                "layer": layer,
-                "seconds": seconds,
-                "percent": 100.0 * seconds / total if total else 0.0,
-            }
-        )
-    rows.sort(key=lambda r: (-r["seconds"], r["layer"]))
-    return rows
+def render_critpath(doc: dict) -> str:
+    """One row per context: its makespan and each layer's seconds.
 
-
-def render_critpath(doc: dict, title: str | None = None) -> str:
-    """Per-layer critical-path attribution table for one critpath doc."""
-    rows = critpath_rows(doc)
-    if title is None:
-        suite = doc.get("suite") or doc.get("label") or "run"
-        title = f"critical-path attribution ({suite})"
-    if not rows:
-        return "(no critical path: nothing recorded)"
-    body = [
-        (r["layer"], f"{r['seconds']:.2f}", f"{r['percent']:.1f}%") for r in rows
-    ]
-    body.append(
-        ("total", f"{float(doc.get('critical_path_s') or 0.0):.2f}", "100.0%")
-    )
-    return render_table(["layer", "seconds", "share"], body, title=title)
-
-
-def render_critpath_chain(ctx_doc: dict, limit: int = 20) -> str:
-    """The dominating chain of one context, earliest segment first.
-
-    ``ctx_doc`` is one entry of a critpath doc's ``contexts`` list (or
-    the output of :func:`repro.obs.critpath.critical_path`).  Long
-    chains truncate to the ``limit`` largest segments, keeping time
-    order and saying how much was elided.
+    Contexts ran side by side, not one after another.  The last row adds
+    up the N contexts (the doc's ``critical_path_s`` and ``layers``) and
+    is labelled ``sum of N`` so it never reads as one run's makespan —
+    the doc's ``makespan_s`` is the longest context's.
     """
-    segments = list(ctx_doc.get("segments") or [])
-    if not segments:
-        return "(no critical path: nothing recorded)"
-    elided = 0.0
-    if len(segments) > limit:
-        keep = sorted(segments, key=lambda s: -s["duration_s"])[:limit]
-        kept_ids = {id(s) for s in keep}
-        elided = sum(s["duration_s"] for s in segments if id(s) not in kept_ids)
-        segments = [s for s in segments if id(s) in kept_ids]
-    body = [
-        (
-            f"{s['start']:.2f}",
-            f"{s['duration_s']:.2f}",
-            s["layer"],
-            s["name"],
-            s["track"],
-        )
-        for s in segments
-    ]
-    if elided:
-        n_elided = len(ctx_doc["segments"]) - limit
-        body.append(
-            ("...", f"{elided:.2f}", "", f"({n_elided} smaller segments)", "")
-        )
-    label = ctx_doc.get("label") or "sim"
+    contexts = doc.get("contexts") or []
+    totals = doc.get("layers") or {}
+    layers = sorted(totals, key=lambda layer: (-totals[layer], layer))
+    rows = [(c.get("label") or "sim", c["makespan_s"], c["layers"]) for c in contexts]
+    rows.append((f"sum of {len(contexts)}", sum(r[1] for r in rows), totals))
     return render_table(
-        ["t (s)", "dur (s)", "layer", "span", "track"],
-        body,
-        title=f"critical path ({label}): {ctx_doc.get('makespan_s', 0.0):.2f}s makespan",
+        ["context", "makespan (s)", *(f"{layer} (s)" for layer in layers)],
+        [
+            (label, f"{makespan:.2f}", *(f"{seconds.get(k, 0.0):.2f}" for k in layers))
+            for label, makespan, seconds in rows
+        ],
+        title=f"critical path per context ({doc.get('suite') or 'run'}, sim-seconds)",
     )

@@ -1,9 +1,9 @@
-"""--bundle-out plumbing: span capture implied, bundle written, replayable.
+"""--run-out plumbing: span capture implied, bundle written, replayable.
 
-The invariant chain: ``gp-bench --bundle-out DIR`` turns on obs capture
-even without ``--obs-out``, writes one ``<suite>.bundle.json`` whose sim
-section is exactly the run's ``sim_json()``, and the written file
-verifies and replays through ``gp-replay`` in the same process tree.
+The invariant chain: ``gp-bench --run-out DIR`` turns on obs capture,
+writes one ``<suite>.bundle.json`` whose sim section is exactly the
+run's ``sim_json()``, and the directory — bundle plus views — verifies
+and replays through ``gp-replay`` in the same process tree.
 """
 
 import json
@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.bench import cli
-from repro.provenance import read_bundle, verify_bundle
+from repro.provenance import read_bundle, read_run_dir, verify_bundle
 from repro.provenance.cli import main as replay_main
 
 pytestmark = pytest.mark.bench
@@ -19,8 +19,8 @@ pytestmark = pytest.mark.bench
 
 @pytest.fixture(scope="module")
 def bundle_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("bundles")
-    code = cli.main(["scale", "--smoke", "-q", "--bundle-out", str(out)])
+    out = tmp_path_factory.mktemp("runs") / "run-out"
+    code = cli.main(["scale", "--smoke", "-q", "--run-out", str(out)])
     assert code == 0
     return out / "scale-smoke.bundle.json"
 
@@ -34,7 +34,7 @@ def test_cli_writes_bundle_file(bundle_run, capsys):
 
 def test_bundle_implies_span_capture(bundle_run):
     bundle = read_bundle(bundle_run)
-    assert bundle.spans, "--bundle-out must capture spans without --obs-out"
+    assert bundle.spans, "--run-out must capture spans"
     assert bundle.topology, "deployer topology annotations must be captured"
 
 
@@ -50,24 +50,9 @@ def test_written_bundle_replays_verified(bundle_run, capsys):
     assert "VERIFIED" in capsys.readouterr().out
 
 
-def test_obs_out_and_bundle_out_compose(tmp_path, capsys):
-    obs_dir = tmp_path / "obs"
-    bundle_dir = tmp_path / "bundles"
-    code = cli.main(
-        [
-            "usecase",
-            "--smoke",
-            "-q",
-            "--obs-out",
-            str(obs_dir),
-            "--bundle-out",
-            str(bundle_dir),
-        ]
-    )
-    assert code == 0
-    assert (obs_dir / "usecase.trace.json").exists()
-    bundle = read_bundle(bundle_dir / "usecase-smoke.bundle.json")
-    verify_bundle(bundle)
-    out = capsys.readouterr().out
-    assert "usecase-smoke.bundle.json" in out
-    assert "digest" in out
+def test_replay_verifies_the_run_directory(bundle_run, capsys):
+    """gp-replay DIR checks the views against the bundle, then replays."""
+    run_dir = bundle_run.parent
+    assert replay_main([str(run_dir)]) == 0
+    assert "VERIFIED" in capsys.readouterr().out
+    assert read_run_dir(run_dir) == read_bundle(bundle_run)

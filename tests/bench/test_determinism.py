@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench import figure10, figure11, harness, suites, usecase
 from repro.obs import critpath_doc
+from repro.reporting import render_critpath
 
 pytestmark = pytest.mark.bench
 
@@ -70,14 +71,38 @@ SCALE_SMOKE_CRITPATH_LAYERS = {
 SCALE_SMOKE_CRITPATH_MAKESPAN_S = 881.5198019801979
 
 
-def test_scale_smoke_critical_path_is_pinned():
+@pytest.fixture(scope="module")
+def scale_smoke_critpath():
+    result = harness.run_suite(suites.scale_suite(smoke=True), obs=True)
+    return critpath_doc(result.obs_docs(), suite="scale")
+
+
+def test_scale_smoke_critical_path_is_pinned(scale_smoke_critpath):
     """Layer seconds are simulated time, not host time, so the tolerance
     is tight: any drift is a behaviour change, not jitter."""
-    result = harness.run_suite(suites.scale_suite(smoke=True), obs=True)
-    doc = critpath_doc(result.obs_docs(), suite="scale")
+    doc = scale_smoke_critpath
     assert set(doc["layers"]) == set(SCALE_SMOKE_CRITPATH_LAYERS)
     for layer, seconds in SCALE_SMOKE_CRITPATH_LAYERS.items():
         assert doc["layers"][layer] == pytest.approx(seconds, rel=0, abs=1e-6), layer
     assert doc["makespan_s"] == pytest.approx(
         SCALE_SMOKE_CRITPATH_MAKESPAN_S, rel=0, abs=1e-6
     )
+
+
+def test_scale_smoke_critical_path_renders_one_row_per_context(scale_smoke_critpath):
+    """The summary table never adds contexts up into one makespan: each
+    context gets its own row, and the total is labelled as a sum."""
+    table = render_critpath(scale_smoke_critpath)
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in table.splitlines()
+        if line.startswith("| ")
+    ]
+    header, *contexts, total = rows
+    assert header == [
+        "context", "makespan (s)", "converge (s)", "queue (s)", "boot (s)", "execute (s)"
+    ]
+    assert [row[1] for row in contexts] == ["881.52", "881.52", "837.63"]
+    assert all(row[0].startswith("scale/") for row in contexts)
+    assert total[:2] == ["sum of 3", "2600.67"]
+    assert total[2:] == ["1338.00", "797.08", "270.00", "195.59"]

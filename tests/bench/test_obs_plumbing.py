@@ -1,16 +1,19 @@
-"""--obs-out plumbing: capture in workers, doc forwarding, artefact files.
+"""--run-out plumbing: capture in workers, doc forwarding, run directories.
 
 The invariants: obs docs ride back from worker processes intact, they
 never leak into result/sim JSON (the determinism baselines), and the CLI
-writes one schema-valid trace file set per constituent suite.
+writes one bundle plus one schema-valid view set per constituent suite.
 """
 
 import json
 import pathlib
 
+import pytest
+
 from repro.bench import cli, suites
 from repro.bench.harness import BenchSpec, BenchSuite, run_spec, run_suite
 from repro.obs.validate import check_chrome_trace
+from repro.provenance import build_bundle, read_run_dir, write_run_dir
 
 SMOKE = BenchSuite(
     "plumbing-smoke",
@@ -53,47 +56,75 @@ def test_failed_task_carries_no_docs():
     assert result.tasks[0].obs is None
 
 
-def test_write_obs_outputs_one_file_set_per_suite(tmp_path):
+def test_write_run_dir_one_view_set_per_suite(tmp_path):
     suite = suites.combined(["usecase", "fig11"], smoke=True)
     result = run_suite(suite, workers=1, obs=True)
-    written = cli.write_obs_outputs(result, tmp_path)
-    names = sorted(p.name for p in written)
-    assert names == [
-        "fig11.spans.jsonl",
+    written = write_run_dir(build_bundle(result), tmp_path)
+    assert written[0].name == "usecase+fig11-smoke.bundle.json"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in written
+    ) == [
+        "fig11.critpath.json",
         "fig11.summary.txt",
         "fig11.timeseries.jsonl",
         "fig11.trace.json",
-        "usecase.spans.jsonl",
+        "usecase+fig11-smoke.bundle.json",
+        "usecase.critpath.json",
         "usecase.summary.txt",
         "usecase.timeseries.jsonl",
         "usecase.trace.json",
     ]
     for trace in tmp_path.glob("*.trace.json"):
         assert check_chrome_trace(json.loads(trace.read_text())) == []
-    assert "span summary" in (tmp_path / "usecase.summary.txt").read_text()
+    summary = (tmp_path / "usecase.summary.txt").read_text()
+    assert summary.startswith("critical path per context (usecase")
+    assert "span summary" in summary
     # gauge samples rode along and parse line by line
     lines = (tmp_path / "usecase.timeseries.jsonl").read_text().splitlines()
     assert lines and all(
         {"context", "series", "t", "value"} == set(json.loads(line)) for line in lines
     )
+    assert read_run_dir(tmp_path).spans == result.obs_docs()
 
 
-def test_suite_obs_support_flags():
-    assert suites.get("usecase").supports_obs
-    assert not suites.get("pricing_sweep").supports_obs
-    assert suites.combined(["pricing_sweep"]).supports_obs is False
-    assert suites.combined(["pricing_sweep", "usecase"]).supports_obs is True
-
-
-def test_cli_obs_out_flag_end_to_end(tmp_path, capsys):
-    out = tmp_path / "obs"
-    code = cli.main(
-        ["usecase", "--smoke", "--obs-out", str(out), "-q"]
-    )
+def test_cli_run_out_flag_end_to_end(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = cli.main(["usecase", "--smoke", "--run-out", str(out), "-q"])
     assert code == 0
     assert check_chrome_trace(json.loads((out / "usecase.trace.json").read_text())) == []
-    assert (out / "usecase.spans.jsonl").read_text().strip()
-    assert "usecase.trace.json" in capsys.readouterr().out
+    assert not list(out.glob("*.spans.jsonl")), "spans live in the bundle only"
+    assert read_run_dir(out).spans
+    assert "usecase-smoke.bundle.json (digest " in capsys.readouterr().out
+
+
+def test_cli_run_out_pricing_only_writes_the_bundle_alone(tmp_path, capsys):
+    """The closed-form pricing sweep builds no simulation: the directory
+    holds the bundle and no views, and still verifies."""
+    out = tmp_path / "run"
+    assert cli.main(["pricing_sweep", "--smoke", "--run-out", str(out), "-q"]) == 0
+    assert "no task recorded spans" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["pricing_sweep-smoke.bundle.json"]
+    assert read_run_dir(out).spans == []
+
+
+def test_cli_run_out_refuses_a_used_path(tmp_path, capsys):
+    """A stale view from an earlier run would fail the directory check,
+    so --run-out takes only a new or empty directory, before running."""
+    used = tmp_path / "used"
+    used.mkdir()
+    (used / "old.trace.json").write_text("{}")
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    for target in (used, a_file):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig11", "--smoke", "--run-out", str(target), "-q"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "new or empty directory" in captured.err
+        assert "running suite" not in captured.out
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert cli.main(["fig11", "--smoke", "--run-out", str(empty), "-q"]) == 0
 
 
 def test_committed_smoke_baseline_regenerates_byte_identically():
@@ -107,11 +138,3 @@ def test_committed_smoke_baseline_regenerates_byte_identically():
     ).read_text()
     result = run_suite(suites.combined(None, smoke=True), workers=1)
     assert result.sim_json() + "\n" == committed
-
-
-def test_cli_list_marks_obs_support(capsys):
-    assert cli.main(["--list"]) == 0
-    out = capsys.readouterr().out
-    assert "pricing_sweep" in out
-    assert "obs-out: no" in out
-    assert "obs-out: yes" in out

@@ -1,15 +1,8 @@
-"""Exporters: Chrome trace shape, JSONL, summary aggregates."""
+"""Exporters: Chrome trace shape, summary aggregates."""
 
 import json
 
-from repro.obs import (
-    ObsRecorder,
-    chrome_trace,
-    spans_jsonl,
-    summary_rows,
-    summary_table,
-)
-from repro.obs.export import metrics_rows
+from repro.obs import ObsRecorder, chrome_trace, summary_rows, summary_table
 from repro.obs.validate import check_chrome_trace
 
 
@@ -70,14 +63,6 @@ def test_open_span_exports_zero_width():
     assert x[0]["dur"] == 0.0
 
 
-def test_spans_jsonl_one_line_per_span_with_context():
-    out = spans_jsonl(_demo_recorder())
-    lines = [json.loads(ln) for ln in out.strip().splitlines()]
-    assert len(lines) == 2
-    assert {ln["context"] for ln in lines} == {"demo"}
-    assert {ln["name"] for ln in lines} == {"phase", "sub"}
-
-
 def test_summary_rows_aggregate_per_name():
     rows = summary_rows(_demo_recorder())
     by_name = {r["name"]: r for r in rows}
@@ -100,9 +85,3 @@ def test_summary_counts_errors():
 def test_summary_table_renders_and_handles_empty():
     assert "phase" in summary_table(_demo_recorder())
     assert "no spans" in summary_table(ObsRecorder(label="empty"))
-
-
-def test_metrics_rows_flatten_types():
-    rows = metrics_rows(_demo_recorder())
-    kinds = {name: kind for _, name, kind, _ in rows}
-    assert kinds == {"things": "counter", "depth": "gauge", "lat": "histogram"}

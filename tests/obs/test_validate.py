@@ -1,9 +1,41 @@
-"""Chrome trace schema checker: the CI gate for exported traces."""
+"""Schema checks for exported traces, critpath docs and gauge series,
+and ``gp-replay DIR``, the one validator that applies them to a run
+directory's views."""
 
 import json
+import shutil
 
+import pytest
+
+from repro.bench.harness import run_suite
 from repro.obs import ObsRecorder, chrome_trace
-from repro.obs.validate import check_chrome_trace, main
+from repro.obs.validate import check_chrome_trace
+from repro.provenance import build_bundle, write_run_dir
+from repro.provenance.cli import main
+
+from ..provenance.conftest import tiny_suite
+
+
+@pytest.fixture(scope="module")
+def fresh_run_dir(tmp_path_factory):
+    """What ``gp-bench --run-out`` writes for one tiny scale run."""
+    out = tmp_path_factory.mktemp("fresh") / "run-out"
+    write_run_dir(build_bundle(run_suite(tiny_suite(), obs=True)), out)
+    return out
+
+
+@pytest.fixture()
+def run_dir(fresh_run_dir, tmp_path):
+    """A private copy of the fresh run directory, free to damage."""
+    return shutil.copytree(fresh_run_dir, tmp_path / "run-out")
+
+
+def _check(run_dir, capsys):
+    """``gp-replay DIR --check-only``: (exit code, stdout, error doc)."""
+    code = main([str(run_dir), "--check-only"])
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)["error"] if code else None
+    return code, captured.out, error
 
 
 def _valid_doc():
@@ -59,51 +91,52 @@ def test_detects_non_monotone_timestamps_per_track():
     assert any("went backwards" in e for e in errors)
 
 
-def test_cli_main_ok_and_failure(tmp_path, capsys):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps(_valid_doc()))
-    assert main([str(good)]) == 0
-    assert "ok" in capsys.readouterr().out
+def test_cli_main_ok_and_failure(run_dir, capsys):
+    code, out, _ = _check(run_dir, capsys)
+    assert code == 0
+    assert "bundle ok" in out
 
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"traceEvents": []}))
-    assert main([str(bad)]) == 1
+    # well-formed JSON that is not the view the bundle derives
+    (run_dir / "scale.trace.json").write_text(json.dumps({"traceEvents": []}))
+    code, _, error = _check(run_dir, capsys)
+    assert code == 3
+    assert error["code"] == "run.view-mismatch"
+    assert error["detail"]["file"] == "scale.trace.json"
 
-    assert main([]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
 
 
-def test_cli_main_empty_file_fails(tmp_path, capsys):
-    """A zero-byte (or whitespace-only) trace means the exporter never
+def test_cli_main_empty_file_fails(run_dir, capsys):
+    """A zero-byte (or whitespace-only) view means the exporter never
     wrote — that must be a named failure, never a pass."""
-    empty = tmp_path / "empty.trace.json"
-    empty.write_text("")
-    assert main([str(empty)]) == 1
-    assert "empty trace file" in capsys.readouterr().err
-
-    blank = tmp_path / "blank.trace.json"
-    blank.write_text("  \n\t\n")
-    assert main([str(blank)]) == 1
-    assert "empty trace file" in capsys.readouterr().err
+    for content in ("", "  \n\t\n"):
+        (run_dir / "scale.trace.json").write_text(content)
+        code, _, error = _check(run_dir, capsys)
+        assert code == 3
+        assert error["code"] == "run.view-empty"
+        assert "empty view file" in error["message"]
+        assert "scale.trace.json" in error["message"]
 
 
-def test_cli_main_truncated_file_fails(tmp_path, capsys):
-    """A trace cut off mid-write is malformed JSON, reported as such."""
-    full = json.dumps(_valid_doc())
-    truncated = tmp_path / "truncated.trace.json"
-    truncated.write_text(full[: len(full) // 2])
-    assert main([str(truncated)]) == 1
-    assert "truncated or malformed JSON" in capsys.readouterr().err
+def test_cli_main_truncated_file_fails(run_dir, capsys):
+    """A view cut off mid-write is not the view its bundle derives."""
+    trace = run_dir / "scale.trace.json"
+    full = trace.read_text()
+    trace.write_text(full[: len(full) // 2])
+    code, _, error = _check(run_dir, capsys)
+    assert code == 3
+    assert error["code"] == "run.view-mismatch"
+    assert "scale.trace.json" in error["message"]
 
 
-def test_cli_main_empty_file_fails_even_alongside_good_files(tmp_path, capsys):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps(_valid_doc()))
-    empty = tmp_path / "empty.json"
-    empty.write_text("")
-    assert main([str(good), str(empty)]) == 1
-    captured = capsys.readouterr()
-    assert "ok" in captured.out
-    assert "empty trace file" in captured.err
+def test_cli_main_empty_file_fails_even_alongside_good_files(run_dir, capsys):
+    (run_dir / "scale.summary.txt").write_text("")
+    code, _, error = _check(run_dir, capsys)
+    assert code == 3
+    assert error["code"] == "run.view-empty"
+    assert error["detail"] == {"file": "scale.summary.txt"}
 
 
 # -- .critpath.json ---------------------------------------------------------
@@ -163,21 +196,21 @@ def test_critpath_rejects_gap_sum_and_layer_drift():
     assert any("duration_s" in e for e in check_critpath(doc))
 
 
-def test_cli_validates_critpath_files(tmp_path, capsys):
-    good = tmp_path / "suite.critpath.json"
-    good.write_text(json.dumps(_valid_critpath()))
-    assert main([str(good)]) == 0
-    assert "contexts" in capsys.readouterr().out
+def test_cli_validates_critpath_files(run_dir, capsys):
+    critpath = run_dir / "scale.critpath.json"
+    from repro.obs.validate import check_critpath
 
-    empty = tmp_path / "empty.critpath.json"
-    empty.write_text("")
-    assert main([str(empty)]) == 1
-    assert "empty" in capsys.readouterr().err
+    assert check_critpath(json.loads(critpath.read_text())) == []
+    full = critpath.read_text()
 
-    truncated = tmp_path / "cut.critpath.json"
-    truncated.write_text(json.dumps(_valid_critpath())[:40])
-    assert main([str(truncated)]) == 1
-    assert "truncated or malformed JSON" in capsys.readouterr().err
+    critpath.write_text("")
+    code, _, error = _check(run_dir, capsys)
+    assert (code, error["code"]) == (3, "run.view-empty")
+
+    critpath.write_text(full[:40])
+    code, _, error = _check(run_dir, capsys)
+    assert (code, error["code"]) == (3, "run.view-mismatch")
+    assert "scale.critpath.json" in error["message"]
 
 
 # -- .timeseries.jsonl ------------------------------------------------------
@@ -195,7 +228,7 @@ def _valid_timeseries_text():
     return timeseries_jsonl(rec)
 
 
-def test_valid_timeseries_passes(tmp_path, capsys):
+def test_valid_timeseries_passes(run_dir, capsys):
     from repro.obs.validate import check_timeseries
 
     lines = [
@@ -203,10 +236,8 @@ def test_valid_timeseries_passes(tmp_path, capsys):
         for i, line in enumerate(_valid_timeseries_text().splitlines())
     ]
     assert check_timeseries(lines) == []
-    path = tmp_path / "suite.timeseries.jsonl"
-    path.write_text(_valid_timeseries_text())
-    assert main([str(path)]) == 0
-    assert "samples" in capsys.readouterr().out
+    assert (run_dir / "scale.timeseries.jsonl").read_text().strip()
+    assert _check(run_dir, capsys)[0] == 0
 
 
 def test_timeseries_rejects_bad_fields_and_backwards_time():
@@ -238,16 +269,15 @@ def test_timeseries_rejects_bad_fields_and_backwards_time():
     ) == []
 
 
-def test_cli_timeseries_empty_vs_truncated_are_distinct(tmp_path, capsys):
-    empty = tmp_path / "empty.timeseries.jsonl"
-    empty.write_text("")
-    assert main([str(empty)]) == 1
-    err_empty = capsys.readouterr().err
-    assert "empty" in err_empty
+def test_cli_timeseries_empty_vs_truncated_are_distinct(run_dir, capsys):
+    series = run_dir / "scale.timeseries.jsonl"
+    full = series.read_text()
 
-    cut = tmp_path / "cut.timeseries.jsonl"
-    cut.write_text(_valid_timeseries_text()[:-20])
-    assert main([str(cut)]) == 1
-    err_cut = capsys.readouterr().err
-    assert "truncated or malformed JSON on line" in err_cut
-    assert err_cut != err_empty
+    series.write_text("")
+    code, _, err_empty = _check(run_dir, capsys)
+    assert (code, err_empty["code"]) == (3, "run.view-empty")
+
+    series.write_text(full[:-20])
+    code, _, err_cut = _check(run_dir, capsys)
+    assert (code, err_cut["code"]) == (3, "run.view-mismatch")
+    assert err_cut["detail"] == err_empty["detail"] == {"file": "scale.timeseries.jsonl"}

@@ -160,6 +160,65 @@ def test_cli_missing_bundle_exit_three(tmp_path, capsys):
     assert err["error"]["code"] == "bundle.unreadable"
 
 
+@pytest.mark.parametrize("override", ["seed=abc", "seed=1.5"])
+def test_cli_non_integer_seed_exit_two(bundle_path, capsys, override):
+    assert main([str(bundle_path), "--override", override]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == "override.invalid"
+    assert override in err["error"]["message"]
+
+
+@pytest.mark.parametrize("key", ["seed", "instance_type"])
+def test_cli_override_no_spec_takes_exit_two(tiny_bundle, tmp_path, capsys, key):
+    """An override that would change nothing is a usage error, never a
+    counterfactual report that silently compares a run with itself."""
+
+    def drop_param(sections):
+        sections["scenario"]["specs"][0]["params"].pop(key)
+        if key == "seed":
+            sections["seeds"].clear()
+
+    path = _tampered_bundle_path(tiny_bundle, tmp_path, drop_param)
+    value = "3" if key == "seed" else "c1.medium"
+    assert main([str(path), "--override", f"{key}={value}"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == "override.unused"
+    assert repr(key) in err["error"]["message"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_rejects_worker_counts_below_one(bundle_path, capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main([str(bundle_path), "-w", workers])
+    assert exc.value.code == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+
+
+def _empty_specs(sections):
+    sections["scenario"]["specs"] = []
+
+
+def _delete_task(sections):
+    del sections["scenario"]["specs"][0]["task"]
+
+
+@pytest.mark.parametrize("check_only", [True, False], ids=["check-only", "replay"])
+@pytest.mark.parametrize("mutate", [_empty_specs, _delete_task])
+def test_cli_unrebuildable_scenario_exit_three(
+    tiny_bundle, tmp_path, capsys, mutate, check_only
+):
+    """Digests recomputed after the scenario was made unusable: the
+    bundle is intact but cannot be replayed, so it is not 'ok'."""
+    path = _tampered_bundle_path(tiny_bundle, tmp_path, mutate)
+    argv = [str(path), "--check-only"] if check_only else [str(path)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "bundle ok" not in captured.out
+    err = json.loads(captured.err)
+    assert err["error"]["code"] == "scenario.malformed"
+    assert err["error"]["section"] == "scenario"
+
+
 # -- trace-diff localization: name the span that moved ----------------------
 
 

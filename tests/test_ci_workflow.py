@@ -144,10 +144,10 @@ def test_bench_job_runs_storage_ablation_smoke(workflow):
         "--workers 4" in c and "--workers 1" in c and "cmp" in c for c in storage
     ), "the storage sim JSON must be byte-compared across worker counts"
     assert any(
-        "repro.provenance.cli" in c
-        and "storage_ablation-smoke.bundle.json" in c
+        "--run-out run-out-storage" in c
+        and "repro.provenance.cli run-out-storage" in c
         for c in storage
-    ), "the storage ablation bundle must round-trip through gp-replay"
+    ), "the storage ablation run directory must round-trip through gp-replay"
 
 
 #: the lowest events/probe each perfbench workload may report in CI,
@@ -187,17 +187,23 @@ def test_bench_job_compares_sim_json_against_committed_baseline(workflow):
     ), "bench-smoke must byte-compare against the committed sim baseline"
 
 
+def _instrumented_smoke_steps(workflow):
+    """Steps that run the whole smoke suite with span capture on."""
+    return [
+        s.get("run", "")
+        for s in _steps(workflow, "bench-smoke")
+        if "python -m repro.bench --smoke" in s.get("run", "")
+        and "--run-out" in s.get("run", "")
+    ]
+
+
 def test_bench_job_runs_obs_smoke(workflow):
-    """One instrumented sweep runs, leaves sim JSON unchanged, and every
-    exported Chrome trace (spans and instants) passes the schema check."""
-    commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
-    obs = [c for c in commands if "--obs-out" in c]
-    assert obs, "bench-smoke must run an --obs-out sweep"
-    assert any("cmp" in c and "obs" in c for c in obs), (
+    """One instrumented sweep runs, once, and leaves sim JSON unchanged."""
+    obs = _instrumented_smoke_steps(workflow)
+    assert len(obs) == 1, "bench-smoke must run the instrumented smoke suite once"
+    assert "--run-out run-out" in obs[0]
+    assert "cmp bench-smoke-sim.json bench-smoke-sim-obs.json" in obs[0], (
         "the obs-on sim JSON must be byte-compared against the obs-off one"
-    )
-    assert any("repro.obs.validate" in c and "trace.json" in c for c in commands), (
-        "exported traces must be schema-checked"
     )
 
 
@@ -218,29 +224,29 @@ def test_obs_baseline_is_committed_and_current(workflow):
 
 
 def test_bench_job_bundles_and_replays_smoke(workflow):
-    """The smoke suite is bundled, replayed with gp-replay, and its
-    bundled sim section byte-compared against the committed baseline."""
-    commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
-    bundled = [c for c in commands if "--bundle-out" in c]
-    assert bundled, "bench-smoke must export a provenance bundle"
-    assert any("repro.provenance.cli" in c for c in bundled), (
-        "the exported bundle must be replayed/verified with gp-replay"
+    """The smoke run directory is replayed with gp-replay, and its bundled
+    sim section byte-compared against the committed baseline."""
+    (step,) = _instrumented_smoke_steps(workflow)
+    assert "repro.provenance.cli run-out" in step, (
+        "the run directory must be replayed/verified with gp-replay"
     )
-    assert any(
-        "--export-sim" in c and "benchmarks/results/bench_smoke_sim.json" in c
-        for c in bundled
-    ), "the bundled sim must be byte-compared against the committed baseline"
+    assert "--export-sim bundle-sim.json" in step
+    assert "cmp bundle-sim.json benchmarks/results/bench_smoke_sim.json" in step, (
+        "the bundled sim must be byte-compared against the committed baseline"
+    )
 
 
 def test_bench_job_replays_scale_bundle(workflow):
-    """A scale smoke bundle is written and replayed byte-identically."""
+    """A scale smoke run directory is written and replayed byte-identically."""
     commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
     scale = [
         c
         for c in commands
-        if "scale --smoke" in c and "--bundle-out" in c and "repro.provenance.cli" in c
+        if "scale --smoke" in c
+        and "--run-out run-out-scale" in c
+        and "repro.provenance.cli run-out-scale" in c
     ]
-    assert scale, "bench-smoke must bundle the scale smoke suite and replay it"
+    assert scale, "bench-smoke must write the scale smoke run directory and replay it"
 
 
 def test_bench_job_rejects_corrupted_bundle(workflow):
@@ -250,6 +256,7 @@ def test_bench_job_rejects_corrupted_bundle(workflow):
     corrupt = [c for c in commands if "corrupted.bundle.json" in c]
     assert corrupt, "bench-smoke must exercise a corrupted bundle"
     step = corrupt[0]
+    assert "run-out/smoke.bundle.json" in step, "corrupt the run directory's bundle"
     assert "unexpectedly verified" in step and "exit 1" in step, (
         "a verifying corrupted bundle must fail the job"
     )
@@ -265,6 +272,7 @@ def test_bench_job_uploads_suite_artifact(workflow):
     ]
     assert uploads
     assert "bench-smoke-suite.json" in uploads[0]["with"]["path"]
+    assert "run-out/" in uploads[0]["with"]["path"]
 
 
 def test_lint_job_runs_ruff(workflow):
@@ -273,22 +281,31 @@ def test_lint_job_runs_ruff(workflow):
 
 
 def test_bench_job_runs_critpath_and_validates_all_obs_artefacts(workflow):
-    """The instrumented sweep also writes --critpath-out, its sim JSON is
-    byte-compared, and the validator covers critpath docs and gauge series
-    alongside traces."""
-    commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
-    critpath = [c for c in commands if "--critpath-out" in c]
-    assert critpath, "bench-smoke must run a --critpath-out sweep"
-    assert any("cmp" in c and "critpath" in c for c in critpath), (
-        "the critpath-on sim JSON must be byte-compared against the obs-off one"
-    )
-    validate = [c for c in commands if "repro.obs.validate" in c]
-    assert any(".critpath.json" in c for c in validate), (
-        "exported critpath docs must be schema-checked"
-    )
-    assert any(".timeseries.jsonl" in c for c in validate), (
-        "exported gauge series must be schema-checked"
-    )
+    """The instrumented sweep's run directory holds the critpath docs,
+    traces and gauge series as views of its bundle, and gp-replay DIR —
+    the one validator — checks every one of them before replaying."""
+    (step,) = _instrumented_smoke_steps(workflow)
+    run = step.index("--run-out run-out")
+    replay = step.index("repro.provenance.cli run-out")
+    assert run < replay, "the directory must be validated after it is written"
+
+
+def test_no_step_uses_the_deleted_artefact_flags(workflow):
+    """--run-out replaced the three artefact flags, and gp-replay DIR the
+    per-file validator; argparse would reject the flags, and the
+    validator module has no command line any more."""
+    commands = [
+        step.get("run", "")
+        for job in workflow["jobs"].values()
+        for step in job["steps"]
+    ]
+    stale = [
+        c
+        for c in commands
+        for old in ("--obs-out", "--critpath-out", "--bundle-out", "repro.obs.validate")
+        if old in c
+    ]
+    assert not stale, f"CI still uses the deleted artefact surface: {stale}"
 
 
 def test_bench_job_rejects_tampered_span_log(workflow):
@@ -298,6 +315,7 @@ def test_bench_job_rejects_tampered_span_log(workflow):
     tampered = [c for c in commands if "perturbed.bundle.json" in c]
     assert tampered, "bench-smoke must exercise a span-tampered bundle"
     step = tampered[0]
+    assert "run-out/smoke.bundle.json" in step, "tamper with the run directory's bundle"
     assert "unexpectedly verified" in step and "exit 1" in step, (
         "a verifying tampered bundle must fail the job"
     )
