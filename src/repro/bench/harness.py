@@ -349,11 +349,6 @@ def _worker_main(conn) -> None:
     conn.close()
 
 
-def default_start_method() -> str:
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
 class _Worker:
     """One pool slot: a process plus the duplex pipe feeding it."""
 
@@ -399,8 +394,11 @@ class _Worker:
             self.proc.join(timeout=1.0)
 
 
-def _run_pool(specs, workers, default_timeout_s, start_method, progress, obs):
-    ctx = multiprocessing.get_context(start_method or default_start_method())
+def _run_pool(specs, workers, default_timeout_s, progress, obs):
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # no fork on this platform
+        ctx = multiprocessing.get_context("spawn")
     n_workers = max(1, min(workers, len(specs)))
     pool: list[_Worker | None] = [_Worker(ctx) for _ in range(n_workers)]
     pending = deque(enumerate(specs))
@@ -490,7 +488,6 @@ def run_suite(
     suite: BenchSuite,
     workers: int = 1,
     default_timeout_s: float | None = 600.0,
-    start_method: str | None = None,
     progress=None,
     obs: bool = False,
 ) -> SuiteResult:
@@ -514,12 +511,7 @@ def run_suite(
                 progress(result)
     else:
         results = _run_pool(
-            list(suite.specs),
-            workers,
-            default_timeout_s,
-            start_method,
-            progress,
-            obs,
+            list(suite.specs), workers, default_timeout_s, progress, obs
         )
     wall = time.perf_counter() - t0
     return SuiteResult(suite.name, workers, wall, list(results))

@@ -24,10 +24,10 @@ measured by ``perfbench/run.py``'s ``waas`` workload, not here.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 from ..core.testbed import CloudTestbed
+from ..obs.export import _percentile
 from ..provision.instance import GlobusProvision
 from ..waas import (
     AdmissionController,
@@ -111,15 +111,6 @@ SMOKE_GRID = (
     replace(SMOKE_CONFIG, policy="queue_depth"),
     replace(SMOKE_CONFIG, policy="deadline_slack"),
 )
-
-
-def _percentile(values: list[float], p: float) -> float:
-    """Nearest-rank percentile of a non-empty list (deterministic)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(p * len(ordered)))
-    return ordered[rank - 1]
 
 
 @dataclass
@@ -229,8 +220,8 @@ def run(config: WaasConfig = SMOKE_CONFIG) -> WaasResult:
     sim = bed.ctx.sim
     meter = bed.ec2.meter
     now = bed.now
-    makespans = [r.makespan_s for r in service.completed]
-    waits = [r.admission_wait_s for r in service.completed]
+    makespans = sorted(r.makespan_s for r in service.completed)
+    waits = sorted(r.admission_wait_s for r in service.completed)
     return WaasResult(
         config=config,
         policy=provisioner.policy.describe(),

@@ -109,8 +109,7 @@ class Startd:
     claimed a batch of jobs registers their finish times as one event
     cohort, and :meth:`_finish_job` runs as that cohort's apply.  Each
     claim draws a sequence token; eviction / ``condor_rm`` bumps the
-    slot's token so a stale completion timer no-ops instead of being
-    interrupted.
+    slot's token so a stale completion timer no-ops.
     """
 
     def __init__(self, ctx: SimContext, machine: MachineAd) -> None:
@@ -255,31 +254,27 @@ class Startd:
 class Schedd:
     """The job queue.
 
-    Besides every job ever submitted, it indexes the idle ones twice, each
-    index in (submit_time, id) order: globally, for the FIFO negotiator
-    and the queue-depth views, and per owner, for the fair-share
-    negotiator, which reads one owner's bucket at a time (its head, or
-    its jobs in order) and keys its owner heap on the heads.
+    Besides every job ever submitted, it indexes the idle ones per owner,
+    each bucket in (submit_time, id) order.  The fair-share negotiator
+    reads one owner's bucket at a time (its head, or its jobs in order)
+    and keys its owner heap on the heads.
     """
 
     def __init__(self) -> None:
         self.jobs: dict[int, CondorJob] = {}
         self._next_id = 1
-        # Idle jobs indexed separately so a negotiation cycle never scans
+        # Idle jobs bucketed per owner so a negotiation cycle never scans
         # (or sorts) the full queue history.  Submission order is already
         # (submit_time, id) order — ids are monotonic and sim time never
-        # goes backwards — so the dict stays sorted until an eviction
-        # re-queues an old job out of order, which marks it dirty.
-        self._idle: dict[int, CondorJob] = {}
-        self._idle_dirty = False
-        # The same idle jobs bucketed per owner, each bucket in
-        # (submit_time, id) order.  Buckets share the global index's
-        # laziness: an eviction only dirties its own owner.
+        # goes backwards — so a bucket stays sorted until an eviction
+        # re-queues an old job out of order, which dirties its owner.
         self._idle_by_owner: dict[str, dict[int, CondorJob]] = {}
         self._dirty_owners: set[str] = set()
-        #: total cpu+io work of the idle queue, maintained incrementally
-        #: so backlog-driven autoscaling policies get an O(1) snapshot
+        #: idle-job count and total cpu+io work of the idle queue,
+        #: maintained incrementally so queue-depth views and
+        #: backlog-driven autoscaling policies get an O(1) snapshot
         #: instead of an O(idle jobs) scan per control interval
+        self._idle_count = 0
         self._idle_work = 0.0
 
     def submit(self, job_kwargs: dict, ctx: SimContext) -> CondorJob:
@@ -287,19 +282,18 @@ class Schedd:
         job.completed = ctx.sim.event()
         self._next_id += 1
         self.jobs[job.id] = job
-        self._idle[job.id] = job
         bucket = self._idle_by_owner.get(job.owner)
         if bucket is None:
             bucket = self._idle_by_owner[job.owner] = {}
         bucket[job.id] = job
+        self._idle_count += 1
         self._idle_work += job.cpu_work + job.io_work
         return job
 
     def _job_requeued(self, job: CondorJob) -> None:
         """An eviction put ``job`` back to IDLE (possibly out of order)."""
-        self._idle[job.id] = job
+        self._idle_count += 1
         self._idle_work += job.cpu_work + job.io_work
-        self._idle_dirty = True
         bucket = self._idle_by_owner.get(job.owner)
         if bucket is None:
             bucket = self._idle_by_owner[job.owner] = {}
@@ -308,21 +302,20 @@ class Schedd:
 
     def _job_left_queue(self, job: CondorJob) -> None:
         """``job`` stopped being IDLE (claimed or removed)."""
-        if self._idle.pop(job.id, None) is not None:
-            self._idle_work -= job.cpu_work + job.io_work
         bucket = self._idle_by_owner.get(job.owner)
-        if bucket is not None:
-            bucket.pop(job.id, None)
+        if bucket is not None and bucket.pop(job.id, None) is not None:
+            self._idle_count -= 1
+            self._idle_work -= job.cpu_work + job.io_work
             if not bucket:
                 del self._idle_by_owner[job.owner]
                 self._dirty_owners.discard(job.owner)
 
     def has_idle(self) -> bool:
-        return bool(self._idle)
+        return self._idle_count > 0
 
     def idle_count(self) -> int:
-        """Number of idle jobs, without the sort :meth:`idle_jobs` may do."""
-        return len(self._idle)
+        """Number of idle jobs, O(1)."""
+        return self._idle_count
 
     def idle_count_of(self, owner: str) -> int:
         """One owner's idle-job count (0 when the owner has none queued)."""
@@ -334,31 +327,13 @@ class Schedd:
         """Total cpu+io work currently idle (m1.small-seconds), O(1)."""
         return self._idle_work
 
-    def idle_jobs(self) -> list[CondorJob]:
-        """A copy of the idle queue in (submit_time, id) order."""
-        return list(self.iter_idle())
-
-    def idle_owners(self) -> list[str]:
-        """Owners with at least one idle job (order is not significant)."""
-        return list(self._idle_by_owner)
-
-    def iter_idle(self):
-        """Live (submit_time, id)-ordered view of the idle queue.
+    def iter_idle_of(self, owner: str):
+        """Live (submit_time, id)-ordered view of one owner's idle jobs.
 
         No copy is made: callers must not submit, requeue, or remove
         idle jobs while iterating (the negotiation cycle defers its
         queue removals to the end of the scan for exactly this reason).
         """
-        if self._idle_dirty:
-            ordered = sorted(
-                self._idle.values(), key=lambda j: (j.submit_time, j.id)
-            )
-            self._idle = {j.id: j for j in ordered}
-            self._idle_dirty = False
-        return self._idle.values()
-
-    def iter_idle_of(self, owner: str):
-        """Live ordered view of one owner's idle jobs (see :meth:`iter_idle`)."""
         bucket = self._idle_by_owner.get(owner)
         if not bucket:
             return ()
@@ -374,35 +349,25 @@ class Schedd:
         """``owner``'s earliest idle job in (submit_time, id) order, if any."""
         return next(iter(self.iter_idle_of(owner)), None)
 
-    def remove(self, job_id: int) -> None:
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise CondorError(f"no such job {job_id}")
-        if job.state == JobState.RUNNING:
-            raise CondorError("evict via the pool before removing a running job")
-        job.state = JobState.REMOVED
-        self._job_left_queue(job)
-
 
 class CondorPool:
-    """Collector + negotiator + schedd: the pool facade Galaxy talks to."""
+    """Collector + negotiator + schedd: the pool facade Galaxy talks to.
+
+    The negotiator matches idle jobs of lighter users first: Condor's
+    user-priority fair share, simplified to accumulated usage.
+    """
 
     def __init__(
         self,
         ctx: SimContext,
         negotiation_interval_s: float = calibration.CONDOR_NEGOTIATION_INTERVAL_S,
-        fair_share: bool = True,
     ) -> None:
         self.ctx = ctx
         self.interval = negotiation_interval_s
-        #: when True, idle jobs of lighter users match first (Condor's
-        #: user-priority fair share, simplified to accumulated usage)
-        self.fair_share = fair_share
+        #: cpu+io work each owner's completed jobs used (fair-share key)
         self.usage_by_owner: dict[str, float] = {}
         #: fair-share index: a lazy min-heap of idle owners keyed (usage,
         #: head submit_time, head id, owner); see :meth:`_match_order`.
-        #: Only fair-share pools keep it, so ``fair_share`` is fixed at
-        #: construction.
         self._owner_heap: list[tuple[float, float, int, str]] = []
         self.schedd = Schedd()
         self.startds: dict[str, Startd] = {}
@@ -505,7 +470,7 @@ class CondorPool:
             ),
             self.ctx,
         )
-        if self.fair_share and self.schedd.idle_count_of(owner) == 1:
+        if self.schedd.idle_count_of(owner) == 1:
             self._enter_owner(job)  # the owner had no idle job until now
         obs = self.ctx.obs
         if obs.enabled:
@@ -541,7 +506,7 @@ class CondorPool:
                     if running is job:
                         startd._abort(slot, job, self)
         else:
-            # idle: the running case closes its spans on interrupt delivery
+            # idle: the running case closes its spans in Startd._abort
             self.ctx.obs.finish_open(
                 f"condor/job-{job.id}", status="cancelled", error="condor_rm"
             )
@@ -585,7 +550,7 @@ class CondorPool:
         other idle jobs; if it is now their head, the owner's heap entry
         may key a later job, so the owner enters again at ``job``."""
         self.schedd._job_requeued(job)
-        if self.fair_share and self.schedd.idle_head(job.owner) is job:
+        if self.schedd.idle_head(job.owner) is job:
             self._enter_owner(job)
 
     def _enter_owner(self, head: CondorJob) -> None:
@@ -738,11 +703,10 @@ class CondorPool:
             obs.counter("condor.negotiation_cycles").inc()
         if not self._free:
             return  # every slot is claimed; nothing can match
-        idle = self._match_order() if self.fair_share else self.schedd.iter_idle()
         matched = 0
         finish_times: list[float] = []
         claims: list[tuple[Startd, int, int, CondorJob]] = []
-        for job in idle:
+        for job in self._match_order():
             if not self._free:
                 break  # the cycle itself consumed the last free slot
             # the free-slot check tolerates entries staled by a drain;

@@ -148,7 +148,10 @@ def chrome_trace(source) -> dict:
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
-    """Exact nearest-rank percentile over the closed span durations.
+    """Exact nearest-rank percentile of an ascending list (0.0 if empty).
+
+    Span-duration summaries and the waas driver's makespan and
+    admission-wait percentiles both use it.
 
     Nearest-rank: the smallest value with at least ``q`` of the samples
     at or below it, i.e. ``sorted_values[ceil(q * n) - 1]`` clamped to a

@@ -1,5 +1,10 @@
 """Discrete-event simulation kernel underpinning the whole reproduction.
 
+One event queue with one dispatch loop (:class:`Simulator`), one-shot
+events and their ``AllOf``/``AnyOf`` combinations, generator processes,
+FIFO capacity resources, and event cohorts that register N homogeneous
+timers as one record.  Only what the models call is here.
+
 Public API::
 
     from repro.simcore import SimContext, Simulator
@@ -16,29 +21,19 @@ Public API::
 
 from .cohort import EventCohort
 from .context import SimContext
-from .errors import (
-    EmptySchedule,
-    Interrupt,
-    SimulationError,
-    StopSimulation,
-    UntriggeredEvent,
-)
+from .errors import SimulationError, StopSimulation, UntriggeredEvent
 from .events import LAZY, NORMAL, URGENT, AllOf, AnyOf, SimEvent, Timeout
 from .kernel import Simulator
 from .process import Process
-from .resources import Container, PriorityResource, Request, Resource, Store
+from .resources import Request, Resource
 from .rng import RandomStreams
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
-    "EmptySchedule",
     "EventCohort",
-    "Interrupt",
     "LAZY",
     "NORMAL",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Request",
@@ -48,7 +43,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "StopSimulation",
-    "Store",
     "Timeout",
     "URGENT",
     "UntriggeredEvent",

@@ -4,10 +4,10 @@ Large simulations are dominated by *populations* of identical timers —
 GridFTP chunk completions, Condor job completions, EC2 boot delays.  The
 scalar path allocates one :class:`~repro.simcore.events.SimEvent` (often
 a whole generator resume) per timer.  An :class:`EventCohort` registers N
-such timers as one record: the fire times, optional entity ids and
-payload, and a single ``apply(cohort, k)`` callback shared by every
-member.  Registration is flat: one slotted carrier per member, allocated
-without an ``__init__`` call, and no per-member closure.
+such timers as one record: an optional payload and a single
+``apply(cohort, k)`` callback shared by every member.  Registration is
+flat: one slotted carrier per member, allocated without an ``__init__``
+call, and no per-member closure.
 
 Ordering contract
 -----------------
@@ -56,14 +56,12 @@ class EventCohort:
 
     Created via :meth:`Simulator.schedule_cohort`; producers keep a
     reference for its :attr:`done` event (fires once every member has
-    been applied) and for the arrays ``apply`` indexes into.
+    been applied) and for the payload ``apply`` indexes into.
     """
 
     __slots__ = (
         "sim",
         "layer",
-        "_times",
-        "entity_ids",
         "payload",
         "apply",
         "size",
@@ -78,7 +76,6 @@ class EventCohort:
         times: Sequence[float],
         apply: ApplyFn,
         payload: object = None,
-        entity_ids: object = None,
         layer: str = "cohort",
         cause: object = None,
     ) -> None:
@@ -90,12 +87,6 @@ class EventCohort:
         # The kernel never reads it; None (the obs-off default) costs one
         # slot write.
         self.cause = cause
-        # Kept as handed in; normalized to float64 lazily (see `times`).
-        # Producers registering thousands of small cohorts (negotiator
-        # ticks, per-file chunk plans) would otherwise pay an ndarray
-        # round-trip per registration.
-        self._times = times
-        self.entity_ids = entity_ids
         self.payload = payload
         self.apply = apply
         self.size = n = len(times)
@@ -123,14 +114,6 @@ class EventCohort:
             ev._defused = False
             ev.index = k
             pending.append((t, next(eid), ev))
-
-    @property
-    def times(self) -> np.ndarray:
-        """Member fire times as a float64 array (normalized on first read)."""
-        t = self._times
-        if not isinstance(t, np.ndarray):
-            t = self._times = np.asarray(t, dtype=np.float64)
-        return t
 
     def _fire_member(self, ev: SimEvent) -> None:
         """Kernel callback: apply one member, then retire it."""

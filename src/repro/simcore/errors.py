@@ -11,21 +11,5 @@ class StopSimulation(SimulationError):
     """Raised internally to halt :meth:`Simulator.run` early."""
 
 
-class EmptySchedule(SimulationError):
-    """Raised when :meth:`Simulator.step` is called with no pending events."""
-
-
-class Interrupt(SimulationError):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries whatever object the interrupter passed,
-    typically a short human-readable reason.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class UntriggeredEvent(SimulationError):
     """Raised when the value of an event is read before it triggered."""

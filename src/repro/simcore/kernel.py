@@ -15,15 +15,15 @@ tiebreak packed into a single integer so heap sifts compare one field,
 not two.  New timed entries are staged in a pending list and merged
 lazily — bulk loads heapify in O(n) instead of paying n O(log n)
 pushes.  Zero-delay NORMAL-priority events —
-``succeed()``/``fail()`` triggers, resource grants, store handoffs, by far
-the most common schedule — go to a FIFO deque instead, skipping the
+``succeed()``/``fail()`` triggers and resource grants, by far the most
+common schedule — go to a FIFO deque instead, skipping the
 ``O(log n)`` heap push/pop entirely.  Because insertion order is globally
 monotonic, the deque is always sorted by insertion order, and the drain
 loop merges deque and heap by comparing ``(priority, insertion-order)``
 whenever the heap's head shares the current timestamp, so observable
-ordering is bit-identical to a single heap.  The run loop is deliberately
-inlined (no per-event ``step()`` call) and drains all events of one
-timestamp before re-checking the stop conditions.
+ordering is bit-identical to a single heap.  :meth:`Simulator._drain` is
+the one dispatch loop: it binds the queue structures to locals and drains
+all events of one timestamp before re-checking the stop conditions.
 
 Per-simulator counters (:attr:`Simulator.events_processed`,
 :attr:`Simulator.peak_queue_depth`) feed the scale benchmarks.
@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 from ..obs.recorder import NULL_RECORDER
 from .cohort import EventCohort
-from .errors import EmptySchedule, SimulationError, StopSimulation
+from .errors import SimulationError, StopSimulation
 from .events import LAZY, NORMAL, URGENT, AllOf, AnyOf, SimEvent, Timeout
 from .process import Process, ProcessGenerator
 
@@ -72,7 +72,6 @@ class Simulator:
         "_pending",
         "_immediate",
         "_eid",
-        "_active_process",
         "events_processed",
         "peak_queue_depth",
         "obs",
@@ -96,7 +95,6 @@ class Simulator:
         #: zero-delay NORMAL events at the current time: (insertion id, event)
         self._immediate: deque[tuple[int, SimEvent]] = deque()
         self._eid = count()
-        self._active_process: Optional[Process] = None
         #: events popped and executed since construction
         self.events_processed: int = 0
         #: high-water mark of pending events (heap + immediate deque)
@@ -113,11 +111,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     @property
     def queue_depth(self) -> int:
@@ -148,14 +141,6 @@ class Simulator:
     def any_of(self, events) -> AnyOf:
         return AnyOf(self, events)
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> SimEvent:
-        """Run ``fn()`` at absolute simulated time ``when``."""
-        if not when >= self._now:  # also rejects NaN
-            raise ValueError(
-                f"cannot schedule at {when}: NaN or in the past (now={self._now})"
-            )
-        return self.call_in(when - self._now, fn)
-
     def call_in(self, delay: float, fn: Callable[[], None]) -> SimEvent:
         """Run ``fn()`` after ``delay`` simulated seconds."""
         ev = Timeout(self, delay)
@@ -167,7 +152,6 @@ class Simulator:
         times,
         apply,
         payload: object = None,
-        entity_ids: object = None,
         layer: str = "cohort",
         cause: object = None,
     ) -> EventCohort:
@@ -181,7 +165,7 @@ class Simulator:
         ``cohort.cause``); the kernel ignores it.  Returns the cohort;
         its ``done`` event fires after the last member is applied.
         """
-        return EventCohort(self, times, apply, payload, entity_ids, layer, cause)
+        return EventCohort(self, times, apply, payload, layer, cause)
 
     # -- scheduling --------------------------------------------------------
     # NOTE: the hot constructors (Timeout.__init__, SimEvent.succeed/fail)
@@ -206,59 +190,12 @@ class Simulator:
                 heappush(queue, entry)
         pending.clear()
 
-    def _pop_next(self) -> tuple[float, SimEvent]:
-        """Remove and return the next ``(time, event)`` in processing order."""
-        if self._pending:
-            self._flush_pending()
-        immediate = self._immediate
-        queue = self._queue
-        if immediate:
-            if queue:
-                head = queue[0]
-                # A heap entry beats the deque head only at the same
-                # timestamp with a smaller packed (priority, insertion id)
-                # key; deque entries are NORMAL, so bare-id comparison
-                # suffices (URGENT keys are negative, LAZY keys > 2**53).
-                if head[0] == self._now and head[1] < immediate[0][0]:
-                    return heappop(queue)[0], head[2]
-            return self._now, immediate.popleft()[1]
-        if queue:
-            when, _key, event = heappop(queue)
-            return when, event
-        raise EmptySchedule("no scheduled events")
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._immediate:
-            return self._now
-        if self._pending:
-            self._flush_pending()
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event."""
-        depth = self.queue_depth
-        if depth > self.peak_queue_depth:
-            self.peak_queue_depth = depth
-        when, event = self._pop_next()
-        if when < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event queue time went backwards")
-        self._now = when
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        for cb in callbacks or ():
-            cb(event)
-        if event._ok is False and not event._defused:
-            # Nobody waited on a failed event: surface the error loudly.
-            raise event.value  # type: ignore[misc]
-
     def _drain(self, until_f: Optional[float]) -> None:
         """The hot loop: run events until the queue empties or ``until_f``.
 
-        Equivalent to ``while _queue: step()`` but with the scheduling
-        structures bound to locals and all events of the current timestamp
-        drained in one inner pass.  Ordering is identical to repeated
-        ``step()`` calls; only the interpreter overhead differs.
+        The scheduling structures are bound to locals, and all events of
+        the current timestamp drain in one inner pass.  A failed event
+        nobody waited on (and nobody defused) re-raises its error here.
 
         The queue-depth high-water mark is sampled where depth can peak:
         once on entry, then after each callback batch (only callbacks
@@ -286,6 +223,10 @@ class Simulator:
                     event = None
                     if queue:
                         head = queue[0]
+                        # A heap entry beats the deque head only at the
+                        # same timestamp with a smaller packed key; deque
+                        # entries are NORMAL, so bare-id comparison
+                        # suffices (URGENT keys are negative, LAZY > 2**53).
                         if head[0] == now and head[1] < immediate[0][0]:
                             event = heappop(queue)[2]
                     if event is None:
@@ -330,8 +271,8 @@ class Simulator:
         """Run until the queue drains, a time is reached, or an event fires.
 
         ``until`` may be ``None`` (drain), a number (absolute time), or an
-        event (stop when it is processed, returning its value — or raising
-        it, if the event failed).
+        event (stop once it is processed and every callback on it has run,
+        returning its value — or raising it, if the event failed).
 
         The per-simulator counters (:attr:`events_processed`,
         :attr:`peak_queue_depth`) **persist across calls**: each ``run()``
@@ -367,18 +308,26 @@ class Simulator:
         return result
 
     def _run(self, until: float | SimEvent | None) -> object:
-        stop_value: dict = {}
         until_f: Optional[float] = None
+        # ``until``'s callback list while this run waits on the event
+        hooks: Optional[list] = None
         if isinstance(until, SimEvent):
             if until.processed:
                 if not until.ok:
                     raise until.value  # type: ignore[misc]
                 return until.value
-            def _stop(ev: SimEvent) -> None:
-                stop_value["value"] = ev.value
-                stop_value["ok"] = ev.ok
+            hooks = until.callbacks
+
+            def _stop(_ev: SimEvent) -> None:
+                # Stop only after every callback on the event, including
+                # ones added after this run began: those sit behind this
+                # hook, so it moves behind them once and runs again last.
+                if hooks[-1] is not _stop:
+                    hooks.append(_stop)
+                    return
                 raise StopSimulation()
-            until.callbacks.append(_stop)
+
+            hooks.append(_stop)
         elif until is not None:
             until_f = float(until)
             if not until_f >= self._now:  # also rejects NaN
@@ -399,13 +348,17 @@ class Simulator:
         try:
             self._drain(until_f)
         except StopSimulation:
-            if not stop_value.get("ok", True):
-                raise stop_value["value"]  # type: ignore[misc]
-            return stop_value.get("value")
+            if not until.ok:
+                raise until.value  # type: ignore[misc]
+            return until.value
         finally:
             if paused_gc:
                 gc.enable()
-        if until_f is None and isinstance(until, SimEvent):
+            if hooks is not None and until.callbacks is not None:
+                # The event never fired: unhook, so a later run waiting
+                # on it is not stopped by this run's hook.
+                hooks.remove(_stop)
+        if hooks is not None:
             raise SimulationError(
                 "event queue drained before the awaited event triggered"
             )

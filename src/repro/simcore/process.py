@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from .errors import Interrupt, SimulationError
+from .errors import SimulationError
 from .events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,7 +35,7 @@ class _Initialize(SimEvent):
 class Process(SimEvent):
     """A running process; also an event that fires when the process ends."""
 
-    __slots__ = ("name", "_generator", "_target")
+    __slots__ = ("name", "_generator")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator, name: str = "") -> None:
         if not hasattr(generator, "throw"):
@@ -43,35 +43,11 @@ class Process(SimEvent):
         super().__init__(sim)
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        # Event the process is currently waiting on (None once finished).
-        self._target: SimEvent | None = _Initialize(sim, self)
+        _Initialize(sim, self)
 
     @property
     def is_alive(self) -> bool:
         return not self.triggered
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a dead process, or a process from within itself, is an
-        error.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self.name} has terminated; cannot interrupt")
-        if self is self.sim.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        # Detach from whatever the process was waiting on, then resume it
-        # with the interrupt via an immediate event.
-        target = self._target
-        if target is not None and not target.processed and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        interrupt_ev = SimEvent(self.sim)
-        interrupt_ev.callbacks.append(self._resume)
-        interrupt_ev.fail(Interrupt(cause))
-        interrupt_ev.defused = True
 
     def _resume(self, event: SimEvent) -> None:
         """Advance the generator with ``event``'s outcome.
@@ -79,49 +55,34 @@ class Process(SimEvent):
         ``event`` is always processed here, so the raw ``_ok``/``_value``
         slots are read directly — this loop runs once per context switch.
         """
-        self.sim._active_process = self
-        try:
-            while True:
-                try:
-                    if event._ok:
-                        next_event = self._generator.send(event._value)
-                    else:
-                        event._defused = True
-                        next_event = self._generator.throw(event._value)  # type: ignore[arg-type]
-                except StopIteration as stop:
-                    self._target = None
-                    self.succeed(stop.value)
-                    return
-                except Interrupt:
-                    # The generator let an interrupt escape: treat it as an
-                    # ordinary failure of the process.
-                    self._target = None
-                    exc = SimulationError(f"{self.name} died of unhandled Interrupt")
-                    self.fail(exc)
-                    return
-                except Exception as exc:
-                    # The process raised: fail the process event.  Waiters
-                    # receive the exception; with no waiters the kernel
-                    # surfaces it at the next step.
-                    self._target = None
-                    self.fail(exc)
-                    return
-                if not isinstance(next_event, SimEvent):
-                    exc = SimulationError(
-                        f"{self.name} yielded a non-event: {next_event!r}"
-                    )
-                    self._target = None
-                    self._generator.close()
-                    self.fail(exc)
-                    return
-                if next_event.sim is not self.sim:
-                    raise SimulationError("yielded event belongs to another simulator")
-                self._target = next_event
-                if next_event.callbacks is None:  # processed
-                    # Already happened: loop and feed it straight back in.
-                    event = next_event
-                    continue
-                next_event.callbacks.append(self._resume)
+        while True:
+            try:
+                if event._ok:
+                    next_event = self._generator.send(event._value)
+                else:
+                    event._defused = True
+                    next_event = self._generator.throw(event._value)  # type: ignore[arg-type]
+            except StopIteration as stop:
+                self.succeed(stop.value)
                 return
-        finally:
-            self.sim._active_process = None
+            except Exception as exc:
+                # The process raised: fail the process event.  Waiters
+                # receive the exception; with no waiters the kernel
+                # surfaces it when it processes the failure.
+                self.fail(exc)
+                return
+            if not isinstance(next_event, SimEvent):
+                exc = SimulationError(
+                    f"{self.name} yielded a non-event: {next_event!r}"
+                )
+                self._generator.close()
+                self.fail(exc)
+                return
+            if next_event.sim is not self.sim:
+                raise SimulationError("yielded event belongs to another simulator")
+            if next_event.callbacks is None:  # processed
+                # Already happened: loop and feed it straight back in.
+                event = next_event
+                continue
+            next_event.callbacks.append(self._resume)
+            return

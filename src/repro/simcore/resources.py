@@ -1,17 +1,15 @@
-"""Shared-resource primitives: capacity-limited resources and object stores.
+"""Shared-resource primitive: a capacity-limited FIFO resource.
 
-These mirror the SimPy resource model but are trimmed to what this
-reproduction needs: FIFO resources with integer capacity (CPU slots,
-GridFTP connection limits), priority resources (Condor negotiation), stores
-(job queues, mailboxes) and containers (byte pools, token buckets).
+This mirrors the SimPy resource model trimmed to what this reproduction
+needs: FIFO resources with integer capacity (Galaxy job slots, GridFTP
+connection limits).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING
 
-from .errors import SimulationError
 from .events import _PENDING, SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -21,9 +19,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class Request(SimEvent):
     """Pending claim on a :class:`Resource`; succeeds when capacity frees."""
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         # Flat initializer (see Timeout): grants happen once per task slot
         # handoff, which makes this a per-event allocation at scale.
         self.sim = resource.sim
@@ -32,19 +30,11 @@ class Request(SimEvent):
         self._ok = None
         self._defused = False
         self.resource = resource
-        self.priority = priority
         resource._request(self)
 
     def release(self) -> None:
         """Give back the claimed unit (or cancel a pending request)."""
         self.resource._release(self)
-
-    # Support "with resource.request() as req: yield req".
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
 
 
 class Resource:
@@ -65,14 +55,14 @@ class Resource:
         """Units currently claimed."""
         return len(self.users)
 
-    def request(self, priority: int = 0) -> Request:
-        return Request(self, priority)
+    def request(self) -> Request:
+        return Request(self)
 
     # -- internals ---------------------------------------------------------
     # Invariant (restored after every mutation): the wait queue is only
     # non-empty when every unit is claimed.  It lets ``_request`` grant
     # immediately whenever capacity is free — the queue must be empty, so
-    # waiter-selection order (FIFO or priority) cannot matter.
+    # no waiter can be passed over.
     def _request(self, req: Request) -> None:
         users = self.users
         if len(users) < self.capacity:
@@ -100,128 +90,3 @@ class Resource:
             req = queue.popleft()
             users.append(req)
             req.succeed(req)
-
-
-class PriorityResource(Resource):
-    """Resource whose waiters are served lowest ``priority`` value first."""
-
-    __slots__ = ()
-
-    def _pop_next_waiter(self) -> Optional[Request]:
-        if not self.queue:
-            return None
-        # min() keeps the first minimal element, preserving FIFO ties.
-        req = min(self.queue, key=lambda r: r.priority)
-        self.queue.remove(req)
-        return req
-
-    def _trigger(self) -> None:
-        while len(self.users) < self.capacity:
-            req = self._pop_next_waiter()
-            if req is None:
-                return
-            self.users.append(req)
-            req.succeed(req)
-
-
-class StorePut(SimEvent):
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: object) -> None:
-        super().__init__(store.sim)
-        self.item = item
-        store._put_queue.append(self)
-        store._trigger()
-
-
-class StoreGet(SimEvent):
-    __slots__ = ("filter_fn",)
-
-    def __init__(
-        self, store: "Store", filter_fn: Optional[Callable[[object], bool]] = None
-    ) -> None:
-        super().__init__(store.sim)
-        self.filter_fn = filter_fn
-        store._get_queue.append(self)
-        store._trigger()
-
-
-class Store:
-    """An unbounded-or-bounded buffer of arbitrary items (FIFO).
-
-    ``get`` may pass a filter predicate, in which case the first matching
-    item is returned (used by the Condor negotiator to pick jobs whose
-    requirements match an available slot).
-    """
-
-    __slots__ = ("sim", "capacity", "items", "_put_queue", "_get_queue")
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self.items: list[object] = []
-        self._put_queue: deque[StorePut] = deque()
-        self._get_queue: deque[StoreGet] = deque()
-
-    def put(self, item: object) -> StorePut:
-        return StorePut(self, item)
-
-    def get(self, filter_fn: Optional[Callable[[object], bool]] = None) -> StoreGet:
-        return StoreGet(self, filter_fn)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            # Admit puts while there is room.
-            while self._put_queue and len(self.items) < self.capacity:
-                put = self._put_queue.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progressed = True
-            # Satisfy gets whose filter matches something.
-            if not self._get_queue or not self.items:
-                continue
-            for get in list(self._get_queue):
-                match_idx = None
-                for i, item in enumerate(self.items):
-                    if get.filter_fn is None or get.filter_fn(item):
-                        match_idx = i
-                        break
-                if match_idx is not None:
-                    self._get_queue.remove(get)
-                    get.succeed(self.items.pop(match_idx))
-                    progressed = True
-
-
-class Container:
-    """A homogeneous quantity pool (e.g. bytes, tokens).
-
-    Only synchronous operations are needed by this project, so ``put`` and
-    ``take`` act immediately and raise when they cannot be satisfied.
-    """
-
-    __slots__ = ("sim", "capacity", "level")
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf"), init: float = 0.0) -> None:
-        if init < 0 or init > capacity:
-            raise ValueError("init outside [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self.level = float(init)
-
-    def put(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
-        if self.level + amount > self.capacity:
-            raise SimulationError("container overflow")
-        self.level += amount
-
-    def take(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
-        if amount > self.level:
-            raise SimulationError("container underflow")
-        self.level -= amount

@@ -2,9 +2,11 @@
 
 A :class:`GridFTPServer` fronts a filesystem at a site, holds a host
 certificate, and limits concurrent data connections.  The Globus Transfer
-service drives pairs of servers to move data; the server itself also
-exposes a direct ``transfer_file`` process for third-party GridFTP use
-(what `globus-url-copy` would do).
+service (:mod:`repro.transfer.globus_online`) drives pairs of servers to
+move data: it lists and stats files through them, uses their timing
+model (streams, wire time, listing cost), and moves each file as one
+cohort of coalesced block-slice timers
+(:meth:`GridFTPServer.chunk_cohort`).
 """
 
 from __future__ import annotations
@@ -186,69 +188,6 @@ class GridFTPServer:
 
     def _chunk_apply(self, cohort, k: int) -> None:
         self.bytes_moved += cohort.payload[k]
-
-    # -- direct third-party transfer (globus-url-copy equivalent) ----------------
-    def transfer_file(
-        self,
-        dest: "GridFTPServer",
-        src_path: str,
-        dst_path: str,
-        network: NetworkPath,
-        parallel: Optional[int] = None,
-        cause: Optional[int] = None,
-    ):
-        """Simulation process moving one file from this server to ``dest``.
-
-        ``cause`` optionally names the obs span id that provoked the
-        transfer (a Galaxy job staging data, a deployment step).
-        Returns (bytes, seconds) when awaited.
-        """
-        node = self.stat(src_path)
-        streams = self.stream_plan(node.size, parallel)
-        start = self.ctx.now
-        obs = self.ctx.obs
-        # track=None: concurrent transfers through one server overlap
-        # arbitrarily, so each span gets its own single-use track
-        span = obs.start(
-            "gridftp.transfer",
-            cause=cause,
-            src=f"{self.hostname}:{src_path}",
-            dst=f"{dest.hostname}:{dst_path}",
-            bytes=node.size,
-            streams=streams,
-        )
-        src_req = self._conn_pool.request()
-        dst_req = dest._conn_pool.request()
-        yield src_req
-        yield dst_req
-        try:
-            # Move the file as coalesced block slices: progress (and
-            # byte accounting) advances in-flight, but a transfer costs at
-            # most MAX_CHUNK_EVENTS simulation events regardless of size.
-            # The slices are one cohort (struct-of-arrays record) instead
-            # of a timeout per slice; `_chunk_apply` advances the byte
-            # counter as members fire.
-            rate = aggregate_rate_bps(network, streams, calibration.GO_WINDOW_BYTES)
-            yield self.ctx.sim.timeout(
-                slow_start_ramp_s(network, calibration.GO_WINDOW_BYTES)
-            )
-            plan = coalesced_chunk_plan(node.size)
-            chunks = len(plan)
-            if plan:
-                yield self.chunk_cohort(plan, rate).done
-            dest.store(dst_path, node, now=self.ctx.now)
-        except BaseException as exc:
-            obs.finish(span, status="error", error=repr(exc))
-            raise
-        finally:
-            src_req.release()
-            dst_req.release()
-        obs.finish(span.set(chunks=chunks))
-        if obs.enabled:
-            obs.counter("gridftp.transfers").inc()
-            obs.counter("gridftp.chunks").inc(chunks)
-            obs.counter("gridftp.bytes").inc(node.size)
-        return node.size, self.ctx.now - start
 
 
 def checksum_seconds(size_bytes: int) -> float:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench import figure10, figure11, harness, suites, usecase
 from repro.obs import critpath_doc
+from repro.provenance.bundle import content_digest
 from repro.reporting import render_critpath
 
 pytestmark = pytest.mark.bench
@@ -69,12 +70,27 @@ SCALE_SMOKE_CRITPATH_LAYERS = {
     "queue": 797.0792079207919,
 }
 SCALE_SMOKE_CRITPATH_MAKESPAN_S = 881.5198019801979
+#: content digest of the scale-smoke grid's obs docs: every span, instant
+#: and metric of its three contexts, in recorded order
+SCALE_SMOKE_OBS_DOCS_DIGEST = (
+    "c330d20b30e391e23497a8e776d3dbc30641f59a09e10feb7d84e311f867e3cc"
+)
 
 
 @pytest.fixture(scope="module")
-def scale_smoke_critpath():
-    result = harness.run_suite(suites.scale_suite(smoke=True), obs=True)
-    return critpath_doc(result.obs_docs(), suite="scale")
+def scale_smoke_result():
+    return harness.run_suite(suites.scale_suite(smoke=True), obs=True)
+
+
+@pytest.fixture(scope="module")
+def scale_smoke_critpath(scale_smoke_result):
+    return critpath_doc(scale_smoke_result.obs_docs(), suite="scale")
+
+
+def test_scale_smoke_obs_docs_are_pinned(scale_smoke_result):
+    """The critical-path totals below survive a reordering of spans; this
+    digest does not, so it pins span order and every recorded field."""
+    assert content_digest(scale_smoke_result.obs_docs()) == SCALE_SMOKE_OBS_DOCS_DIGEST
 
 
 def test_scale_smoke_critical_path_is_pinned(scale_smoke_critpath):

@@ -10,9 +10,9 @@ from repro.cluster import CondorPool, JobState, MachineAd
 from repro.simcore import SimContext
 
 
-def make_pool(fair_share=True):
+def make_pool():
     ctx = SimContext(seed=50)
-    pool = CondorPool(ctx, negotiation_interval_s=5.0, fair_share=fair_share)
+    pool = CondorPool(ctx, negotiation_interval_s=5.0)
     pool.add_machine(MachineAd(name="m", cores=1, memory_gb=8.0, cpu_factor=1.0))
     return ctx, pool
 
@@ -24,21 +24,13 @@ def completion_owners(ctx, pool, jobs):
 
 
 def test_fair_share_alternates_users():
-    ctx, pool = make_pool(fair_share=True)
+    ctx, pool = make_pool()
     jobs = [pool.submit(cpu_work=10.0, owner="alice") for _ in range(3)]
     jobs += [pool.submit(cpu_work=10.0, owner="bob") for _ in range(3)]
     order = completion_owners(ctx, pool, jobs)
     # after the first job, users alternate rather than draining alice first
     assert order != ["alice"] * 3 + ["bob"] * 3
     assert order[:4].count("bob") >= 2
-
-
-def test_fifo_mode_preserves_submission_order():
-    ctx, pool = make_pool(fair_share=False)
-    jobs = [pool.submit(cpu_work=10.0, owner="alice") for _ in range(3)]
-    jobs += [pool.submit(cpu_work=10.0, owner="bob") for _ in range(3)]
-    order = completion_owners(ctx, pool, jobs)
-    assert order == ["alice"] * 3 + ["bob"] * 3
 
 
 def test_usage_accounting():
@@ -68,11 +60,30 @@ def test_heavy_user_yields_to_new_user():
 # usage.  These tests keep both in lockstep.
 
 
+def idle_reference(pool):
+    """Idle jobs in (submit_time, id) order, scanned from every job ever
+    submitted, so the reference shares no index with the code under test."""
+    return sorted(
+        (j for j in pool.schedd.jobs.values() if j.state == JobState.IDLE),
+        key=lambda j: (j.submit_time, j.id),
+    )
+
+
 def fair_share_reference(pool):
     """The O(jobs log jobs) specification of fair-share match order."""
     usage = pool.usage_by_owner
-    return sorted(
-        pool.schedd.idle_jobs(), key=lambda j: usage.get(j.owner, 0.0)
+    return sorted(idle_reference(pool), key=lambda j: usage.get(j.owner, 0.0))
+
+
+def assert_idle_counters_match_reference(pool):
+    """The schedd's O(1) idle views agree with a full scan."""
+    idle = idle_reference(pool)
+    schedd = pool.schedd
+    assert schedd.idle_count() == len(idle)
+    assert schedd.has_idle() == bool(idle)
+    # a running float sum, so compare approximately
+    assert schedd.idle_work == pytest.approx(
+        sum(j.cpu_work + j.io_work for j in idle)
     )
 
 
@@ -88,7 +99,7 @@ def assert_owner_heap_exact(pool):
     idle owner and nothing else, so orphaned entries cannot pile up."""
     usage = pool.usage_by_owner
     heads = {}
-    for job in pool.schedd.idle_jobs():
+    for job in idle_reference(pool):
         heads.setdefault(job.owner, job)
     want = sorted(
         (usage.get(owner, 0.0), head.submit_time, head.id, owner)
@@ -129,13 +140,14 @@ def test_match_order_consistent_after_eviction_requeue():
     running = [j for j in jobs if j.state == JobState.RUNNING]
     assert running
     pool.remove_machine("m", drain=False)  # evict: back to idle, dirty owner
-    ctx.sim.run(until=ctx.sim.timeout(0.0))  # deliver the eviction interrupt
+    ctx.sim.run(until=ctx.sim.timeout(0.0))  # settle this instant's events
     assert all(j.state == JobState.IDLE for j in jobs)
     assert_matches_reference(pool)
     pool.add_machine(MachineAd(name="m2", cores=1, memory_gb=8.0, cpu_factor=1.0))
     ctx.sim.run(until=ctx.sim.all_of([pool.when_done(j) for j in jobs]))
     assert all(j.state == JobState.COMPLETED for j in jobs)
-    assert not pool.schedd.idle_owners()
+    assert not pool.schedd._idle_by_owner  # every owner bucket retired
+    assert_idle_counters_match_reference(pool)
 
 
 OWNERS = [f"u{i:02d}" for i in range(40)]
@@ -163,7 +175,8 @@ def test_property_match_order_tracks_reference_through_time(pattern, steps):
     occur, through completions, eviction requeues, ``condor_rm`` of idle
     jobs and new submits.  Before each full traversal a partial one takes
     ``k`` jobs and abandons the generator, as the negotiation cycle does
-    when it runs out of free slots."""
+    when it runs out of free slots.  After every step the schedd's idle
+    count, ``has_idle`` and idle work match a scan of all jobs."""
     ctx, pool = make_pool()
     pool.add_machine(MachineAd(name="m2", cores=3, memory_gb=8.0, cpu_factor=1.0))
     n = 0
@@ -176,6 +189,7 @@ def test_property_match_order_tracks_reference_through_time(pattern, steps):
 
     submit(pattern)
     assert_matches_reference(pool)
+    assert_idle_counters_match_reference(pool)
     for (kind, *args), k in steps:
         if kind == "run":
             ctx.sim.run(until=ctx.now + args[0])
@@ -186,11 +200,12 @@ def test_property_match_order_tracks_reference_through_time(pattern, steps):
                 MachineAd(name="m2", cores=3, memory_gb=8.0, cpu_factor=1.0)
             )
         elif kind == "rm":
-            idle = pool.schedd.idle_jobs()
+            idle = idle_reference(pool)
             if idle:
                 pool.remove_job(idle[args[0] % len(idle)])
         else:
             submit(args[0])
+        assert_idle_counters_match_reference(pool)
         want = [j.id for j in fair_share_reference(pool)]
         assert [j.id for j in islice(pool._match_order(), k)] == want[:k]
         assert_matches_reference(pool)

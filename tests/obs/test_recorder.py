@@ -101,7 +101,7 @@ def test_simcontext_obs_true_records_on_sim_clock():
     ctx = SimContext(seed=0, obs=True)
     assert ctx.obs.enabled
     s = ctx.obs.start("w", track="a")
-    ctx.sim.call_at(4.0, lambda: None)
+    ctx.sim.call_in(4.0, lambda: None)
     ctx.sim.run()
     ctx.obs.finish(s)
     assert s.end == 4.0

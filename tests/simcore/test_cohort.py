@@ -143,17 +143,6 @@ def test_registration_depth_counts_members():
     assert sim.queue_depth == 8
 
 
-def test_times_property_normalizes_lazily():
-    import numpy as np
-
-    sim = Simulator()
-    cohort = sim.schedule_cohort([1.0, 2.0], lambda c, k: None)
-    assert isinstance(cohort.times, np.ndarray)
-    assert cohort.times.dtype == np.float64
-    assert cohort.times.tolist() == [1.0, 2.0]
-    sim.run()
-
-
 def test_done_awaitable_from_process():
     sim = Simulator()
     got = []

@@ -5,14 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs import NULL_RECORDER
-from repro.simcore import (
-    EmptySchedule,
-    Interrupt,
-    SimContext,
-    SimEvent,
-    SimulationError,
-    Simulator,
-)
+from repro.simcore import SimContext, SimEvent, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -53,8 +46,6 @@ def test_negative_or_nan_times_rejected(bad):
     with pytest.raises(ValueError):
         sim.call_in(bad, lambda: None)
     with pytest.raises(ValueError):
-        sim.call_at(bad, lambda: None)
-    with pytest.raises(ValueError):
         # the valid first member must not stay queued either
         sim.schedule_cohort([1.0, bad], lambda cohort, k: None)
     with pytest.raises(ValueError):
@@ -80,25 +71,13 @@ def test_run_until_past_raises():
         sim.run(until=1.0)
 
 
-def test_step_empty_schedule_raises():
-    sim = Simulator()
-    with pytest.raises(EmptySchedule):
-        sim.step()
-
-
-def test_call_in_and_call_at():
-    sim = Simulator()
-    seen = []
-    sim.call_in(3.0, lambda: seen.append(("in", sim.now)))
-    sim.call_at(7.0, lambda: seen.append(("at", sim.now)))
-    sim.run()
-    assert seen == [("in", 3.0), ("at", 7.0)]
-
-
-def test_call_at_past_raises():
+def test_call_in():
     sim = Simulator(initial_time=10.0)
-    with pytest.raises(ValueError):
-        sim.call_at(5.0, lambda: None)
+    seen = []
+    sim.call_in(3.0, lambda: seen.append(("a", sim.now)))
+    sim.call_in(7.0, lambda: seen.append(("b", sim.now)))
+    sim.run()
+    assert seen == [("a", 13.0), ("b", 17.0)]
 
 
 def test_cancelled_timer_defuses_without_firing():
@@ -212,6 +191,43 @@ def test_event_cannot_trigger_twice():
         ev.succeed(2)
 
 
+def test_run_until_event_runs_callbacks_added_after_run_began():
+    """A process that starts waiting on ``ev`` mid-run resumes when it
+    fires, before ``run(until=ev)`` returns, not never."""
+    sim = Simulator()
+    ev = sim.timeout(5.0, value="x")
+    seen = []
+
+    def late_waiter():
+        yield sim.timeout(1.0)
+        value = yield ev  # registers behind run()'s stop hook
+        seen.append((value, sim.now))
+
+    sim.process(late_waiter())
+    assert sim.run(until=ev) == "x"
+    assert seen == [("x", 5.0)]
+    sim.run()
+    assert seen == [("x", 5.0)]
+
+
+def test_run_until_event_that_never_fired_leaves_no_stale_hook():
+    """A run that drains before ``ev`` fires unhooks, so a later
+    ``run(until=ev)`` returns ``ev``'s value instead of ``None``."""
+    sim = Simulator()
+    ev = sim.event()
+    sim.timeout(2.0)
+    with pytest.raises(SimulationError, match="drained"):
+        sim.run(until=ev)
+
+    def opener():
+        yield sim.timeout(1.0)
+        ev.succeed("late")
+
+    sim.process(opener())
+    assert sim.run(until=ev) == "late"
+    assert sim.now == 3.0
+
+
 def test_yield_non_event_fails_process():
     sim = Simulator()
 
@@ -220,55 +236,6 @@ def test_yield_non_event_fails_process():
 
     p = sim.process(bad())
     with pytest.raises(SimulationError, match="non-event"):
-        sim.run(until=p)
-
-
-def test_interrupt_wakes_process_early():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            log.append("slept full")
-        except Interrupt as intr:
-            log.append(("interrupted", sim.now, intr.cause))
-
-    def interrupter(target):
-        yield sim.timeout(3.0)
-        target.interrupt("wake up")
-
-    p = sim.process(sleeper())
-    sim.process(interrupter(p))
-    sim.run()
-    assert log == [("interrupted", 3.0, "wake up")]
-
-
-def test_interrupt_dead_process_is_error():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    p = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_unhandled_interrupt_kills_process():
-    sim = Simulator()
-
-    def sleeper():
-        yield sim.timeout(100.0)
-
-    def interrupter(target):
-        yield sim.timeout(1.0)
-        target.interrupt()
-
-    p = sim.process(sleeper())
-    sim.process(interrupter(p))
-    with pytest.raises(SimulationError, match="Interrupt"):
         sim.run(until=p)
 
 
@@ -427,7 +394,7 @@ def test_counters_persist_across_run_calls():
     """events_processed / peak_queue_depth accumulate over staged runs."""
     sim = Simulator()
     for t in (1.0, 2.0, 3.0, 4.0):
-        sim.call_at(t, lambda: None)
+        sim.call_in(t, lambda: None)
     sim.run(until=2.0)
     mid = sim.events_processed
     assert mid >= 2
@@ -439,7 +406,7 @@ def test_counters_persist_across_run_calls():
     # a staged scenario reports the same totals as one uninterrupted drain
     whole = Simulator()
     for t in (1.0, 2.0, 3.0, 4.0):
-        whole.call_at(t, lambda: None)
+        whole.call_in(t, lambda: None)
     whole.run()
     assert sim.events_processed == whole.events_processed
     assert sim.peak_queue_depth == whole.peak_queue_depth
@@ -449,7 +416,7 @@ def test_queue_depth_counts_staged_flushed_and_immediate_events():
     """Depths across the staged -> flushed -> drained lifecycle.
 
     Zero-delay FIFO events and staged timers not yet sifted into the
-    heap both count, and ``peek`` forcing the flush changes nothing.
+    heap both count, and forcing the flush changes nothing.
     """
     sim = Simulator()
     for _ in range(3):
@@ -458,10 +425,10 @@ def test_queue_depth_counts_staged_flushed_and_immediate_events():
         sim.timeout(1.0 + i)  # staged timers, not yet flushed
     sim.timeout(1e9)
     staged = sim.queue_depth
-    next_t = sim.peek()  # forces the flush into the heap
+    sim._flush_pending()  # sift the staged timers into the heap
     flushed = sim.queue_depth
     sim.run()
-    assert (staged, next_t, flushed) == (8, 0.0, 8)
+    assert (staged, flushed) == (8, 8)
     assert (sim.events_processed, sim.queue_depth, sim.peak_queue_depth) == (8, 0, 8)
 
 
@@ -480,8 +447,8 @@ def test_obs_records_one_kernel_run_span_per_call():
     sim = Simulator()
     rec = ObsRecorder(label="k", clock=lambda: sim.now)
     sim.obs = rec
-    sim.call_at(1.0, lambda: None)
-    sim.call_at(2.0, lambda: None)
+    sim.call_in(1.0, lambda: None)
+    sim.call_in(2.0, lambda: None)
     sim.run(until=1.5)
     sim.run()
     spans = [s for s in rec.spans if s.name == "kernel.run"]

@@ -1,17 +1,10 @@
-"""Resource, PriorityResource, Store and Container semantics."""
+"""FIFO Resource semantics."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simcore import (
-    Container,
-    PriorityResource,
-    Resource,
-    SimulationError,
-    Simulator,
-    Store,
-)
+from repro.simcore import Resource, Simulator
 
 
 def test_resource_capacity_validation():
@@ -43,27 +36,6 @@ def test_resource_grants_up_to_capacity_then_queues():
     assert res.count == 0
 
 
-def test_resource_context_manager_releases():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def user():
-        with res.request() as req:
-            yield req
-            yield sim.timeout(1.0)
-        return sim.now
-
-    def second():
-        yield sim.timeout(0.5)
-        with res.request() as req:
-            yield req
-            return sim.now
-
-    sim.process(user())
-    p2 = sim.process(second())
-    assert sim.run(until=p2) == 1.0
-
-
 def test_cancel_pending_request_by_release():
     sim = Simulator()
     res = Resource(sim, capacity=1)
@@ -76,128 +48,6 @@ def test_cancel_pending_request_by_release():
     sim.run()
     assert res.count == 0
     assert not pending.triggered
-
-
-def test_priority_resource_serves_lowest_priority_first():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def user(name, prio, start):
-        yield sim.timeout(start)
-        req = res.request(priority=prio)
-        yield req
-        order.append(name)
-        yield sim.timeout(10.0)
-        req.release()
-
-    sim.process(user("first", 5, 0.0))   # grabs the slot immediately
-    sim.process(user("low", 9, 1.0))
-    sim.process(user("high", 1, 2.0))
-    sim.run()
-    assert order == ["first", "high", "low"]
-
-
-def test_store_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer():
-        for i in range(3):
-            yield store.put(i)
-            yield sim.timeout(1.0)
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append((item, sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert [i for i, _ in got] == [0, 1, 2]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-
-    def consumer():
-        item = yield store.get()
-        return (item, sim.now)
-
-    def producer():
-        yield sim.timeout(7.0)
-        yield store.put("x")
-
-    p = sim.process(consumer())
-    sim.process(producer())
-    assert sim.run(until=p) == ("x", 7.0)
-
-
-def test_store_capacity_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    events = []
-
-    def producer():
-        yield store.put("a")
-        events.append(("put-a", sim.now))
-        yield store.put("b")
-        events.append(("put-b", sim.now))
-
-    def consumer():
-        yield sim.timeout(5.0)
-        item = yield store.get()
-        events.append(("got", item, sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert ("put-a", 0.0) in events
-    assert ("put-b", 5.0) in events
-
-
-def test_store_filtered_get():
-    sim = Simulator()
-    store = Store(sim)
-
-    def producer():
-        for item in ["small", "LARGE", "medium"]:
-            yield store.put(item)
-
-    def consumer():
-        item = yield store.get(lambda s: s.isupper())
-        return item
-
-    sim.process(producer())
-    p = sim.process(consumer())
-    assert sim.run(until=p) == "LARGE"
-    assert store.items == ["small", "medium"]
-
-
-def test_store_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
-
-
-def test_container_put_take_and_bounds():
-    sim = Simulator()
-    c = Container(sim, capacity=10.0, init=4.0)
-    c.put(3.0)
-    assert c.level == 7.0
-    c.take(6.0)
-    assert c.level == 1.0
-    with pytest.raises(SimulationError):
-        c.take(2.0)
-    with pytest.raises(SimulationError):
-        c.put(100.0)
-    with pytest.raises(ValueError):
-        c.put(-1.0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=1.0, init=5.0)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=25))
@@ -220,24 +70,3 @@ def test_property_resource_never_exceeds_capacity(capacity, n_users):
     sim.run()
     assert max_in_use <= capacity
     assert res.count == 0
-
-
-@given(st.lists(st.integers(min_value=-100, max_value=100), min_size=1, max_size=20))
-def test_property_store_conserves_items(items):
-    """Everything put is eventually got, exactly once, in FIFO order."""
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer():
-        for it in items:
-            yield store.put(it)
-
-    def consumer():
-        for _ in items:
-            got.append((yield store.get()))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert got == items

@@ -178,23 +178,6 @@ def test_site_graph_rejects_self_connect():
 # -- GridFTP server --------------------------------------------------------------
 
 
-def test_gridftp_direct_third_party_transfer(bed):
-    bed.laptop_fs.write("/home/boliu/x.bin", size=50 * MB)
-    proc = bed.ctx.sim.process(
-        bed.laptop_server.transfer_file(
-            bed.galaxy_server,
-            "/home/boliu/x.bin",
-            "/incoming/x.bin",
-            bed.sites.path("laptop", "ec2"),
-        )
-    )
-    size, seconds = bed.ctx.sim.run(until=proc)
-    assert size == 50 * MB
-    assert seconds > 0
-    assert bed.galaxy_fs.stat("/incoming/x.bin").size == 50 * MB
-    assert bed.laptop_server.bytes_moved >= 50 * MB
-
-
 def test_gridftp_stat_missing(bed):
     with pytest.raises(GridFTPError):
         bed.laptop_server.stat("/nope")

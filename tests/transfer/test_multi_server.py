@@ -56,3 +56,38 @@ def test_single_server_endpoint_still_works():
     )
     bed.ctx.sim.run(until=bed.go.when_done(task))
     assert task.status == TaskStatus.SUCCEEDED
+
+
+def test_staged_transfers_leave_no_server_load_behind():
+    """``run(until=when_done)`` returns only after the task's ``done``
+    callbacks ran, including the load release GO registers after its API
+    latency; otherwise each staged transfer leaves both of its servers
+    one task too high and ``pick_server`` balances on stale counts."""
+    bed = Testbed()
+    servers = [
+        GridFTPServer(
+            ctx=bed.ctx, hostname=f"dtn{i}.ec2", site="ec2",
+            fs=SimFilesystem(f"dtn{i}"),
+        )
+        for i in range(2)
+    ]
+    bed.go.create_endpoint("cvrg#pair", servers, public=True)
+    picked = []
+    for i in range(3):
+        path = bed.put_file(f"/home/boliu/f{i}.dat", size=4 * MB)
+        picked.append(bed.go.endpoint("cvrg#pair").pick_server().hostname)
+        task = bed.go.submit(
+            "boliu",
+            TransferSpec(
+                source_endpoint="boliu#laptop",
+                dest_endpoint="cvrg#pair",
+                items=[TransferItem(path, f"/in/f{i}.dat")],
+                notify=False,
+            ),
+        )
+        bed.ctx.sim.run(until=bed.go.when_done(task))
+        assert task.status == TaskStatus.SUCCEEDED
+    assert [s.active_tasks for s in servers] == [0, 0]
+    assert bed.laptop_server.active_tasks == 0
+    # with no load left behind, every idle pick is the first server
+    assert picked == ["dtn0.ec2"] * 3
