@@ -90,6 +90,16 @@ def test_bench_job_runs_smoke_harness_and_determinism(workflow):
     assert any("test_determinism" in c for c in commands)
 
 
+def test_determinism_pins_step_runs_the_crdata_output_digests(workflow):
+    """The CRData tool-output pins run beside the sim pins, so an engine
+    change that moves one output byte fails the bench job too."""
+    step = next(
+        s for s in _steps(workflow, "bench-smoke") if s.get("name") == "Determinism pins"
+    )
+    assert "tests/bench/test_determinism.py" in step["run"]
+    assert "tests/crdata/test_output_digests.py" in step["run"]
+
+
 def test_bench_job_passes_no_kernel_knobs(workflow):
     """The kernel has one event queue and one dispatch path; no step may
     still ask gp-bench for another (argparse would reject the flag)."""
