@@ -39,16 +39,31 @@ TOP_TABLE_HEADER = "probe\tlogFC\tAveExpr\tt\tP.Value\tadj.P.Val"
 
 
 def benjamini_hochberg(p_values: np.ndarray) -> np.ndarray:
-    """BH step-up FDR adjustment."""
+    """BH step-up FDR adjustment.
+
+    A NaN p-value stays NaN and does not count towards n, as in R's
+    ``p.adjust``: one untestable row (a constant probe in a Welch test)
+    must not blank every other row's adjusted p.
+    """
     p = np.asarray(p_values, dtype=float)
-    n = p.size
-    order = np.argsort(p)
-    ranked = p[order] * n / (np.arange(n) + 1)
+    tested = ~np.isnan(p)
+    q = p[tested]
+    n = q.size
+    order = np.argsort(q)
+    ranked = q[order] * n / (np.arange(n) + 1)
     # enforce monotonicity from the largest p downwards
     ranked = np.minimum.accumulate(ranked[::-1])[::-1]
-    out = np.empty(n)
-    out[order] = np.clip(ranked, 0.0, 1.0)
+    adj = np.empty(n)
+    adj[order] = np.clip(ranked, 0.0, 1.0)
+    out = np.full(p.shape, np.nan)
+    out[tested] = adj
     return out
+
+
+def _by_p(p: np.ndarray) -> list[int]:
+    """Row indices in top-table order: ascending p, ties in input order,
+    NaN p last."""
+    return np.argsort(p, kind="stable").tolist()
 
 
 def _moment_match_prior(s2: np.ndarray, df: float) -> tuple[float, float]:
@@ -145,9 +160,8 @@ def moderated_t_test(
             p_value=float(p[i]),
             adj_p_value=float(adj[i]),
         )
-        for i in range(m.shape[0])
+        for i in _by_p(p)
     ]
-    rows.sort(key=lambda r: r.p_value)
     return ModeratedTResult(rows=rows, d0=d0, s0_sq=s02)
 
 
@@ -167,9 +181,8 @@ def student_t_test(
     rows = [
         TopTableRow(names[i], float(log_fc[i]), float(ave[i]), float(t[i]),
                     float(p[i]), float(adj[i]))
-        for i in range(m.shape[0])
+        for i in _by_p(p)
     ]
-    rows.sort(key=lambda r: r.p_value)
     return ModeratedTResult(rows=rows, d0=0.0, s0_sq=0.0)
 
 
@@ -178,7 +191,7 @@ def one_way_anova(
 ) -> list[tuple[str, float, float, float]]:
     """Per-row one-way ANOVA across >= 2 groups.
 
-    Returns rows of (name, F, p, adj_p) sorted by p.
+    Returns rows of (name, F, p, adj_p) sorted by p, NaN p last.
     """
     m = np.asarray(values, dtype=float)
     labels = list(dict.fromkeys(groups))
@@ -192,11 +205,7 @@ def one_way_anova(
     adj = benjamini_hochberg(p)
     if names is None:
         names = [f"row_{i}" for i in range(m.shape[0])]
-    rows = [
-        (names[i], float(f[i]), float(p[i]), float(adj[i])) for i in range(m.shape[0])
-    ]
-    rows.sort(key=lambda r: r[2])
-    return rows
+    return [(names[i], float(f[i]), float(p[i]), float(adj[i])) for i in _by_p(p)]
 
 
 def fold_change(

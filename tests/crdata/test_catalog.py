@@ -219,3 +219,29 @@ def test_bad_parameter_value_rejected(app, history):
               params={"keep_fraction": 2.0})
     assert job.state == JobState.ERROR
     assert "keep_fraction" in job.stderr
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "tool_id,groups",
+    [("crdata_matrixTTest", ["A"] * 3 + ["B"] * 3),
+     ("crdata_matrixANOVA", ["a", "a", "b", "b", "c", "c"])],
+)
+def test_constant_row_prints_nan_only_on_its_own_last_row(app, history, tool_id, groups):
+    """A constant probe has no p-value; it goes last, and the other rows
+    keep their BH-adjusted p instead of printing nan."""
+    values = np.random.default_rng(8).normal(8.0, 1.0, size=(30, 6))
+    values[4] = 7.5
+    em = ExpressionMatrix(values, [f"p{i}" for i in range(30)],
+                          [f"s{i}" for i in range(6)], groups)
+    ds = app.upload_data(history, "constant.tsv", data=em.to_bytes(), ext="tabular")
+    job = run(app, history, tool_id, ds)
+    assert job.state == JobState.OK, job.stderr
+    out = job.outputs["top_table" if tool_id == "crdata_matrixTTest" else "table"]
+    body = [ln.split("\t") for ln in app.fs.read(out.file_path).decode().splitlines()[1:]]
+    assert len(body) == 30
+    assert body[-1][0] == "p4"
+    assert body[-1][-2:] == ["nan", "nan"]
+    p = [float(r[-2]) for r in body[:-1]]
+    assert p == sorted(p)
+    assert all(r[-1] != "nan" for r in body[:-1])

@@ -138,6 +138,46 @@ def test_bh_monotone_and_bounded():
     assert np.array_equal(np.argsort(adj), np.argsort(p))
 
 
+def test_bh_leaves_nan_out_of_n_and_keeps_it_nan():
+    """R: p.adjust(c(0.01, NA, 0.04, 0.03), "BH") is 0.03, NA, 0.04, 0.04."""
+    adj = diffexpr.benjamini_hochberg(np.array([0.01, np.nan, 0.04, 0.03]))
+    np.testing.assert_allclose(adj, [0.03, np.nan, 0.04, 0.04], rtol=1e-12)
+
+
+def with_constant_row(seed=8, n=12):
+    """Normal rows with row 0 constant: untestable by Welch and ANOVA."""
+    m = np.random.default_rng(seed).normal(8.0, 1.0, size=(n, 6))
+    m[0] = 5.0
+    return m
+
+
+def assert_nan_p_sorted_last(names, p, adj):
+    p, adj = np.array(p), np.array(adj)
+    assert names[-1] == "row_0"
+    assert np.isnan(p[-1]) and np.isnan(adj[-1])
+    assert np.all(np.diff(p[:-1]) >= 0)
+    assert not np.isnan(adj[:-1]).any()
+    np.testing.assert_array_equal(adj[:-1], diffexpr.benjamini_hochberg(p[:-1]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_welch_constant_row_sorts_last_without_blanking_adjusted_p():
+    mask = np.array([False] * 3 + [True] * 3)
+    res = diffexpr.student_t_test(with_constant_row(), mask)
+    assert_nan_p_sorted_last(
+        [r.name for r in res.rows],
+        [r.p_value for r in res.rows],
+        [r.adj_p_value for r in res.rows],
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_anova_constant_row_sorts_last_without_blanking_adjusted_p():
+    rows = diffexpr.one_way_anova(with_constant_row(), ["a", "a", "b", "b", "c", "c"])
+    names, _f, p, adj = zip(*rows)
+    assert_nan_p_sorted_last(list(names), p, adj)
+
+
 def test_student_t_also_recovers():
     m, mask, planted = make_planted(effect=3.0)
     res = diffexpr.student_t_test(m, mask)
