@@ -178,18 +178,21 @@ BATCH_WORK_MODELS: dict[Callable, Callable] = {
 # ---------------------------------------------------------------------------
 
 
+def _volcano_svg(result: diffexpr.ModeratedTResult, fdr: float, title: str) -> bytes:
+    neglog = -np.log10(np.maximum(result.p_value, 1e-300))
+    hot = result.adj_p_value <= fdr
+    return plots.scatter_svg(result.log_fc, neglog, title, hot).encode()
+
+
 def _write_top_table(run: ToolRunContext, result: diffexpr.ModeratedTResult, n: int):
     run.output("top_table").write(result.as_tsv(n).encode())
-    sig = result.significant(0.05)
+    n_sig = int(np.count_nonzero(result.adj_p_value <= 0.05))
     run.output("top_table").set_info(
-        f"{len(sig)} probes at FDR<=0.05 (prior df={result.d0:.2f})"
+        f"{n_sig} probes at FDR<=0.05 (prior df={result.d0:.2f})"
     )
     if "figure" in run.outputs:
-        neglog = -np.log10(np.maximum([r.p_value for r in result.rows], 1e-300))
-        lfc = np.array([r.log_fc for r in result.rows])
-        hot = np.array([r.adj_p_value <= 0.05 for r in result.rows])
         run.output("figure").write(
-            plots.scatter_svg(lfc, neglog, "Differential expression volcano", hot).encode()
+            _volcano_svg(result, 0.05, "Differential expression volcano")
         )
 
 
@@ -355,12 +358,8 @@ def affy_volcano(run: ToolRunContext) -> None:
     em = load_expression(run.input(0))
     mask = two_group_mask(em.groups)
     res = diffexpr.moderated_t_test(em.values, mask, em.probe_names)
-    lfc = np.array([r.log_fc for r in res.rows])
-    neglog = -np.log10(np.maximum([r.p_value for r in res.rows], 1e-300))
-    hot = np.array([r.adj_p_value <= float(run.params.get("fdr", 0.05)) for r in res.rows])
-    run.output("figure").write(
-        plots.scatter_svg(lfc, neglog, "Volcano plot", hot).encode()
-    )
+    fdr = float(run.params.get("fdr", 0.05))
+    run.output("figure").write(_volcano_svg(res, fdr, "Volcano plot"))
 
 
 def affy_density(run: ToolRunContext) -> None:

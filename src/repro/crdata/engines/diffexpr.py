@@ -60,12 +60,6 @@ def benjamini_hochberg(p_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _by_p(p: np.ndarray) -> list[int]:
-    """Row indices in top-table order: ascending p, ties in input order,
-    NaN p last."""
-    return np.argsort(p, kind="stable").tolist()
-
-
 def _moment_match_prior(s2: np.ndarray, df: float) -> tuple[float, float]:
     """Estimate the inverse-chi-square prior (d0, s0^2) from sample variances.
 
@@ -79,13 +73,18 @@ def _moment_match_prior(s2: np.ndarray, df: float) -> tuple[float, float]:
     rest = v_z - special.polygamma(1, df / 2.0)
     if rest <= 1e-8:
         return np.inf, float(np.exp(e_z))  # variances essentially equal
-    # invert trigamma by bisection
+    # invert trigamma by bisection, for at most 200 steps; a step that
+    # moves neither bound leaves a state every later step repeats
     lo, hi = 1e-6, 1e6
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if special.polygamma(1, mid) > rest:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     d0 = 2.0 * 0.5 * (lo + hi)
     s02 = np.exp(
@@ -97,19 +96,53 @@ def _moment_match_prior(s2: np.ndarray, df: float) -> tuple[float, float]:
 
 @dataclass
 class ModeratedTResult:
-    rows: list[TopTableRow]
+    """A top table kept as per-probe columns in table order: ascending p,
+    ties in input order, NaN p last.  Row objects are built only for the
+    rows a caller reads."""
+
+    names: np.ndarray  # dtype object: the probe names
+    log_fc: np.ndarray
+    mean_expr: np.ndarray
+    t_stat: np.ndarray
+    p_value: np.ndarray
+    adj_p_value: np.ndarray
     d0: float
     s0_sq: float
 
+    def _rows(self, index) -> list[TopTableRow]:
+        columns = (self.names, self.log_fc, self.mean_expr, self.t_stat,
+                   self.p_value, self.adj_p_value)
+        return [TopTableRow(*row) for row in zip(*(c[index].tolist() for c in columns))]
+
+    @property
+    def rows(self) -> list[TopTableRow]:
+        return self._rows(slice(None))
+
     def top(self, n: int = 10) -> list[TopTableRow]:
-        return self.rows[:n]
+        return self._rows(slice(n))
 
     def significant(self, fdr: float = 0.05) -> list[TopTableRow]:
-        return [r for r in self.rows if r.adj_p_value <= fdr]
+        return self._rows(self.adj_p_value <= fdr)
 
     def as_tsv(self, n: int | None = None) -> str:
-        rows = self.rows if n is None else self.rows[:n]
+        rows = self._rows(slice(n))
         return "\n".join([TOP_TABLE_HEADER] + [r.as_tsv() for r in rows]) + "\n"
+
+
+def _top_table(names, log_fc, ave, t, p, d0: float, s0_sq: float) -> ModeratedTResult:
+    """Put the per-probe columns in table order by one stable argsort on p."""
+    adj = benjamini_hochberg(p)
+    order = np.argsort(p, kind="stable")
+    return ModeratedTResult(
+        names=np.asarray(names, dtype=object)[order],
+        log_fc=log_fc[order],
+        mean_expr=ave[order],
+        t_stat=t[order],
+        p_value=p[order],
+        adj_p_value=adj[order],
+        d0=d0,
+        s0_sq=s0_sq,
+    )
 
 
 def moderated_t_test(
@@ -149,20 +182,7 @@ def moderated_t_test(
         p = 2.0 * stats.norm.sf(np.abs(t))
     else:
         p = 2.0 * stats.t.sf(np.abs(t), df_total)
-    adj = benjamini_hochberg(p)
-    ave = m.mean(axis=1)
-    rows = [
-        TopTableRow(
-            name=names[i],
-            log_fc=float(log_fc[i]),
-            mean_expr=float(ave[i]),
-            t_stat=float(t[i]),
-            p_value=float(p[i]),
-            adj_p_value=float(adj[i]),
-        )
-        for i in _by_p(p)
-    ]
-    return ModeratedTResult(rows=rows, d0=d0, s0_sq=s02)
+    return _top_table(names, log_fc, m.mean(axis=1), t, p, d0, s02)
 
 
 def student_t_test(
@@ -175,15 +195,8 @@ def student_t_test(
         names = [f"row_{i}" for i in range(m.shape[0])]
     g1, g2 = m[:, ~mask], m[:, mask]
     t, p = stats.ttest_ind(g2, g1, axis=1, equal_var=False)
-    adj = benjamini_hochberg(p)
     log_fc = g2.mean(axis=1) - g1.mean(axis=1)
-    ave = m.mean(axis=1)
-    rows = [
-        TopTableRow(names[i], float(log_fc[i]), float(ave[i]), float(t[i]),
-                    float(p[i]), float(adj[i]))
-        for i in _by_p(p)
-    ]
-    return ModeratedTResult(rows=rows, d0=0.0, s0_sq=0.0)
+    return _top_table(names, log_fc, m.mean(axis=1), t, p, 0.0, 0.0)
 
 
 def one_way_anova(
@@ -205,7 +218,10 @@ def one_way_anova(
     adj = benjamini_hochberg(p)
     if names is None:
         names = [f"row_{i}" for i in range(m.shape[0])]
-    return [(names[i], float(f[i]), float(p[i]), float(adj[i])) for i in _by_p(p)]
+    order = np.argsort(p, kind="stable")  # ties in input order, NaN p last
+    return [
+        (names[i], float(f[i]), float(p[i]), float(adj[i])) for i in order.tolist()
+    ]
 
 
 def fold_change(

@@ -28,18 +28,28 @@ def quantile_normalize(matrix: np.ndarray) -> np.ndarray:
 
     Classic Bolstad quantile normalization: sort each column, average
     across columns rank-wise, then map values back through each column's
-    rank order.  Ties inherit the value of their rank position.
+    rank order.  Ties inherit the value of their rank position in a
+    stable sort.
+
+    Columns sort with NumPy's default kind; only a column whose sorted
+    values hold a tie (``-0.0 == 0.0`` counts) or a NaN is sorted again,
+    stably.  A column of distinct values has one sorting permutation, so
+    the result never depends on which algorithm the default kind runs.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    order = np.argsort(m, axis=0, kind="stable")
-    ranks = np.empty_like(order)
-    rows = np.arange(m.shape[0])[:, None]
-    np.put_along_axis(ranks, order, rows, axis=0)
+    order = np.argsort(m, axis=0)
     sorted_vals = np.take_along_axis(m, order, axis=0)
-    mean_dist = sorted_vals.mean(axis=1)
-    return mean_dist[ranks]
+    redo = (sorted_vals[1:] == sorted_vals[:-1]).any(axis=0)
+    redo |= np.isnan(sorted_vals[-1:]).any(axis=0)  # NaN sorts last, equals nothing
+    if redo.any():
+        cols = np.flatnonzero(redo)
+        order[:, cols] = np.argsort(m[:, cols], axis=0, kind="stable")
+        sorted_vals[:, cols] = np.take_along_axis(m[:, cols], order[:, cols], axis=0)
+    out = np.empty_like(sorted_vals)
+    np.put_along_axis(out, order, sorted_vals.mean(axis=1)[:, None], axis=0)
+    return out
 
 
 def log2_transform(matrix: np.ndarray) -> np.ndarray:
