@@ -46,17 +46,14 @@ def benjamini_hochberg(p_values: np.ndarray) -> np.ndarray:
     must not blank every other row's adjusted p.
     """
     p = np.asarray(p_values, dtype=float)
-    tested = ~np.isnan(p)
-    q = p[tested]
-    n = q.size
-    order = np.argsort(q)
-    ranked = q[order] * n / (np.arange(n) + 1)
+    tested = np.flatnonzero(~np.isnan(p))
+    n = tested.size
+    order = tested[np.argsort(p[tested])]
+    ranked = p[order] * n / (np.arange(n) + 1)
     # enforce monotonicity from the largest p downwards
     ranked = np.minimum.accumulate(ranked[::-1])[::-1]
-    adj = np.empty(n)
-    adj[order] = np.clip(ranked, 0.0, 1.0)
     out = np.full(p.shape, np.nan)
-    out[tested] = adj
+    out[order] = np.clip(ranked, 0.0, 1.0)
     return out
 
 
@@ -94,7 +91,7 @@ def _moment_match_prior(s2: np.ndarray, df: float) -> tuple[float, float]:
     return float(d0), float(s02)
 
 
-@dataclass
+@dataclass(eq=False)
 class ModeratedTResult:
     """A top table kept as per-probe columns in table order: ascending p,
     ties in input order, NaN p last.  Row objects are built only for the
