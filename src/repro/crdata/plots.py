@@ -42,10 +42,8 @@ def scatter_svg(
     x, y = np.asarray(x, float), np.asarray(y, float)
     if x.shape != y.shape:
         raise ValueError("x/y shape mismatch")
-    highlight = (
-        np.zeros(x.shape, dtype=bool) if highlight is None
-        else np.asarray(highlight, dtype=bool)
-    )
+    if highlight is None:
+        highlight = np.zeros(x.shape, dtype=bool)
     if x.size > max_points:  # deterministic thinning for huge inputs
         idx = np.linspace(0, x.size - 1, max_points).astype(int)
         x, y, highlight = x[idx], y[idx], highlight[idx]
@@ -60,7 +58,7 @@ def scatter_svg(
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" '
         f'y2="{SVG_H - MARGIN}" stroke="black"/>'
     )
-    for xi, yi, hot in zip(px.tolist(), py.tolist(), highlight.tolist()):
+    for xi, yi, hot in zip(px.tolist(), py.tolist(), np.asarray(highlight).tolist()):
         color = "#cc3333" if hot else "#3366aa"
         parts.append(f'<circle cx="{xi:.1f}" cy="{yi:.1f}" r="2.5" fill="{color}"/>')
     parts.append("</svg>")
