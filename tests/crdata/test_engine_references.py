@@ -176,9 +176,19 @@ def test_welch_table_matches_the_row_sort(m):
     st.integers(1, 80),
 )
 def test_prior_bisection_stops_at_its_fixed_point(s2, df):
-    """Both bisection ends (d0 near 1e-6 and near 1e6) are reachable."""
     got = diffexpr._moment_match_prior(np.array(s2), df)
     assert np.array(got).tobytes() == np.array(reference_prior(np.array(s2), df)).tobytes()
+
+
+@pytest.mark.parametrize("df,excess", [(2, 3e-8), (4, 1e-6), (6, 10.0), (2, 1e3)])
+def test_prior_bisection_at_its_upper_bound_and_far_below(df, excess):
+    """Log variances whose spread exceeds trigamma(df/2) by ``excess``:
+    a tiny excess drives the bisection onto its upper bound (d0 = 2e6)."""
+    a = np.sqrt((special.polygamma(1, df / 2.0) + excess) / 2.0)
+    s2 = np.exp(np.array([a, -a]))
+    got = diffexpr._moment_match_prior(s2, df)
+    assert np.array(got).tobytes() == np.array(reference_prior(s2, df)).tobytes()
+    assert (got[0] == 2e6) == (excess < 1e-5)
 
 
 def test_rows_top_and_significant_read_the_same_table():
