@@ -8,12 +8,13 @@ views share one model:
     seconds = JOB_FIXED_OVERHEAD_S + cpu_work / cpu_factor + io_work / io_factor
     cost    = hourly_price * seconds / 3600
 
-``estimate_batch`` composes a tool's batched work model with
+``estimate_batch`` composes a tool's work model (``Tool.work_batch``) with
 ``calibration.CPU_FACTORS`` / ``IO_FACTORS`` and a :class:`PriceBook` in
 one broadcasted array expression, so the vectorized estimate is
-bit-for-bit identical to looping the scalar work model per sample (the
-equivalence is pinned in ``tests/cloud/test_estimator.py``, along with
-the Fig. 10 step-3+4 anchors the simulator reproduces).
+bit-for-bit identical to pricing one job at a time with ``Tool.work``, as
+the simulator does (the equivalence is pinned in
+``tests/cloud/test_estimator.py``, along with the Fig. 10 step-3+4
+anchors the simulator reproduces).
 """
 
 from __future__ import annotations
@@ -104,9 +105,8 @@ def estimate_batch(
     vector of single-input jobs) run through ``tool`` on every instance
     type, in one broadcasted expression.
 
-    ``tool`` is a :class:`repro.galaxy.tools.Tool` (its ``work_batch``
-    supplies the work vectors; tools without a native batch model fall
-    back to the scalar loop transparently).
+    ``tool`` is a :class:`repro.galaxy.tools.Tool`; its ``work_batch``
+    supplies the work vectors.
     """
     book = book if book is not None else PriceBook.paper()
     types = tuple(instance_types)
@@ -140,9 +140,10 @@ def estimate_scalar_loop(
     """Reference implementation: the per-sample Python loop.
 
     Same model as :func:`estimate_batch`, computed one job and one
-    instance type at a time with the tool's *scalar* work model.  Exists
-    so the equivalence tests (and the ``pricing_sweep`` benchmark's
-    self-check) can assert the vectorized path matches it exactly.
+    instance type at a time, each job priced by ``Tool.work`` (the
+    one-row case the simulator's job manager calls).  Exists so the
+    equivalence tests (and the ``pricing_sweep`` benchmark's self-check)
+    can assert the vectorized path matches it exactly.
     """
     from ..galaxy.tools import as_sizes_matrix
 
@@ -153,7 +154,7 @@ def estimate_scalar_loop(
     cpu = np.empty(n, dtype=float)
     io = np.empty(n, dtype=float)
     for i, row in enumerate(matrix):
-        cpu[i], io[i] = tool.work_model(params or {}, row)
+        cpu[i], io[i] = tool.work(params or {}, row)
     seconds = np.empty((n, len(types)), dtype=float)
     cost = np.empty((n, len(types)), dtype=float)
     for j, itype in enumerate(types):

@@ -88,89 +88,41 @@ def two_group_mask(groups: list[str]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Work models
 #
-# Each family has a scalar per-job model (what the job machinery calls)
-# and a vectorized batch variant taking an ``(n_jobs, n_inputs)`` byte
-# matrix and returning ``(cpu_work, io_work)`` arrays.  Both read the
-# same ``calibration`` coefficients and sum input sizes the same way, so
-# the batch path is bit-for-bit equal to looping the scalar model.
+# One array model per family: ``(params, (n_jobs, n_inputs) byte matrix)
+# -> (cpu_work[n], io_work[n])``.  A single job is the one-row case
+# (``Tool.work``), so the simulator and the batch estimator price a job
+# with the same arithmetic.
 # ---------------------------------------------------------------------------
 
 
-def _total_mb(sizes) -> float:
-    """Total input volume of one job in MB (numpy-summed, to match batch)."""
-    return float(np.asarray(sizes, dtype=float).sum()) / MB
-
-
-def _batch_mb(sizes) -> np.ndarray:
+def _batch_mb(sizes: np.ndarray) -> np.ndarray:
     """Per-job total input volume in MB for an (n_jobs, n_inputs) matrix."""
-    arr = np.asarray(sizes, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    return arr.sum(axis=1) / MB
+    return sizes.sum(axis=1) / MB
 
 
-def affy_work(params: dict, sizes) -> tuple[float, float]:
+def affy_work(params: dict, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Heavy CEL processing: the calibrated use-case cost."""
-    mb = _total_mb(sizes)
-    return (calibration.AFFY_CPU_SECONDS_PER_MB * mb + calibration.AFFY_FIXED_CPU_S, 0.0)
-
-
-def affy_work_batch(params: dict, sizes) -> tuple[np.ndarray, np.ndarray]:
     mb = _batch_mb(sizes)
     cpu = calibration.AFFY_CPU_SECONDS_PER_MB * mb + calibration.AFFY_FIXED_CPU_S
     return cpu, np.zeros_like(mb)
 
 
-def matrix_work(params: dict, sizes) -> tuple[float, float]:
-    mb = _total_mb(sizes)
-    return (
-        calibration.MATRIX_CPU_BASE_S + calibration.MATRIX_CPU_S_PER_MB * mb,
-        calibration.MATRIX_IO_S,
-    )
-
-
-def matrix_work_batch(params: dict, sizes) -> tuple[np.ndarray, np.ndarray]:
+def matrix_work(params: dict, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mb = _batch_mb(sizes)
     cpu = calibration.MATRIX_CPU_BASE_S + calibration.MATRIX_CPU_S_PER_MB * mb
     return cpu, np.full_like(mb, calibration.MATRIX_IO_S)
 
 
-def seq_work(params: dict, sizes) -> tuple[float, float]:
-    mb = _total_mb(sizes)
-    return (
-        calibration.SEQ_CPU_BASE_S + calibration.SEQ_CPU_S_PER_MB * mb,
-        calibration.SEQ_IO_S,
-    )
-
-
-def seq_work_batch(params: dict, sizes) -> tuple[np.ndarray, np.ndarray]:
+def seq_work(params: dict, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mb = _batch_mb(sizes)
     cpu = calibration.SEQ_CPU_BASE_S + calibration.SEQ_CPU_S_PER_MB * mb
     return cpu, np.full_like(mb, calibration.SEQ_IO_S)
 
 
-def plot_work(params: dict, sizes) -> tuple[float, float]:
-    mb = _total_mb(sizes)
-    return (
-        calibration.PLOT_CPU_BASE_S + calibration.PLOT_CPU_S_PER_MB * mb,
-        calibration.PLOT_IO_S,
-    )
-
-
-def plot_work_batch(params: dict, sizes) -> tuple[np.ndarray, np.ndarray]:
+def plot_work(params: dict, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mb = _batch_mb(sizes)
     cpu = calibration.PLOT_CPU_BASE_S + calibration.PLOT_CPU_S_PER_MB * mb
     return cpu, np.full_like(mb, calibration.PLOT_IO_S)
-
-
-#: scalar model -> its native array implementation; ``_tool`` wires the
-#: matching batch variant onto every catalog tool automatically
-BATCH_WORK_MODELS: dict[Callable, Callable] = {
-    affy_work: affy_work_batch,
-    matrix_work: matrix_work_batch,
-    seq_work: seq_work_batch,
-    plot_work: plot_work_batch,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -668,12 +620,7 @@ def _tool(
         "outputs": outputs,
         "requirements": list(CRDATA_REQUIREMENTS),
     }
-    return Tool.from_config(
-        config,
-        execute=execute,
-        work_model=work,
-        work_model_batch=BATCH_WORK_MODELS.get(work),
-    )
+    return Tool.from_config(config, execute=execute, work_model=work)
 
 
 _TOP_N = {"name": "top_n", "type": "integer", "default": 50, "label": "Rows in top table"}

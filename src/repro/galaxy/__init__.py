@@ -5,7 +5,6 @@ and Condor), provenance capture, and pages/sharing — the programmatic
 equivalent of the Galaxy instance the paper deploys.
 """
 
-from .api import GalaxyAPIError, GalaxyClient, JobDocument
 from .app import GalaxyApp, GalaxyConfig, GalaxyError, GalaxyUser
 from .datasets import Dataset, DatasetState, History, KNOWN_EXTENSIONS
 from .libraries import DataLibrary, LibraryError, LibraryItem, LibraryStore
@@ -45,16 +44,13 @@ __all__ = [
     "DataLibrary",
     "Dataset",
     "DatasetState",
-    "GalaxyAPIError",
     "GalaxyApp",
-    "GalaxyClient",
     "GalaxyConfig",
     "GalaxyError",
     "GalaxyUser",
     "History",
     "InputHandle",
     "Job",
-    "JobDocument",
     "JobError",
     "JobManager",
     "JobRecord",

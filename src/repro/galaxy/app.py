@@ -33,7 +33,6 @@ class GalaxyError(Exception):
 class GalaxyUser:
     username: str
     email: str
-    api_key: str
     histories: list[int] = field(default_factory=list)
     #: Globus Online username linked to this account (Sec. IV-A requires
     #: "register an account in Galaxy with the same username")
@@ -89,7 +88,6 @@ class GalaxyApp:
         self.histories: dict[int, History] = {}
         self.workflow_store: dict[str, Workflow] = {}
         self._history_ids = itertools.count(1)
-        self._api_keys = itertools.count(0x1000)
 
     # -- users / histories ------------------------------------------------------
     def create_user(self, username: str, email: str = "") -> GalaxyUser:
@@ -98,7 +96,6 @@ class GalaxyApp:
         user = GalaxyUser(
             username=username,
             email=email or f"{username}@example.org",
-            api_key=f"key-{next(self._api_keys):x}",
         )
         self.users[username] = user
         return user

@@ -380,12 +380,6 @@ class JobManager:
         assert job.done is not None
         return job.done
 
-    def get(self, job_id: int) -> Job:
-        try:
-            return self.jobs[job_id]
-        except KeyError:
-            raise JobError(f"no such job {job_id}") from None
-
     # -- execution -------------------------------------------------------------------
     def _run(self, job: Job):
         tool = job.tool
@@ -419,9 +413,7 @@ class JobManager:
             else:
                 # A work-model tool: the runner times the compute (locally
                 # or on Condor), then the real tool body produces outputs.
-                cpu, io = tool.work_model(
-                    job.params, [d.size for d in job.inputs]
-                )
+                cpu, io = tool.work(job.params, [d.size for d in job.inputs])
                 # Explicit stage-in for backends without a worker-side
                 # namespace.  Zero-cost backends (NFS) schedule no event
                 # at all, keeping the default sim JSON byte-identical.

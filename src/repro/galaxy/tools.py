@@ -82,19 +82,16 @@ class ToolOutput:
 
 #: ``execute(run) -> None`` where ``run`` is a ToolRunContext (jobs module).
 ExecuteFn = Callable[[Any], None]
-#: ``work(params, input_sizes) -> (cpu_work, io_work)`` in m1.small-seconds.
-WorkFn = Callable[[dict, Sequence[int]], tuple[float, float]]
-#: ``work_batch(params, sizes) -> (cpu_work, io_work)`` arrays, where
-#: ``sizes`` is an ``(n_jobs, n_inputs)`` byte matrix (a 1-D vector is
-#: treated as one input per job) and both returned arrays have shape
-#: ``(n_jobs,)``.
-BatchWorkFn = Callable[[dict, "np.ndarray"], tuple["np.ndarray", "np.ndarray"]]
+#: ``work_model(params, sizes) -> (cpu_work, io_work)`` in m1.small-seconds, where
+#: ``sizes`` is an ``(n_jobs, n_inputs)`` byte matrix and both returned
+#: arrays have shape ``(n_jobs,)``.
+WorkFn = Callable[[dict, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def default_work_model(params: dict, input_sizes: Sequence[int]) -> tuple[float, float]:
+def default_work_model(params: dict, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cheap default: cost scales mildly with input volume."""
-    mb = sum(input_sizes) / (1024 * 1024)
-    return (5.0 + 0.5 * mb, 1.0 + 0.05 * mb)
+    mb = sizes.sum(axis=1) / (1024 * 1024)
+    return 5.0 + 0.5 * mb, 1.0 + 0.05 * mb
 
 
 def as_sizes_matrix(sizes: Any) -> np.ndarray:
@@ -111,25 +108,6 @@ def as_sizes_matrix(sizes: Any) -> np.ndarray:
     return arr
 
 
-def vectorize_work_model(work_model: WorkFn) -> BatchWorkFn:
-    """Automatic batch fallback: apply a scalar work model row by row.
-
-    The wrapper gives every tool a batch interface with identical
-    semantics; tools with a native array implementation register it as
-    ``work_model_batch`` and skip the per-row Python loop entirely.
-    """
-
-    def batch(params: dict, sizes: Any) -> tuple[np.ndarray, np.ndarray]:
-        matrix = as_sizes_matrix(sizes)
-        cpu = np.empty(matrix.shape[0], dtype=float)
-        io = np.empty(matrix.shape[0], dtype=float)
-        for i, row in enumerate(matrix):
-            cpu[i], io[i] = work_model(params, row)
-        return cpu, io
-
-    return batch
-
-
 @dataclass
 class Tool:
     """A runnable Galaxy tool."""
@@ -142,9 +120,6 @@ class Tool:
     outputs: list[ToolOutput] = field(default_factory=list)
     execute: Optional[ExecuteFn] = None
     work_model: WorkFn = default_work_model
-    #: native array-form work model; ``None`` falls back to looping the
-    #: scalar ``work_model`` (see :meth:`work_batch`)
-    work_model_batch: Optional[BatchWorkFn] = None
     #: software the executing node must have converged (Chef packages)
     requirements: tuple[str, ...] = ()
     hidden: bool = False
@@ -158,27 +133,28 @@ class Tool:
             raise ToolError(f"tool {self.id}: duplicate output names")
 
     def work_batch(self, params: dict, sizes: Any) -> tuple[np.ndarray, np.ndarray]:
-        """Batched work model: ``(cpu_work, io_work)`` arrays for N jobs.
+        """Work model: ``(cpu_work, io_work)`` arrays for N jobs.
 
         ``sizes`` is an ``(n_jobs, n_inputs)`` byte matrix (or a 1-D
-        vector for single-input jobs).  Uses the tool's native
-        ``work_model_batch`` when registered, otherwise loops the scalar
-        ``work_model`` per row — both paths return identical arrays.
+        vector for single-input jobs).
         """
         matrix = as_sizes_matrix(sizes)
-        if self.work_model_batch is not None:
-            cpu, io = self.work_model_batch(params, matrix)
-        else:
-            cpu, io = vectorize_work_model(self.work_model)(params, matrix)
+        cpu, io = self.work_model(params, matrix)
         cpu = np.asarray(cpu, dtype=float)
         io = np.asarray(io, dtype=float)
         n = matrix.shape[0]
         if cpu.shape != (n,) or io.shape != (n,):
             raise ToolError(
-                f"tool {self.id}: batch work model returned shapes "
+                f"tool {self.id}: work model returned shapes "
                 f"{cpu.shape}/{io.shape}, expected ({n},)"
             )
         return cpu, io
+
+    def work(self, params: dict, sizes: Sequence[float]) -> tuple[float, float]:
+        """One job's ``(cpu_work, io_work)`` for its input sizes in bytes:
+        the one-row case of :meth:`work_batch`."""
+        cpu, io = self.work_batch(params, np.asarray(sizes, dtype=float).reshape(1, -1))
+        return float(cpu[0]), float(io[0])
 
     @classmethod
     def from_config(
@@ -186,7 +162,6 @@ class Tool:
         config: dict,
         execute: Optional[ExecuteFn] = None,
         work_model: Optional[WorkFn] = None,
-        work_model_batch: Optional[BatchWorkFn] = None,
     ) -> "Tool":
         """Build a tool from a declarative config dict (the "XML")."""
         try:
@@ -205,7 +180,6 @@ class Tool:
             outputs=outputs,
             execute=execute,
             work_model=work_model or default_work_model,
-            work_model_batch=work_model_batch,
             requirements=tuple(config.get("requirements", ())),
         )
 
@@ -269,9 +243,6 @@ class Toolbox:
             section: [self._tools[tid] for tid in ids]
             for section, ids in self._sections.items()
         }
-
-    def all_tools(self) -> list[Tool]:
-        return list(self._tools.values())
 
     def search(self, query: str) -> list[Tool]:
         """Tool-panel search over id, name and description."""

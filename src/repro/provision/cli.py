@@ -41,11 +41,28 @@ def _registry_path() -> Path:
     return state_home() / "instances.json"
 
 
+class RegistryError(Exception):
+    """The instance registry file cannot be read as a registry."""
+
+
 def load_registry() -> dict:
     path = _registry_path()
     if not path.exists():
         return {"next_id": 0x2156189, "instances": {}}
-    return json.loads(path.read_text())
+    try:
+        reg = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise RegistryError(f"corrupt instance registry {path}: {exc}") from None
+    if not (
+        isinstance(reg, dict)
+        and type(reg.get("next_id")) is int
+        and isinstance(reg.get("instances"), dict)
+    ):
+        raise RegistryError(
+            f"corrupt instance registry {path}: expected an object with an "
+            "integer 'next_id' and an 'instances' object"
+        )
+    return reg
 
 
 def save_registry(reg: dict) -> None:
@@ -291,7 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RegistryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

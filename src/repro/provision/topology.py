@@ -230,16 +230,7 @@ class Topology:
         except json.JSONDecodeError as exc:
             raise TopologyError(f"bad JSON topology: {exc}") from exc
         try:
-            domains = tuple(
-                DomainSpec(
-                    **{
-                        **d,
-                        "users": tuple(d.get("users", ())),
-                        "worker_instance_types": tuple(d.get("worker_instance_types", ())),
-                    }
-                )
-                for d in doc["domains"]
-            )
+            domains = tuple(_domain_from_doc(d) for d in doc["domains"])
             ec2 = EC2Spec(**doc.get("ec2", {}))
             go_doc = doc.get("globusonline")
             go = GlobusOnlineSpec(**go_doc) if go_doc is not None else None
@@ -268,18 +259,18 @@ class Topology:
                 DomainSpec(
                     name=name,
                     users=tuple(sec.get("users", "").split()),
-                    nfs=sec.getboolean("nfs", fallback=True),
-                    gridftp=sec.getboolean("gridftp", fallback=False),
-                    condor=sec.getboolean("condor", fallback=False),
-                    galaxy=sec.getboolean("galaxy", fallback=False),
-                    crdata=sec.getboolean("crdata", fallback=False),
-                    cluster_nodes=sec.getint("cluster-nodes", fallback=0),
+                    nfs=_conf_get(sec, "nfs", True),
+                    gridftp=_conf_get(sec, "gridftp", False),
+                    condor=_conf_get(sec, "condor", False),
+                    galaxy=_conf_get(sec, "galaxy", False),
+                    crdata=_conf_get(sec, "crdata", False),
+                    cluster_nodes=_conf_get(sec, "cluster-nodes", 0),
                     go_endpoint=sec.get("go-endpoint", fallback=None),
                     worker_instance_types=tuple(
                         sec.get("worker-instance-types", "").split()
                     ),
                     storage=sec.get("storage", fallback="nfs"),
-                    storage_nodes=sec.getint("storage-nodes", fallback=0),
+                    storage_nodes=_conf_get(sec, "storage-nodes", 0),
                 )
             )
         ec2_kwargs = {}
@@ -297,6 +288,44 @@ class Topology:
                 ssh_key=parser["globusonline"].get("ssh-key", "~/.ssh/id_rsa")
             )
         return cls(domains=tuple(domains), ec2=EC2Spec(**ec2_kwargs), globusonline=go)
+
+
+#: JSON domain keys whose values must have exactly this type
+_JSON_DOMAIN_TYPES = {
+    "nfs": bool, "gridftp": bool, "condor": bool, "galaxy": bool, "crdata": bool,
+    "cluster_nodes": int, "storage_nodes": int,
+}
+
+
+def _domain_from_doc(d: dict) -> DomainSpec:
+    """One domain of a JSON topology; a flag or count of the wrong type is
+    a TopologyError naming the domain, the key and the value."""
+    for key, kind in _JSON_DOMAIN_TYPES.items():
+        if key in d and type(d[key]) is not kind:
+            expected = "true or false" if kind is bool else "an integer"
+            raise TopologyError(
+                f"domain {d.get('name')!r}: {key}: {d[key]!r} is not {expected}"
+            )
+    return DomainSpec(
+        **{
+            **d,
+            "users": tuple(d.get("users", ())),
+            "worker_instance_types": tuple(d.get("worker_instance_types", ())),
+        }
+    )
+
+
+def _conf_get(sec: configparser.SectionProxy, key: str, fallback: bool | int) -> bool | int:
+    """``getboolean`` or ``getint`` (by the fallback's type); a bad value is
+    a TopologyError naming the section, the key and the value."""
+    flag = isinstance(fallback, bool)
+    try:
+        return (sec.getboolean if flag else sec.getint)(key, fallback=fallback)
+    except ValueError:
+        expected = "yes or no" if flag else "an integer"
+        raise TopologyError(
+            f"[{sec.name}] {key}: {sec[key]!r} is not {expected}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

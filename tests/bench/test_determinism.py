@@ -3,8 +3,9 @@
 Every optimisation in the kernel, the transfer model, and the Condor
 matchmaker is required to preserve event order exactly.  The strongest
 check we have is the committed paper artefacts: regenerating Fig. 10,
-Fig. 11, and the use-case table with the same seed must reproduce the
-files under ``benchmarks/results/`` byte for byte.
+Fig. 11, the use-case table and the five ablation tables with the same
+seed must reproduce the files under ``benchmarks/results/`` byte for
+byte.
 """
 
 import pathlib
@@ -23,15 +24,29 @@ RESULTS_DIR = (
 )
 
 
+#: ``benchmarks/bench_ablations.py`` writes ``ablation_<name>.txt`` from
+#: the full-size specs, which no other tier-1 test runs
+ABLATION_ARTEFACTS = [
+    pytest.param(f"ablation_{spec.name.split('/')[-1]}", spec, id=spec.name)
+    for spec in suites.ablations_suite().specs
+]
+
+
 @pytest.mark.parametrize(
-    "name, module",
-    [("figure10", figure10), ("figure11", figure11), ("usecase", usecase)],
+    "name, source",
+    [("figure10", figure10), ("figure11", figure11), ("usecase", usecase)]
+    + ABLATION_ARTEFACTS,
 )
-def test_artefact_regenerates_byte_identically(name, module):
+def test_artefact_regenerates_byte_identically(name, source):
     committed = RESULTS_DIR / f"{name}.txt"
     if not committed.exists():
         pytest.skip(f"no committed baseline {committed}")
-    regenerated = module.run().render() + "\n"
+    if isinstance(source, harness.BenchSpec):
+        result = harness.run_spec(source)
+        assert result.ok, result.error
+        regenerated = result.payload["rendered"] + "\n"
+    else:
+        regenerated = source.run().render() + "\n"
     assert regenerated == committed.read_text(), (
         f"{name} drifted: a perf change altered simulation behaviour"
     )

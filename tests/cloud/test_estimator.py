@@ -14,7 +14,10 @@ from repro.cloud import (
     estimate_usecase_steps34,
 )
 from repro.crdata import USECASE_TOOL_ID, build_crdata_tools
+from repro.galaxy import Tool
 from repro.workloads import make_pricing_sweep_sizes
+
+from ..galaxy.conftest import uppercase_tool
 
 #: what the calibrated model pins per step-3+4 column: 150 s of fixed
 #: overhead (2 jobs x 75 s) plus 500 m1.small-seconds of work / factor
@@ -61,6 +64,23 @@ def test_property_batch_equals_scalar_loop(sizes):
     ref = estimate_scalar_loop(tool, arr)
     assert np.array_equal(est.seconds, ref.seconds)
     assert np.array_equal(est.cost_usd, ref.cost_usd)
+
+
+@pytest.mark.parametrize(
+    "tool",
+    [Tool(id="plain", name="Plain"), uppercase_tool()],
+    ids=["default_work_model", "custom_work_model"],
+)
+def test_any_tool_prices_through_the_estimator(tool):
+    """A tool outside the CRData catalog prices batches through its one
+    array work model, bit-identical to pricing each job with ``Tool.work``."""
+    sizes = np.array([[0.0, 0.0], [1e6, 2.5e6], [190.3e6, 7.0]])
+    est = estimate_batch(tool, sizes)
+    ref = estimate_scalar_loop(tool, sizes)
+    assert np.array_equal(est.seconds, ref.seconds)
+    assert np.array_equal(est.cost_usd, ref.cost_usd)
+    assert np.array_equal(est.cpu_work, ref.cpu_work)
+    assert np.array_equal(est.io_work, ref.io_work)
 
 
 def test_usecase_anchor_within_two_percent_of_paper():

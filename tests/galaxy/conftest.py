@@ -1,9 +1,18 @@
 """Shared Galaxy fixtures: an app with toy tools and zero job overheads."""
 
+import numpy as np
 import pytest
 
 from repro.galaxy import GalaxyApp, Tool, ToolOutput, ToolParameter
 from repro.simcore import SimContext
+
+
+def fixed_work(cpu_work, io_work):
+    """Array work model charging every job the same ``(cpu, io)`` work."""
+    return lambda params, sizes: (
+        np.full(len(sizes), cpu_work),
+        np.full(len(sizes), io_work),
+    )
 
 
 def uppercase_tool():
@@ -20,7 +29,7 @@ def uppercase_tool():
         parameters=[ToolParameter(name="input", type="data")],
         outputs=[ToolOutput(name="output", ext="txt", label="Uppercased text")],
         execute=execute,
-        work_model=lambda params, sizes: (10.0, 2.0),
+        work_model=fixed_work(10.0, 2.0),
     )
 
 
@@ -40,7 +49,7 @@ def concat_tool():
         ],
         outputs=[ToolOutput(name="output", ext="txt")],
         execute=execute,
-        work_model=lambda params, sizes: (5.0, 1.0),
+        work_model=fixed_work(5.0, 1.0),
     )
 
 
@@ -69,7 +78,7 @@ def sleep_tool(cpu_work=100.0):
         parameters=[ToolParameter(name="input", type="data")],
         outputs=[ToolOutput(name="output", ext="txt")],
         execute=execute,
-        work_model=lambda params, sizes: (cpu_work, 0.0),
+        work_model=fixed_work(cpu_work, 0.0),
     )
 
 

@@ -131,3 +131,60 @@ def test_list(home, capsys):
     code, out, _ = run_cli(capsys, "list")
     assert a in out and b in out
     assert a != b
+
+
+
+def bad_topology_file(home, name, key, value):
+    """The paper topology with ``key`` set to ``value``, as INI or JSON."""
+    conf = (home / "galaxy.conf").read_text()
+    path = home / name
+    if name.endswith(".json"):
+        doc = json.loads(Topology.from_conf(conf).to_json())
+        doc["domains"][0][key] = value
+        path.write_text(json.dumps(doc))
+    else:
+        line = next(ln for ln in conf.splitlines() if ln.startswith(f"{key}:"))
+        path.write_text(conf.replace(line, f"{key}: {value}"))
+    return path
+
+
+BAD_VALUES = [
+    ("new.conf", "cluster-nodes", "abc"),
+    ("new.conf", "condor", "maybe"),
+    ("new.json", "cluster_nodes", "abc"),
+    ("new.json", "condor", "maybe"),
+]
+
+
+@pytest.mark.parametrize("name, key, value", BAD_VALUES)
+def test_create_bad_topology_value_is_a_named_error(home, capsys, name, key, value):
+    path = bad_topology_file(home, name, key, value)
+    code, out, err = run_cli(capsys, "create", "-c", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert "simple" in err and key in err and repr(value) in err
+
+
+@pytest.mark.parametrize("name, key, value", BAD_VALUES)
+def test_update_bad_topology_value_is_a_named_error(home, capsys, name, key, value):
+    gpi_id = create_instance(home, capsys)
+    run_cli(capsys, "start", gpi_id)
+    path = bad_topology_file(home, name, key, value)
+    code, out, err = run_cli(capsys, "update", "-t", str(path), gpi_id)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert "simple" in err and key in err and repr(value) in err
+
+
+@pytest.mark.parametrize("text", ["{bad", "[]"], ids=["not-json", "not-an-object"])
+@pytest.mark.parametrize("command", ["list", "create"])
+def test_corrupt_registry_is_a_named_error(home, capsys, command, text):
+    registry = home / "gp-sim" / "instances.json"
+    registry.parent.mkdir()
+    registry.write_text(text)
+    argv = ["list"] if command == "list" else ["create", "-c", str(home / "galaxy.conf")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: corrupt instance registry")
+    assert str(registry) in err
+    assert registry.read_text() == text
