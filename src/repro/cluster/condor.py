@@ -18,6 +18,7 @@ worker at runtime.  The pieces implemented here mirror Condor's daemons:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable, Iterator, Optional
@@ -456,8 +457,12 @@ class CondorPool:
         on_complete: Optional[Callable[[CondorJob], None]] = None,
         cause: Optional[int] = None,
     ) -> CondorJob:
-        if cpu_work < 0 or io_work < 0:
-            raise CondorError("cpu_work/io_work must be >= 0")
+        for field_name, work in (("cpu_work", cpu_work), ("io_work", io_work)):
+            # NaN fails every comparison, so it cannot slip past this check
+            if not 0.0 <= work < math.inf:
+                raise CondorError(
+                    f"{field_name} must be finite and >= 0, got {work!r}"
+                )
         job = self.schedd.submit(
             dict(
                 owner=owner,

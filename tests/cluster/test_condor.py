@@ -138,6 +138,22 @@ def test_negative_work_rejected():
         pool.submit(cpu_work=-1.0)
 
 
+@pytest.mark.parametrize("field", ["cpu_work", "io_work"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_work_rejected_before_a_job_exists(field, value):
+    """NaN used to pass the ``< 0`` check and crash the next cycle's
+    completion cohort; inf held its slot forever."""
+    ctx, pool = make_pool([("w1", 1, 1.7, 1.0)])
+    work = {"cpu_work": 10.0, field: value}
+    with pytest.raises(CondorError, match=rf"{field} .*{value!r}"):
+        pool.submit(**work)
+    assert not pool.schedd.jobs and pool.queue_depth == 0
+    ok = pool.submit(cpu_work=10.0)
+    assert ok.id == 1  # the rejected submit drew no job id
+    ctx.sim.run(until=pool.when_done(ok))
+    assert ok.state == JobState.COMPLETED
+
+
 def test_on_complete_callback_runs():
     ctx, pool = make_pool([("w1", 1, 1.7, 1.0)])
     seen = []
