@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import JobState
 from repro.core.testbed import CloudTestbed
 from repro.provision.instance import GlobusProvision
 from repro.waas import (
@@ -78,6 +79,17 @@ def test_autoscaler_grows_overloaded_pool():
     assert 1 <= prov.worker_count() <= 4
     assert all(e.workers_after != e.workers_before for e in prov.events)
     assert all(e.update_seconds >= 0 for e in prov.events)
+    # Condor ends clean after the pool grew and shrank under load
+    pool = service.pool
+    assert pool.schedd.jobs
+    assert all(j.state is JobState.COMPLETED for j in pool.schedd.jobs.values())
+    assert not any(s.busy for s in pool.startds.values())
+    assert pool.schedd.idle_count() == 0
+    assert not pool.schedd._idle_by_owner
+    assert pool._free == {
+        name: s for name, s in pool.startds.items()
+        if not s.draining and s.machine.cores > len(s.busy)
+    }
 
 
 def test_snapshot_reflects_pool_and_admission():
