@@ -20,8 +20,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from heapq import heappop, heappush, heapreplace
-from typing import Any, Callable, Iterator, Optional
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import islice
+from typing import Any, Callable, Optional
 
 from .. import calibration
 from ..simcore import LAZY, SimContext, SimEvent
@@ -135,9 +136,8 @@ class Startd:
 
         The caller (the negotiation cycle) is responsible for scheduling
         the completion — normally as one member of the cycle's cohort —
-        and for removing the job from the schedd's idle queue
-        (``_job_left_queue``) once its scan is over, which lets the scan
-        iterate the queue without copying it.
+        and for retiring the job from the schedd's idle queue
+        (``_job_left_queue``) right after the claim.
         """
         if self.free_slots < 1:
             raise CondorError(f"{self.machine.name} has no free slot")
@@ -256,9 +256,10 @@ class Schedd:
     """The job queue.
 
     Besides every job ever submitted, it indexes the idle ones per owner,
-    each bucket in (submit_time, id) order.  The fair-share negotiator
-    reads one owner's bucket at a time (its head, or its jobs in order)
-    and keys its owner heap on the heads.
+    each bucket in (submit_time, id) order and holding only IDLE jobs:
+    a claim or ``condor_rm`` retires its job at once.  The fair-share
+    negotiator looks up one owner's n-th idle job at a time and keys its
+    owner heap on it.
     """
 
     def __init__(self) -> None:
@@ -328,27 +329,17 @@ class Schedd:
         """Total cpu+io work currently idle (m1.small-seconds), O(1)."""
         return self._idle_work
 
-    def iter_idle_of(self, owner: str):
-        """Live (submit_time, id)-ordered view of one owner's idle jobs.
-
-        No copy is made: callers must not submit, requeue, or remove
-        idle jobs while iterating (the negotiation cycle defers its
-        queue removals to the end of the scan for exactly this reason).
-        """
-        bucket = self._idle_by_owner.get(owner)
-        if not bucket:
-            return ()
+    def idle_job(self, owner: str, n: int = 0) -> Optional[CondorJob]:
+        """``owner``'s ``n``-th idle job in (submit_time, id) order, if it
+        has that many; ``n = 0`` is its head."""
+        bucket = self._idle_by_owner.get(owner, {})
         if owner in self._dirty_owners:
             ordered = sorted(
                 bucket.values(), key=lambda j: (j.submit_time, j.id)
             )
             bucket = self._idle_by_owner[owner] = {j.id: j for j in ordered}
             self._dirty_owners.discard(owner)
-        return bucket.values()
-
-    def idle_head(self, owner: str) -> Optional[CondorJob]:
-        """``owner``'s earliest idle job in (submit_time, id) order, if any."""
-        return next(iter(self.iter_idle_of(owner)), None)
+        return next(islice(bucket.values(), n, None), None)
 
 
 class CondorPool:
@@ -368,7 +359,7 @@ class CondorPool:
         #: cpu+io work each owner's completed jobs used (fair-share key)
         self.usage_by_owner: dict[str, float] = {}
         #: fair-share index: a lazy min-heap of idle owners keyed (usage,
-        #: head submit_time, head id, owner); see :meth:`_match_order`.
+        #: head submit_time, head id, owner); see :meth:`_negotiation_cycle`.
         self._owner_heap: list[tuple[float, float, int, str]] = []
         self.schedd = Schedd()
         self.startds: dict[str, Startd] = {}
@@ -457,12 +448,9 @@ class CondorPool:
         on_complete: Optional[Callable[[CondorJob], None]] = None,
         cause: Optional[int] = None,
     ) -> CondorJob:
-        for field_name, work in (("cpu_work", cpu_work), ("io_work", io_work)):
-            # NaN fails every comparison, so it cannot slip past this check
-            if not 0.0 <= work < math.inf:
-                raise CondorError(
-                    f"{field_name} must be finite and >= 0, got {work!r}"
-                )
+        for name, work in (("cpu_work", cpu_work), ("io_work", io_work)):
+            if not 0.0 <= work < math.inf:  # NaN fails every comparison
+                raise CondorError(f"{name} must be finite and >= 0, got {work!r}")
         job = self.schedd.submit(
             dict(
                 owner=owner,
@@ -555,7 +543,7 @@ class CondorPool:
         other idle jobs; if it is now their head, the owner's heap entry
         may key a later job, so the owner enters again at ``job``."""
         self.schedd._job_requeued(job)
-        if self.schedd.idle_head(job.owner) is job:
+        if self.schedd.idle_job(job.owner) is job:
             self._enter_owner(job)
 
     def _enter_owner(self, head: CondorJob) -> None:
@@ -631,112 +619,79 @@ class CondorPool:
         startd, slot, token, job = cohort.payload[k]
         startd._finish_job(slot, token, job, self)
 
-    def _match_order(self) -> Iterator[CondorJob]:
-        """Idle jobs in fair-share order, lazily, from the owner heap.
-
-        The order is a stable sort of the (submit_time, id)-ordered idle
-        queue on accumulated usage: jobs ascend on (their owner's usage,
-        submit_time, id).  For every owner with idle jobs, ``_owner_heap``
-        holds at least one (usage, head submit_time, head id, owner) entry
-        no larger than the owner's current key: usage only grows, claims
-        and removals only move a bucket's head forward, and an owner is
-        pushed whenever a job becomes its head (its bucket was empty, or
-        an eviction requeues a job ahead of the rest).  So the top entry,
-        once re-keyed until current, names the owner whose head job comes
-        next.  Entries of owners with nothing idle, or already expanded by
-        this traversal, are dropped when they reach the top.
-
-        Expanding an owner hands its bucket to a local heap that merges
-        the remaining jobs of every owner expanded so far, so skipped
-        jobs and multi-slot cycles keep the stable-sort order.  A
-        traversal costs O((jobs yielded + stale entries) log owners)
-        instead of O(idle owners).
-
-        However the traversal ends (exhausted, closed, or abandoned by
-        the cycle's early ``break`` and freed when the cycle returns),
-        ``finally`` re-enters each expanded owner at its current head.
-        Jobs the cycle claimed are RUNNING but stay in their buckets until
-        the scan is over, so that head is the first job still IDLE.
-        """
-        owners = self._owner_heap
-        usage = self.usage_by_owner
-        schedd = self.schedd
-        expanded: dict[str, Iterator[CondorJob]] = {}
-        merge: list[tuple[float, float, int, str, CondorJob]] = []
-        try:
-            while True:
-                while owners:  # make the top entry current
-                    top = owners[0]
-                    owner = top[3]
-                    head = None if owner in expanded else schedd.idle_head(owner)
-                    if head is None:
-                        heappop(owners)
-                        continue
-                    key = (usage.get(owner, 0.0), head.submit_time, head.id, owner)
-                    if key == top:
-                        break
-                    heapreplace(owners, key)
-                if owners and (not merge or owners[0] < merge[0]):
-                    used, submitted, job_id, owner = heappop(owners)
-                    # A live view, no copy: the cycle defers its queue
-                    # removals until the scan is over, so the bucket does
-                    # not change under the iterator.
-                    jobs = expanded[owner] = iter(schedd.iter_idle_of(owner))
-                    heappush(merge, (used, submitted, job_id, owner, next(jobs)))
-                    continue
-                if not merge:
-                    return
-                used, _, _, owner, job = merge[0]
-                after = next(expanded[owner], None)
-                if after is None:
-                    heappop(merge)
-                else:
-                    heapreplace(
-                        merge, (used, after.submit_time, after.id, owner, after)
-                    )
-                yield job
-        finally:
-            for owner in expanded:
-                for job in schedd.iter_idle_of(owner):
-                    if job.state is JobState.IDLE:
-                        self._enter_owner(job)
-                        break
-
     def _negotiation_cycle(self) -> None:
+        """Claim free slots for idle jobs in fair-share order.
+
+        That order is a stable sort of the (submit_time, id)-ordered idle
+        queue on accumulated usage.  For every owner with idle jobs,
+        ``_owner_heap`` holds at least one (usage, head submit_time, head
+        id, owner) entry no larger than the owner's current key: usage
+        only grows, claims and removals only move a bucket's head forward,
+        and an owner is pushed whenever a job becomes its head (its bucket
+        was empty, or an eviction requeues a job ahead of the rest).  So
+        the top entry, re-keyed until current, names the next job.  The
+        cycle claims it on the best free machine, re-keys its owner on the
+        next idle job (or pops it), and stops once no slot is free.  A job
+        no free machine matches stays IDLE and is stepped over; its owner
+        re-enters the heap at that head when the cycle ends.
+        """
         obs = self.ctx.obs
         if obs.enabled:
             obs.counter("condor.negotiation_cycles").inc()
-        if not self._free:
+        free = self._free
+        if not free:
             return  # every slot is claimed; nothing can match
-        matched = 0
+        owners = self._owner_heap
+        usage = self.usage_by_owner
+        schedd = self.schedd
+        skipped: dict[str, int] = {}  # owner -> its jobs stepped over
         finish_times: list[float] = []
         claims: list[tuple[Startd, int, int, CondorJob]] = []
-        for job in self._match_order():
-            if not self._free:
-                break  # the cycle itself consumed the last free slot
-            # the free-slot check tolerates entries staled by a drain;
-            # one fused pass picks the best-ranked candidate (first wins
-            # ties, matching max() over the old materialized list)
+        while owners:
+            top = owners[0]
+            owner = top[3]
+            n = skipped.get(owner, 0)
+            job = schedd.idle_job(owner, n)
+            if job is None:
+                heappop(owners)  # nothing left to consider for this owner
+                continue
+            used = usage.get(owner, 0.0)
+            key = (used, job.submit_time, job.id, owner)
+            if key != top:
+                heapreplace(owners, key)  # make the top entry current
+                continue
+            # one fused pass picks the best-ranked candidate; ``free``
+            # is exact, since ``_update_free`` runs on every slot change
             best = None
             best_key = None
-            for s in self._free.values():
-                if s.free_slots > 0 and job.matches(s.machine):
+            for s in free.values():
+                if job.matches(s.machine):
                     key = (job.rank_of(s.machine), -len(s.busy), s.machine.name)
                     if best is None or key > best_key:
                         best = s
                         best_key = key
             if best is None:
-                continue
-            slot, token, finish = best.claim(job, self)
-            finish_times.append(finish)
-            claims.append((best, slot, token, job))
-            matched += 1
-        if matched:
-            # The scan iterated live queue views; now that it is over,
-            # retire the claimed jobs from the idle queue in one pass.
-            schedd = self.schedd
-            for _startd, _slot, _token, job in claims:
+                n = skipped[owner] = n + 1
+            else:
+                slot, token, finish = best.claim(job, self)
                 schedd._job_left_queue(job)
+                finish_times.append(finish)
+                claims.append((best, slot, token, job))
+            job = schedd.idle_job(owner, n)
+            if job is None:
+                heappop(owners)
+            else:
+                heapreplace(owners, (used, job.submit_time, job.id, owner))
+            if not free:
+                break  # the cycle itself consumed the last free slot
+        if skipped:
+            # Stepped-over jobs are still their owners' heads: drop the
+            # entries keyed past them and re-enter each owner at its head.
+            owners[:] = [e for e in owners if e[3] not in skipped]
+            heapify(owners)
+            for owner in skipped:
+                self._enter_owner(schedd.idle_job(owner))
+        if claims:
             # One struct-of-arrays cohort per cycle: every claim's
             # completion timer in match order.  With obs on, the cohort
             # carries each member's condor.run span id so the causal
@@ -750,9 +705,9 @@ class CondorPool:
                 cause=tuple(c[3].run_span_id for c in claims) if obs.enabled else None,
             )
         if obs.enabled:
-            if matched:
-                obs.instant("condor.negotiate", track="condor", matched=matched)
-                obs.counter("condor.matches").inc(matched)
+            if claims:
+                obs.instant("condor.negotiate", track="condor", matched=len(claims))
+                obs.counter("condor.matches").inc(len(claims))
             # gauge samples at every negotiation cycle: the Fig. 11
             # utilization/backlog curves straight from the trace
             slots = self.total_slots

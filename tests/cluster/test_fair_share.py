@@ -1,7 +1,5 @@
 """Condor user fair-share scheduling."""
 
-from itertools import islice
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,11 +51,14 @@ def test_heavy_user_yields_to_new_user():
 
 # -- differential: the owner heap vs the stable sort it implements ------------
 #
-# The negotiator's _match_order walks a persistent lazy heap of idle
-# owners, expanding one owner's bucket at a time, so a traversal costs
-# O((jobs yielded + stale entries) log owners).  Its specification is a
-# stable sort of the (submit_time, id)-ordered idle queue on accumulated
-# usage.  These tests keep both in lockstep.
+# The negotiation cycle walks a persistent lazy heap of idle owners, one
+# owner's next idle job at a time, so a cycle costs O((jobs considered +
+# stale entries) log owners).  Its specification is a stable sort of the
+# (submit_time, id)-ordered idle queue on accumulated usage.  These tests
+# read the order off real claims and keep both in lockstep.
+
+#: no machine in these pools has this much memory: never claimed
+UNMATCHABLE_GB = 64.0
 
 
 def idle_reference(pool):
@@ -75,6 +76,30 @@ def fair_share_reference(pool):
     return sorted(idle_reference(pool), key=lambda j: usage.get(j.owner, 0.0))
 
 
+def claimable_reference(pool):
+    """Ids of the jobs a machine can claim, in fair-share order."""
+    return [
+        j.id for j in fair_share_reference(pool) if j.req_memory_gb < UNMATCHABLE_GB
+    ]
+
+
+def claim_order(ctx, pool, k):
+    """Ids of the jobs the next cycle claims first, up to ``k``.
+
+    A ``k``-core probe machine that outranks every other machine joins,
+    and the cycle at this instant gives it each job it reaches until the
+    probe is full.  Slots are claimed lowest first, so ``busy[i]`` is the
+    i-th claim.  The probe then leaves with ``drain=False``, which sends
+    its jobs back to IDLE through the eviction requeue path."""
+    probe = pool.add_machine(
+        MachineAd(name="probe", cores=k, memory_gb=8.0, cpu_factor=100.0)
+    )
+    ctx.sim.run(until=ctx.now)  # every event of this instant, the cycle last
+    got = [probe.busy[slot].id for slot in range(len(probe.busy))]
+    pool.remove_machine("probe", drain=False)
+    return got
+
+
 def assert_idle_counters_match_reference(pool):
     """The schedd's O(1) idle views agree with a full scan."""
     idle = idle_reference(pool)
@@ -87,16 +112,24 @@ def assert_idle_counters_match_reference(pool):
     )
 
 
-def assert_matches_reference(pool):
-    got = [j.id for j in pool._match_order()]
-    want = [j.id for j in fair_share_reference(pool)]
-    assert got == want
+def assert_matches_reference(ctx, pool):
+    """One cycle with a probe that has room for every claimable job (and
+    a slot to spare, so the cycle considers every idle job) claims them
+    all in fair-share order."""
+    want = claimable_reference(pool)
+    probe = pool.add_machine(
+        MachineAd(name="probe", cores=len(want) + 1, memory_gb=8.0, cpu_factor=100.0)
+    )
+    ctx.sim.run(until=ctx.now)
+    assert [probe.busy[slot].id for slot in range(len(probe.busy))] == want
     assert_owner_heap_exact(pool)
+    pool.remove_machine("probe", drain=False)
 
 
 def assert_owner_heap_exact(pool):
-    """After a full traversal the owner heap holds one current entry per
-    idle owner and nothing else, so orphaned entries cannot pile up."""
+    """After a cycle that considered every idle job, the owner heap holds
+    one current entry per idle owner and nothing else, so orphaned
+    entries cannot pile up."""
     usage = pool.usage_by_owner
     heads = {}
     for job in idle_reference(pool):
@@ -108,15 +141,19 @@ def assert_owner_heap_exact(pool):
     assert sorted(pool._owner_heap) == want
 
 
-def test_match_order_matches_stable_usage_sort_reference():
+def test_claims_match_stable_usage_sort_reference():
     ctx, pool = make_pool()
     pool.add_machine(MachineAd(name="m2", cores=2, memory_gb=8.0, cpu_factor=1.0))
     for i, owner in enumerate("abacbaccb"):
-        pool.submit(cpu_work=5.0 + i, owner=owner)
-    assert_matches_reference(pool)  # nobody has usage yet
+        pool.submit(
+            cpu_work=5.0 + i,
+            owner=owner,
+            req_memory_gb=UNMATCHABLE_GB if i in (2, 7) else 0.0,
+        )
+    assert_matches_reference(ctx, pool)  # nobody has usage yet
     for until in (7.0, 13.0, 22.0):  # usage diverges as jobs complete
         ctx.sim.run(until=until)
-        assert_matches_reference(pool)
+        assert_matches_reference(ctx, pool)
 
 
 def test_equal_usage_owners_merge_by_submission_order():
@@ -126,10 +163,10 @@ def test_equal_usage_owners_merge_by_submission_order():
         pool.submit(cpu_work=1.0, owner=o)
         for o in ("u1", "u2", "u3", "u1", "u2", "u3", "u2", "u1")
     ]
-    assert [j.id for j in pool._match_order()] == [j.id for j in jobs]
+    assert claim_order(ctx, pool, len(jobs)) == [j.id for j in jobs]
 
 
-def test_match_order_consistent_after_eviction_requeue():
+def test_claims_consistent_after_eviction_requeue():
     """``drain=False`` eviction requeues through the dirty-owner path."""
     ctx, pool = make_pool()
     jobs = [
@@ -142,12 +179,25 @@ def test_match_order_consistent_after_eviction_requeue():
     pool.remove_machine("m", drain=False)  # evict: back to idle, dirty owner
     ctx.sim.run(until=ctx.sim.timeout(0.0))  # settle this instant's events
     assert all(j.state == JobState.IDLE for j in jobs)
-    assert_matches_reference(pool)
+    assert_matches_reference(ctx, pool)
     pool.add_machine(MachineAd(name="m2", cores=1, memory_gb=8.0, cpu_factor=1.0))
     ctx.sim.run(until=ctx.sim.all_of([pool.when_done(j) for j in jobs]))
     assert all(j.state == JobState.COMPLETED for j in jobs)
     assert not pool.schedd._idle_by_owner  # every owner bucket retired
     assert_idle_counters_match_reference(pool)
+
+
+def test_stepped_over_owner_keeps_one_heap_entry():
+    """A cycle that steps over an owner's head and then runs out of free
+    slots re-enters the owner at its head without leaving its later entry
+    behind, so the heap does not grow by one entry per such cycle."""
+    ctx, pool = make_pool()  # one single-core machine
+    stuck = pool.submit(cpu_work=1.0, owner="x", req_memory_gb=UNMATCHABLE_GB)
+    jobs = [pool.submit(cpu_work=1.0, owner="x") for _ in range(20)]
+    ctx.sim.run(until=pool.when_done(jobs[-1]))
+    assert stuck.state == JobState.IDLE
+    # one entry, keyed on the stuck head (its usage may lag: keys are lazy)
+    assert [entry[2:] for entry in pool._owner_heap] == [(stuck.id, "x")]
 
 
 OWNERS = [f"u{i:02d}" for i in range(40)]
@@ -166,17 +216,19 @@ step_st = st.one_of(
 @given(
     pattern=st.lists(st.sampled_from(OWNERS), min_size=1, max_size=60),
     steps=st.lists(
-        st.tuples(step_st, st.integers(min_value=0, max_value=6)), max_size=10
+        st.tuples(step_st, st.integers(min_value=1, max_value=6)), max_size=10
     ),
 )
 @settings(max_examples=60, deadline=None)
-def test_property_match_order_tracks_reference_through_time(pattern, steps):
+def test_property_claims_track_reference_through_time(pattern, steps):
     """Up to 40 owners, so singleton and large equal-usage groups both
     occur, through completions, eviction requeues, ``condor_rm`` of idle
-    jobs and new submits.  Before each full traversal a partial one takes
-    ``k`` jobs and abandons the generator, as the negotiation cycle does
-    when it runs out of free slots.  After every step the schedd's idle
-    count, ``has_idle`` and idle work match a scan of all jobs."""
+    jobs and new submits; every seventh job fits no machine, so cycles
+    step over jobs.  After each step a ``k``-slot probe takes the first
+    ``k`` claims, as a cycle does when it runs out of free slots, then
+    a probe with room for every job checks the whole order.  After every
+    step the schedd's idle count, ``has_idle`` and idle work match a scan
+    of all jobs."""
     ctx, pool = make_pool()
     pool.add_machine(MachineAd(name="m2", cores=3, memory_gb=8.0, cpu_factor=1.0))
     n = 0
@@ -184,11 +236,15 @@ def test_property_match_order_tracks_reference_through_time(pattern, steps):
     def submit(owners):
         nonlocal n
         for owner in owners:
-            pool.submit(cpu_work=2.0 + (n % 5), owner=owner)
+            pool.submit(
+                cpu_work=2.0 + (n % 5),
+                owner=owner,
+                req_memory_gb=UNMATCHABLE_GB if n % 7 == 3 else 0.0,
+            )
             n += 1
 
     submit(pattern)
-    assert_matches_reference(pool)
+    assert_matches_reference(ctx, pool)
     assert_idle_counters_match_reference(pool)
     for (kind, *args), k in steps:
         if kind == "run":
@@ -206,6 +262,6 @@ def test_property_match_order_tracks_reference_through_time(pattern, steps):
         else:
             submit(args[0])
         assert_idle_counters_match_reference(pool)
-        want = [j.id for j in fair_share_reference(pool)]
-        assert [j.id for j in islice(pool._match_order(), k)] == want[:k]
-        assert_matches_reference(pool)
+        want = claimable_reference(pool)
+        assert claim_order(ctx, pool, k) == want[:k]
+        assert_matches_reference(ctx, pool)
