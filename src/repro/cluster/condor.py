@@ -330,8 +330,8 @@ class Schedd:
         return self._idle_work
 
     def idle_job(self, owner: str, n: int = 0) -> Optional[CondorJob]:
-        """``owner``'s ``n``-th idle job in (submit_time, id) order, if it
-        has that many; ``n = 0`` is its head."""
+        """``owner``'s idle job at index ``n`` of its (submit_time, id)
+        order, or None when it has no more; ``n = 0`` is its head."""
         bucket = self._idle_by_owner.get(owner, {})
         if owner in self._dirty_owners:
             ordered = sorted(

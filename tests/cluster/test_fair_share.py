@@ -53,9 +53,10 @@ def test_heavy_user_yields_to_new_user():
 #
 # The negotiation cycle walks a persistent lazy heap of idle owners, one
 # owner's next idle job at a time, so a cycle costs O((jobs considered +
-# stale entries) log owners).  Its specification is a stable sort of the
-# (submit_time, id)-ordered idle queue on accumulated usage.  These tests
-# read the order off real claims and keep both in lockstep.
+# stale entries) log owners), plus one pass over the heap when it steps
+# over a job.  Its specification is a stable sort of the (submit_time,
+# id)-ordered idle queue on accumulated usage.  These tests read the
+# order off real claims and keep both in lockstep.
 
 #: no machine in these pools has this much memory: never claimed
 UNMATCHABLE_GB = 64.0
@@ -83,21 +84,19 @@ def claimable_reference(pool):
     ]
 
 
-def claim_order(ctx, pool, k):
+def probe_claims(ctx, pool, k):
     """Ids of the jobs the next cycle claims first, up to ``k``.
 
     A ``k``-core probe machine that outranks every other machine joins,
     and the cycle at this instant gives it each job it reaches until the
     probe is full.  Slots are claimed lowest first, so ``busy[i]`` is the
-    i-th claim.  The probe then leaves with ``drain=False``, which sends
-    its jobs back to IDLE through the eviction requeue path."""
+    i-th claim.  The caller removes the probe with ``drain=False``, which
+    sends its jobs back to IDLE through the eviction requeue path."""
     probe = pool.add_machine(
         MachineAd(name="probe", cores=k, memory_gb=8.0, cpu_factor=100.0)
     )
     ctx.sim.run(until=ctx.now)  # every event of this instant, the cycle last
-    got = [probe.busy[slot].id for slot in range(len(probe.busy))]
-    pool.remove_machine("probe", drain=False)
-    return got
+    return [probe.busy[slot].id for slot in range(len(probe.busy))]
 
 
 def assert_idle_counters_match_reference(pool):
@@ -117,11 +116,7 @@ def assert_matches_reference(ctx, pool):
     a slot to spare, so the cycle considers every idle job) claims them
     all in fair-share order."""
     want = claimable_reference(pool)
-    probe = pool.add_machine(
-        MachineAd(name="probe", cores=len(want) + 1, memory_gb=8.0, cpu_factor=100.0)
-    )
-    ctx.sim.run(until=ctx.now)
-    assert [probe.busy[slot].id for slot in range(len(probe.busy))] == want
+    assert probe_claims(ctx, pool, len(want) + 1) == want
     assert_owner_heap_exact(pool)
     pool.remove_machine("probe", drain=False)
 
@@ -163,7 +158,7 @@ def test_equal_usage_owners_merge_by_submission_order():
         pool.submit(cpu_work=1.0, owner=o)
         for o in ("u1", "u2", "u3", "u1", "u2", "u3", "u2", "u1")
     ]
-    assert claim_order(ctx, pool, len(jobs)) == [j.id for j in jobs]
+    assert probe_claims(ctx, pool, len(jobs)) == [j.id for j in jobs]
 
 
 def test_claims_consistent_after_eviction_requeue():
@@ -263,5 +258,6 @@ def test_property_claims_track_reference_through_time(pattern, steps):
             submit(args[0])
         assert_idle_counters_match_reference(pool)
         want = claimable_reference(pool)
-        assert claim_order(ctx, pool, k) == want[:k]
+        assert probe_claims(ctx, pool, k) == want[:k]
+        pool.remove_machine("probe", drain=False)
         assert_matches_reference(ctx, pool)
