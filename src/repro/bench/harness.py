@@ -280,9 +280,9 @@ def _execute(
 
     ``obs=True`` wraps the task in an ``obs.capture()`` block, so every
     simulation the task builds — tasks construct their own
-    ``SimContext`` — records spans/metrics; the exported docs ride back
-    as the fifth tuple element, relabelled ``<spec name>:<label>`` so
-    merged suite traces stay unambiguous.
+    ``SimContext`` — records spans, instants and series; the exported
+    docs ride back as the fifth tuple element, relabelled
+    ``<spec name>:<label>`` so merged suite traces stay unambiguous.
     """
     # Settle deferred garbage from the previous task, then keep the
     # cyclic collector paused for this one (the kernel already pauses it
@@ -497,8 +497,8 @@ def run_suite(
     no process to terminate); ``workers>1`` fans out across a persistent
     process pool with crash isolation and per-task timeouts.
 
-    ``obs=True`` records spans/metrics inside every task (see
-    :mod:`repro.obs`); the docs land on each :class:`TaskResult`'s
+    ``obs=True`` records spans, instants and series inside every task
+    (see :mod:`repro.obs`); the docs land on each :class:`TaskResult`'s
     ``obs`` field and leave payloads and ``sim_json()`` untouched.
     """
     t0 = time.perf_counter()

@@ -112,7 +112,6 @@ class ChefRunner:
                     1 for o in report.outcomes[before:] if o.action == "applied"
                 )
                 obs.finish(recipe_span.set(applied=applied))
-                obs.counter("chef.resources_applied").inc(applied)
         except BaseException as exc:
             obs.finish_open(track, status="error", error=repr(exc))
             raise

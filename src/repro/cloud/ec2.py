@@ -207,9 +207,7 @@ class MockEC2:
             and float(self.ctx.stream("ec2.capacity").random())
             < self.capacity_error_rate
         ):
-            obs = self.ctx.obs
-            obs.counter("ec2.capacity_errors").inc()
-            obs.instant("ec2.capacity-error", track="ec2", type=instance_type)
+            self.ctx.obs.instant("ec2.capacity-error", track="ec2", type=instance_type)
             raise InsufficientCapacity(
                 f"Insufficient capacity for {instance_type}; retry shortly"
             )
@@ -239,7 +237,6 @@ class MockEC2:
                 )
                 self._boot_spans[iid] = span
                 self._boot_span_ids[iid] = span.id
-                obs.counter("ec2.launches").inc()
             # jitter draws stay in creation order (one RNG draw per instance)
             boot_times.append(now + self._boot_delay(itype))
             out.append(inst)
@@ -250,7 +247,6 @@ class MockEC2:
             boot_times,
             self._boot_apply,
             payload=list(out),
-            layer="ec2.boot",
             cause=tuple(self._boot_span_ids.get(i.id) for i in out)
             if self.ctx.obs.enabled
             else None,

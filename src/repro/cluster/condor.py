@@ -160,9 +160,6 @@ class Startd:
                 job=job.id,
                 machine=self.machine.name,
             ).id
-            obs.histogram("condor.queue_wait_s").observe(
-                self.ctx.now - job.submit_time
-            )
         self._claim_seq += 1
         self._claims[slot] = self._claim_seq
         pool._update_free(self)
@@ -190,7 +187,6 @@ class Startd:
         obs = self.ctx.obs
         if obs.enabled:
             obs.finish_open(f"condor/job-{job.id}")  # the condor.run span
-            obs.counter("condor.completions").inc()
         pool._job_finished(job)
         self._check_drained()
 
@@ -227,7 +223,6 @@ class Startd:
                     job=job.id,
                     requeued=True,
                 ).id
-                obs.counter("condor.evictions").inc()
         pool._wake_negotiator()
         self._check_drained()
 
@@ -477,7 +472,6 @@ class CondorPool:
                 job=job.id,
                 owner=owner,
             ).id
-            obs.counter("condor.submits").inc()
         self._wake_negotiator()
         return job
 
@@ -606,7 +600,6 @@ class CondorPool:
                 (self.ctx.now + self.interval,),
                 self._tick_apply,
                 payload=self._gen,
-                layer="condor.tick",
             )
 
     def _tick_apply(self, cohort, k: int) -> None:
@@ -635,9 +628,6 @@ class CondorPool:
         no free machine matches stays IDLE and is stepped over; its owner
         re-enters the heap at that head when the cycle ends.
         """
-        obs = self.ctx.obs
-        if obs.enabled:
-            obs.counter("condor.negotiation_cycles").inc()
         free = self._free
         if not free:
             return  # every slot is claimed; nothing can match
@@ -691,6 +681,7 @@ class CondorPool:
             heapify(owners)
             for owner in skipped:
                 self._enter_owner(schedd.idle_job(owner))
+        obs = self.ctx.obs
         if claims:
             # One struct-of-arrays cohort per cycle: every claim's
             # completion timer in match order.  With obs on, the cohort
@@ -701,13 +692,11 @@ class CondorPool:
                 finish_times,
                 self._complete_apply,
                 payload=claims,
-                layer="condor.complete",
                 cause=tuple(c[3].run_span_id for c in claims) if obs.enabled else None,
             )
         if obs.enabled:
             if claims:
                 obs.instant("condor.negotiate", track="condor", matched=len(claims))
-                obs.counter("condor.matches").inc(len(claims))
             # gauge samples at every negotiation cycle: the Fig. 11
             # utilization/backlog curves straight from the trace
             slots = self.total_slots

@@ -372,7 +372,6 @@ class JobManager:
             job.obs_span_id = obs.start(
                 "galaxy.job", track=f"galaxy/job-{job.id}", job=job.id, tool=tool.id
             ).id
-            obs.counter("galaxy.jobs_submitted").inc()
         self.ctx.sim.process(self._run(job), name=f"job-{job.id}")
         return job
 
@@ -491,8 +490,6 @@ class JobManager:
         obs = self.ctx.obs
         if obs.enabled:
             obs.finish_open(f"galaxy/job-{job.id}")
-            obs.counter("galaxy.jobs_ok").inc()
-            obs.histogram("galaxy.job_wall_s").observe(job.wall_s or 0.0)
         self._notify(job)
 
     def _finish_error(self, job: Job, message: str, run: ToolRunContext) -> None:
@@ -506,7 +503,6 @@ class JobManager:
         obs = self.ctx.obs
         if obs.enabled:
             obs.finish_open(f"galaxy/job-{job.id}", status="error", error=message)
-            obs.counter("galaxy.jobs_error").inc()
         self._notify(job)
 
     def _notify(self, job: Job) -> None:

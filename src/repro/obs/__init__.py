@@ -1,10 +1,11 @@
-"""Unified observability: spans, metrics, and trace exporters.
+"""Unified observability: spans, instants, gauge series, and trace exporters.
 
 The reproduction's answer to the paper's "where does deployment time go?"
 question (Figs. 10–11): every layer of the stack — kernel, EC2 control
 plane, Chef converges, GridFTP/Globus transfers, the Condor pool, and
 Galaxy jobs — opens hierarchical :class:`Span` intervals keyed on
-*simulated* time and publishes named metrics into a per-context registry.
+*simulated* time, marks point events as instants, and samples named gauge
+series, all into one per-context recorder.
 
 Disabled (the default), the whole subsystem is a handful of shared no-op
 singletons and simulation output is byte-identical to an uninstrumented
@@ -41,7 +42,6 @@ from .export import (
     summary_rows,
     summary_table,
 )
-from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
 from .recorder import (
     NULL_RECORDER,
     Capture,
@@ -49,7 +49,6 @@ from .recorder import (
     ObsRecorder,
     Span,
     capture,
-    capturing,
     recorder_for_context,
 )
 from .timeseries import NULL_SERIES, TimeSeries, series_points, timeseries_jsonl
@@ -58,11 +57,6 @@ from .validate import check_chrome_trace, check_critpath, check_timeseries
 
 __all__ = [
     "Capture",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_RECORDER",
     "NULL_SERIES",
     "NullRecorder",
@@ -73,7 +67,6 @@ __all__ = [
     "annotations",
     "as_docs",
     "capture",
-    "capturing",
     "check_chrome_trace",
     "check_critpath",
     "check_timeseries",

@@ -25,10 +25,10 @@ from the walk — they would swallow the whole makespan into one segment
 and say nothing.
 
 Everything here reads the JSON-safe doc form
-(:meth:`~repro.obs.recorder.ObsRecorder.to_dict`), uses only span data
-(never metrics), and breaks every tie on deterministic keys — so the
-critpath document for a run is byte-identical however many harness
-workers ran it, the property the determinism tests pin.
+(:meth:`~repro.obs.recorder.ObsRecorder.to_dict`), uses only span data,
+and breaks every tie on deterministic keys — so the critpath document
+for a run is byte-identical however many harness workers ran it, the
+property the determinism tests pin.
 """
 
 from __future__ import annotations

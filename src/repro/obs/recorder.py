@@ -5,11 +5,11 @@ The observability model has three moving parts:
 * :class:`Span` — one named interval of simulated time on a *track*
   (a Chrome-trace thread: one per node, transfer task, job, ...).  Spans
   on the same track nest; a span opened while another is open on the same
-  track becomes its child.  Spans are context managers, so exception
-  status is captured automatically.
-* :class:`ObsRecorder` — collects spans, instant events, and a
-  :class:`~repro.obs.metrics.MetricsRegistry` for one simulation context.
-  Its clock is bound to the owning :class:`~repro.simcore.kernel.Simulator`,
+  track becomes its child.  :meth:`ObsRecorder.start` opens one and
+  :meth:`ObsRecorder.finish` closes it with a status.
+* :class:`ObsRecorder` — collects spans, instant events, provenance
+  annotations and gauge time series for one simulation context.  Its
+  clock is bound to the owning :class:`~repro.simcore.kernel.Simulator`,
   so every timestamp is deterministic simulated seconds.
 * :data:`NULL_RECORDER` — the disabled singleton every context gets by
   default.  All of its methods are no-ops returning shared null objects,
@@ -33,7 +33,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Callable, Optional
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .timeseries import NULL_SERIES, TimeSeries
 
 __all__ = [
@@ -48,7 +47,7 @@ __all__ = [
 
 
 class Span:
-    """One named interval of simulated time; also a context manager."""
+    """One named interval of simulated time."""
 
     __slots__ = (
         "id",
@@ -61,7 +60,6 @@ class Span:
         "status",
         "error",
         "attrs",
-        "_recorder",
     )
 
     def __init__(
@@ -72,7 +70,6 @@ class Span:
         start: float,
         parent_id: Optional[int],
         attrs: dict[str, Any],
-        recorder: "ObsRecorder",
         cause_id: Optional[int] = None,
     ) -> None:
         self.id = id
@@ -90,26 +87,11 @@ class Span:
         self.status = "open"
         self.error: Optional[str] = None
         self.attrs = attrs
-        self._recorder = recorder
-
-    @property
-    def duration_s(self) -> Optional[float]:
-        return None if self.end is None else self.end - self.start
 
     def set(self, **attrs: Any) -> "Span":
         """Attach/overwrite attributes on an open or closed span."""
         self.attrs.update(attrs)
         return self
-
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, exc_type, exc, _tb) -> bool:
-        if exc_type is None:
-            self._recorder.finish(self)
-        else:
-            self._recorder.finish(self, status="error", error=repr(exc))
-        return False
 
     def to_dict(self) -> dict:
         return {
@@ -133,7 +115,7 @@ class Span:
 
 
 class ObsRecorder:
-    """Span + instant + metrics sink for one simulation context."""
+    """Span, instant, annotation and series sink for one simulation context."""
 
     enabled = True
 
@@ -146,7 +128,6 @@ class ObsRecorder:
         #: about *what* ran, not *when* — topology specs, deployment
         #: metadata — that bundle exporters lift out of the span log
         self.annotations: list[dict] = []
-        self.metrics = MetricsRegistry()
         #: named gauge time series (see :mod:`repro.obs.timeseries`)
         self.series_registry: dict[str, TimeSeries] = {}
         self._next_id = 1
@@ -189,25 +170,13 @@ class ObsRecorder:
         stack = self._open.get(track)
         parent_id = stack[-1].id if stack else None
         cause_id = cause.id if isinstance(cause, Span) else cause
-        span = Span(
-            sid, name, track, self._clock(), parent_id, attrs, self, cause_id
-        )
+        span = Span(sid, name, track, self._clock(), parent_id, attrs, cause_id)
         self.spans.append(span)
         if stack is None:
             self._open[track] = [span]
         else:
             stack.append(span)
         return span
-
-    def span(
-        self,
-        name: str,
-        track: Optional[str] = None,
-        cause: "Span | int | None" = None,
-        **attrs: Any,
-    ) -> Span:
-        """Alias of :meth:`start`; reads naturally in ``with`` statements."""
-        return self.start(name, track, cause, **attrs)
 
     def finish(self, span: Span, status: str = "ok", error: Optional[str] = None) -> Span:
         """Close a span at the current sim time."""
@@ -261,18 +230,7 @@ class ObsRecorder:
         """
         self.annotations.append({"kind": kind, "time": self._clock(), "attrs": attrs})
 
-    # -- metrics ------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        return self.metrics.counter(name)
-
-    def gauge(self, name: str) -> Gauge:
-        return self.metrics.gauge(name)
-
-    def histogram(self, name: str, bounds=None) -> Histogram:
-        if bounds is None:
-            return self.metrics.histogram(name)
-        return self.metrics.histogram(name, tuple(bounds))
-
+    # -- series -------------------------------------------------------------
     def series(self, name: str) -> TimeSeries:
         """Named gauge time series, created on first use (sim-time samples)."""
         ts = self.series_registry.get(name)
@@ -288,7 +246,6 @@ class ObsRecorder:
             "spans": [s.to_dict() for s in self.spans],
             "instants": [dict(i, attrs=dict(i["attrs"])) for i in self.instants],
             "annotations": [dict(a, attrs=dict(a["attrs"])) for a in self.annotations],
-            "metrics": self.metrics.to_dict(),
             "series": {
                 name: self.series_registry[name].to_list()
                 for name in sorted(self.series_registry)
@@ -297,7 +254,7 @@ class ObsRecorder:
 
 
 class _NullSpan:
-    """Shared do-nothing span: every disabled ``span()`` returns this."""
+    """Shared do-nothing span: every disabled ``start()`` returns this."""
 
     __slots__ = ()
 
@@ -310,41 +267,12 @@ class _NullSpan:
     cause_id = None
     status = "ok"
     error = None
-    duration_s = 0.0
 
     def set(self, **_attrs: Any) -> "_NullSpan":
         return self
 
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        return False
-
-
-class _NullMetric:
-    """Shared do-nothing counter/gauge/histogram."""
-
-    __slots__ = ()
-
-    name = ""
-    value = 0
-    max_value = 0
-    count = 0
-    total = 0.0
-
-    def inc(self, _amount: int | float = 1) -> None:
-        pass
-
-    def set(self, _value: float) -> None:
-        pass
-
-    def observe(self, _value: float) -> None:
-        pass
-
 
 _NULL_SPAN = _NullSpan()
-_NULL_METRIC = _NullMetric()
 
 
 class NullRecorder:
@@ -367,11 +295,6 @@ class NullRecorder:
     ) -> _NullSpan:
         return _NULL_SPAN
 
-    def span(
-        self, _name: str, _track: Optional[str] = None, _cause=None, **_attrs: Any
-    ) -> _NullSpan:
-        return _NULL_SPAN
-
     def finish(self, span, status: str = "ok", error: Optional[str] = None):
         return span
 
@@ -384,15 +307,6 @@ class NullRecorder:
     def annotate(self, _kind: str, **_attrs: Any) -> None:
         pass
 
-    def counter(self, _name: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, _name: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, _name: str, bounds=None) -> _NullMetric:
-        return _NULL_METRIC
-
     def series(self, _name: str):
         return NULL_SERIES
 
@@ -402,7 +316,6 @@ class NullRecorder:
             "spans": [],
             "instants": [],
             "annotations": [],
-            "metrics": {},
             "series": {},
         }
 
@@ -450,11 +363,6 @@ def capture():
         yield cap
     finally:
         _active_capture = previous
-
-
-def capturing() -> bool:
-    """True when a :func:`capture` block is currently active."""
-    return _active_capture is not None
 
 
 def recorder_for_context(obs, sim) -> "ObsRecorder | NullRecorder":

@@ -6,7 +6,7 @@ sample at *state transitions they already handle* — a negotiation cycle,
 a workflow admission, a stage-in starting — never from timers of their
 own, so recording a series schedules no events and the simulation output
 stays byte-identical with observability on or off (the same contract
-spans and metrics honour).
+spans and instants honour).
 
 Points ride inside the recorder's doc form (``to_dict()["series"]``) and
 export as a flat JSONL file via :func:`timeseries_jsonl`::

@@ -11,10 +11,11 @@ Both sides are lists of obs docs (the
 :meth:`~repro.obs.recorder.ObsRecorder.to_dict` form, as stored in a
 provenance bundle's ``spans`` section or returned by
 ``SuiteResult.obs_docs()``).  Only span structure is compared — never
-metrics, which summarize rather than locate, and never attrs, which may
-carry host-dependent detail.  Spans are compared in recording order on the
-deterministic fields ``(name, track, start, end, parent_id, cause_id,
-status)``.
+a doc's other keys (instants, series, and the ``metrics`` object that
+bundles written before metrics were dropped still carry), and never
+attrs, which may carry host-dependent detail.  Spans are compared in
+recording order on the deterministic fields ``(name, track, start, end,
+parent_id, cause_id, status)``.
 """
 
 from __future__ import annotations

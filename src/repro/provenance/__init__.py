@@ -13,8 +13,8 @@ JSON document with six content-digested sections:
   tampering is a first-class detectable corruption;
 * ``topology`` — the deployed topology/update specs, captured via
   ``obs.annotate`` hooks in the deployer;
-* ``spans`` — the obs docs (spans, instants, metrics, gauge series) the
-  run recorded, one per simulation context;
+* ``spans`` — the obs docs (spans, instants, annotations, gauge series)
+  the run recorded, one per simulation context;
 * ``sim`` — the host-independent simulation output the replay must
   reproduce byte-identically.
 

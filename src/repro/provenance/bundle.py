@@ -11,7 +11,7 @@ A bundle is one JSON document::
                         "specs": [{name, task, params, timeout_s}, ...]},
         "seeds":       {"<spec name>": <seed int>, ...},
         "topology":    [<obs annotation docs>, ...],
-        "spans":       [<obs docs: spans/instants/metrics>, ...],
+        "spans":       [<obs docs: spans/instants/annotations/series>, ...],
         "sim":         <SuiteResult.sim_dict()>
       },
       "section_digests": {"calibration": sha256, ...},

@@ -23,6 +23,7 @@ from typing import Optional
 
 from .. import calibration
 from ..bench.harness import BenchSpec, BenchSuite, run_suite
+from ..cloud.instance_types import resolve
 from ..obs.tracediff import (
     SpanDivergence,
     first_span_divergence,
@@ -116,12 +117,24 @@ def parse_overrides(pairs: list[str]) -> dict:
                 "override.unknown",
                 f"unsupported override {key!r}; choose from {OVERRIDE_KEYS}",
             )
-        try:
-            out[key] = int(value) if key == "seed" else value.strip()
-        except ValueError:
-            raise BundleError(
-                "override.invalid", f"override {pair!r}: seed must be an integer"
-            ) from None
+        value = value.strip()
+        if key == "seed":
+            try:
+                out[key] = int(value)
+            except ValueError:
+                raise BundleError(
+                    "override.invalid", f"override {pair!r}: seed must be an integer"
+                ) from None
+        else:
+            # an unknown type is caught before any replay runs; the name
+            # itself is applied, so aliases such as "small" keep working
+            try:
+                resolve(value)
+            except KeyError as exc:
+                raise BundleError(
+                    "override.invalid", f"override {pair!r}: {exc.args[0]}"
+                ) from None
+            out[key] = value
     return out
 
 

@@ -45,6 +45,24 @@ class RegistryError(Exception):
     """The instance registry file cannot be read as a registry."""
 
 
+STATUSES = ("New", "Running", "Stopped", "Terminated")
+
+
+def _entry_problem(entry: object) -> Optional[str]:
+    """Why a registry entry is unusable, or None when it is well formed."""
+    if not isinstance(entry, dict):
+        return "is not an object"
+    if entry.get("status") not in STATUSES:
+        return f"has status {entry.get('status')!r}, not one of {', '.join(STATUSES)}"
+    if not isinstance(entry.get("topology"), str):
+        return "has no topology string"
+    if "seed" in entry and type(entry["seed"]) is not int:
+        return f"has a non-integer seed {entry['seed']!r}"
+    if "describe" in entry and not isinstance(entry["describe"], dict):
+        return "has a describe field that is not an object"
+    return None
+
+
 def load_registry() -> dict:
     path = _registry_path()
     if not path.exists():
@@ -62,6 +80,12 @@ def load_registry() -> dict:
             f"corrupt instance registry {path}: expected an object with an "
             "integer 'next_id' and an 'instances' object"
         )
+    for gpi_id, entry in reg["instances"].items():
+        problem = _entry_problem(entry)
+        if problem is not None:
+            raise RegistryError(
+                f"corrupt instance registry {path}: instance {gpi_id} {problem}"
+            )
     return reg
 
 
@@ -136,8 +160,8 @@ def cmd_start(args: argparse.Namespace) -> int:
     if entry["status"] != "New":
         print(f"error: {args.instance} is {entry['status']}", file=sys.stderr)
         return 1
-    print(f"Starting instance {args.instance}...", end="", flush=True)
     topology = Topology.from_json(entry["topology"])
+    print(f"Starting instance {args.instance}...", end="", flush=True)
     gp, live_id = _replay_start(topology, entry.get("seed", 0))
     gpi = gp.get(live_id)
     entry["status"] = "Running"
@@ -310,7 +334,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except RegistryError as exc:
+    except (RegistryError, TopologyError) as exc:
+        # a TopologyError that reaches here came from a stored topology
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

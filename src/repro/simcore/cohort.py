@@ -60,8 +60,6 @@ class EventCohort:
     """
 
     __slots__ = (
-        "sim",
-        "layer",
         "payload",
         "apply",
         "size",
@@ -76,11 +74,8 @@ class EventCohort:
         times: Sequence[float],
         apply: ApplyFn,
         payload: object = None,
-        layer: str = "cohort",
         cause: object = None,
     ) -> None:
-        self.sim = sim
-        self.layer = layer
         # Opaque causal baggage for observability: producers stash the obs
         # span id(s) that provoked this cohort (one id, or a per-member
         # sequence) so `apply` can thread cause links onto spans it opens.
@@ -118,9 +113,6 @@ class EventCohort:
     def _fire_member(self, ev: SimEvent) -> None:
         """Kernel callback: apply one member, then retire it."""
         self.apply(self, ev.index)  # type: ignore[attr-defined]
-        obs = self.sim.obs
-        if obs.enabled:
-            obs.counter(f"cohort.events.{self.layer}").inc()
         self._remaining -= 1
         if self._remaining == 0:
             self.done.succeed(self)

@@ -28,10 +28,10 @@ class SimContext:
         self.sim = Simulator(initial_time=initial_time)
         self.rng = RandomStreams(seed)
         #: observability recorder (see :mod:`repro.obs`): pass an
-        #: :class:`~repro.obs.ObsRecorder` or ``True`` to record spans and
-        #: metrics; the default is the shared null recorder unless an
-        #: ``obs.capture()`` block is active, in which case a fresh
-        #: recorder is created and registered with it.
+        #: :class:`~repro.obs.ObsRecorder` or ``True`` to record spans,
+        #: instants and series; the default is the shared null recorder
+        #: unless an ``obs.capture()`` block is active, in which case a
+        #: fresh recorder is created and registered with it.
         self.obs = recorder_for_context(obs, self.sim)
         self.sim.obs = self.obs
 

@@ -152,7 +152,6 @@ class Simulator:
         times,
         apply,
         payload: object = None,
-        layer: str = "cohort",
         cause: object = None,
     ) -> EventCohort:
         """Register N homogeneous timers as one struct-of-arrays cohort.
@@ -165,7 +164,7 @@ class Simulator:
         ``cohort.cause``); the kernel ignores it.  Returns the cohort;
         its ``done`` event fires after the last member is applied.
         """
-        return EventCohort(self, times, apply, payload, layer, cause)
+        return EventCohort(self, times, apply, payload, cause)
 
     # -- scheduling --------------------------------------------------------
     # NOTE: the hot constructors (Timeout.__init__, SimEvent.succeed/fail)
@@ -284,9 +283,7 @@ class Simulator:
         With a live observability recorder installed (see
         :mod:`repro.obs`), every call records a ``kernel.run`` span on the
         ``kernel`` track carrying the number of events the call
-        processed, and updates the ``kernel.events`` / ``kernel.runs``
-        counters and the ``kernel.peak_queue_depth`` gauge.  The
-        disabled recorder skips all of it after one flag test.
+        processed.  The disabled recorder skips it after one flag test.
         """
         obs = self.obs
         if not obs.enabled:
@@ -299,12 +296,8 @@ class Simulator:
             span.set(events=self.events_processed - before)
             obs.finish(span, status="error", error=repr(exc))
             raise
-        delta = self.events_processed - before
-        span.set(events=delta)
+        span.set(events=self.events_processed - before)
         obs.finish(span)
-        obs.counter("kernel.runs").inc()
-        obs.counter("kernel.events").inc(delta)
-        obs.gauge("kernel.peak_queue_depth").set(self.peak_queue_depth)
         return result
 
     def _run(self, until: float | SimEvent | None) -> object:

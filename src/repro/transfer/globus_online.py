@@ -338,7 +338,6 @@ class GlobusOnline:
                 dst=spec.dest_endpoint,
                 label=spec.label,
             ).id
-            obs.counter("go.tasks").inc()
             self._active_count += 1
             obs.series("go.active_tasks").record(self._active_count)
         self.ctx.sim.process(self._run_task(task), name=task.task_id)
@@ -571,7 +570,6 @@ class GlobusOnline:
                             f"{src_path}: connection reset (attempt {attempt})",
                         )
                         if obs.enabled:
-                            obs.counter("go.faults").inc()
                             obs.instant(
                                 "go.fault", track=track, path=src_path, attempt=attempt
                             )
@@ -598,11 +596,6 @@ class GlobusOnline:
                 task.bytes_transferred += size
                 self._event(task, "PROGRESS", f"{dst_path} ({size} bytes)")
                 obs.finish(file_span.set(attempts=attempt))
-                if obs.enabled:
-                    obs.counter("go.bytes").inc(size)
-                    obs.histogram("go.file_seconds").observe(
-                        file_span.duration_s or 0.0
-                    )
         finally:
             src_conn.release()
             dst_conn.release()

@@ -182,9 +182,7 @@ class GridFTPServer:
         if tail > 0.0:
             plan = plan + [0]
             times.append(times[-1] + tail)
-        return self.ctx.sim.schedule_cohort(
-            times, self._chunk_apply, payload=plan, layer="gridftp.chunk"
-        )
+        return self.ctx.sim.schedule_cohort(times, self._chunk_apply, payload=plan)
 
     def _chunk_apply(self, cohort, k: int) -> None:
         self.bytes_moved += cohort.payload[k]

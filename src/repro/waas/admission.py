@@ -91,9 +91,6 @@ class AdmissionController:
         ):
             self.rejected += 1
             req.rejected = True
-            obs = self.ctx.obs
-            if obs.enabled:
-                obs.counter("waas.rejected").inc()
             if self._reject is not None:
                 self._reject(req)
             return
@@ -104,9 +101,6 @@ class AdmissionController:
         self.backlog_workflows += 1
         self.backlog_work += req.dag.total_work
         heappush(self._heap, (self.usage.get(tid, 0.0), backlog[0].arrival_s, tid))
-        obs = self.ctx.obs
-        if obs.enabled:
-            obs.counter("waas.deferred").inc()
 
     def complete(self, req: WorkflowRequest) -> None:
         """A workflow finished: charge usage, release its slot, refill."""
@@ -125,9 +119,6 @@ class AdmissionController:
             heappush(
                 self._heap, (self.usage[tid], backlog[0].arrival_s, tid)
             )
-        obs = self.ctx.obs
-        if obs.enabled:
-            obs.gauge("waas.in_flight").set(self.in_flight)
         self._drain()
 
     def _admit(self, req: WorkflowRequest) -> None:
@@ -136,13 +127,6 @@ class AdmissionController:
         self._tenant_in_flight[tid] = self._tenant_in_flight.get(tid, 0) + 1
         self.admitted += 1
         req.admitted_s = self.ctx.now
-        obs = self.ctx.obs
-        if obs.enabled:
-            obs.counter("waas.admitted").inc()
-            obs.gauge("waas.in_flight").set(self.in_flight)
-            wait = req.admission_wait_s
-            if wait is not None:
-                obs.histogram("waas.admission_wait_s").observe(wait)
         assert self._start is not None, "AdmissionController is not bound"
         self._start(req)
 

@@ -144,10 +144,6 @@ class ElasticProvisioner:
         self.peak_workers = max(self.peak_workers, target)
         obs = ctx.obs
         if obs.enabled:
-            obs.counter(
-                "waas.scale_ups" if target > workers else "waas.scale_downs"
-            ).inc()
-            obs.gauge("waas.workers").set(target)
             obs.instant(
                 "waas.scale", track="waas",
                 action=action, workers=target, queue_depth=snap.queue_depth,

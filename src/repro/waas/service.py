@@ -11,8 +11,8 @@ as admission applies above it.
 Two scale-critical choices:
 
 * the entire arrival schedule registers as **one struct-of-arrays
-  cohort** (``layer="waas.arrival"``) — 100k arrivals cost one kernel
-  registration, not 100k timers;
+  cohort** — 100k arrivals cost one kernel registration, not 100k
+  timers;
 * DAG execution is **callback-driven**: task completions chain through
   Condor's ``on_complete`` into readiness updates, so a workflow in
   flight holds no resident simulation process.  The only processes in
@@ -129,9 +129,7 @@ class WaasService:
         t0 = self.ctx.now
         requests = self.plan.requests
         times = [t0 + r.arrival_s for r in requests]
-        self.ctx.sim.schedule_cohort(
-            times, self._arrival_apply, payload=requests, layer="waas.arrival"
-        )
+        self.ctx.sim.schedule_cohort(times, self._arrival_apply, payload=requests)
         self.ctx.obs.instant("waas.open", track="waas", requests=len(requests), t0=t0)
         return t0
 
@@ -145,7 +143,6 @@ class WaasService:
         heappush(self._deadline_heap, (req.deadline_s, req.id))
         obs = self.ctx.obs
         if obs.enabled:
-            obs.counter("waas.arrivals").inc()
             self._wf_span_ids[req.id] = obs.start(
                 "waas.workflow",
                 track=self._track(req),
@@ -237,9 +234,6 @@ class WaasService:
             self.sla_met += 1
         obs = self.ctx.obs
         if obs.enabled:
-            obs.counter("waas.completed").inc()
-            obs.counter("waas.sla_met" if met else "waas.sla_missed").inc()
-            obs.histogram("waas.makespan_s").observe(now - req.arrived_s)
             obs.finish_open(self._track(req), status="ok" if met else "error",
                             error=None if met else "deadline-missed")
             self._wf_span_ids.pop(req.id, None)

@@ -85,10 +85,10 @@ SCALE_SMOKE_CRITPATH_LAYERS = {
     "queue": 797.0792079207919,
 }
 SCALE_SMOKE_CRITPATH_MAKESPAN_S = 881.5198019801979
-#: content digest of the scale-smoke grid's obs docs: every span, instant
-#: and metric of its three contexts, in recorded order
+#: content digest of the scale-smoke grid's obs docs: every span, instant,
+#: annotation and series sample of its three contexts, in recorded order
 SCALE_SMOKE_OBS_DOCS_DIGEST = (
-    "c330d20b30e391e23497a8e776d3dbc30641f59a09e10feb7d84e311f867e3cc"
+    "7e65369bca3c8a9c7c2e4d4d55ebccede7d173182fa35d52f2be4ff81dd56f34"
 )
 
 

@@ -17,9 +17,6 @@ def _demo_recorder():
     rec.instant("tick", track="main", n=7)
     clock["t"] = 10.0
     rec.finish(outer)
-    rec.counter("things").inc(3)
-    rec.gauge("depth").set(4)
-    rec.histogram("lat").observe(0.5)
     return rec
 
 

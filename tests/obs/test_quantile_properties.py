@@ -1,20 +1,16 @@
-"""Percentile/quantile edge cases, pinned against sorted-list references.
+"""Percentile edge cases, pinned against a sorted-list reference.
 
 ``obs.export._percentile`` used ``round(q*n + 0.5)`` and hit banker's
-rounding on exact .5 products; ``metrics.Histogram.quantile`` let q=0.0
-produce rank 0, which every bucket — empty ones included — satisfied.
-Both are nearest-rank definitions: the smallest value (or bucket bound)
-with at least ``q`` of the samples at or below it, q=0.0 meaning the
-minimum and q=1.0 the maximum.
+rounding on exact .5 products.  It is a nearest-rank definition: the
+smallest value with at least ``q`` of the samples at or below it, q=0.0
+meaning the minimum and q=1.0 the maximum.
 """
 
 import math
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.obs.export import _percentile
-from repro.obs.metrics import Histogram
 
 QS = [0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0]
 
@@ -70,66 +66,4 @@ def test_percentile_extremes_and_membership(values):
 def test_percentile_is_monotone_in_q(values):
     vs = sorted(values)
     results = [_percentile(vs, q) for q in QS]
-    assert results == sorted(results)
-
-
-# -- Histogram.quantile -----------------------------------------------------
-
-
-def _bucket_bound(hist, value):
-    """The bound the histogram files ``value`` under (inf = overflow)."""
-    for bound in hist.bounds:
-        if value <= bound:
-            return bound
-    return math.inf
-
-
-def ref_quantile(hist, observations, q):
-    """Sorted-list reference: nearest-rank over per-observation bounds."""
-    bounds = sorted(_bucket_bound(hist, v) for v in observations)
-    got = ref_percentile(bounds, q)
-    return hist.max if got == math.inf else got
-
-
-def test_quantile_empty_is_zero_and_range_checked():
-    hist = Histogram("h", bounds=(1.0, 10.0))
-    assert hist.quantile(0.0) == 0.0
-    assert hist.quantile(1.0) == 0.0
-    with pytest.raises(ValueError):
-        hist.quantile(-0.1)
-    with pytest.raises(ValueError):
-        hist.quantile(1.5)
-
-
-def test_quantile_q0_skips_empty_buckets():
-    # the rank-0 regression: q=0.0 must name the first *occupied* bucket
-    hist = Histogram("h", bounds=(1.0, 10.0, 100.0))
-    hist.observe(50.0)
-    assert hist.quantile(0.0) == 100.0
-
-
-def test_quantile_overflow_returns_observed_max():
-    hist = Histogram("h", bounds=(1.0, 10.0))
-    hist.observe(5000.0)
-    assert hist.quantile(0.5) == 5000.0
-    assert hist.quantile(1.0) == 5000.0
-
-
-@given(
-    st.lists(st.floats(0.0, 1e4, allow_nan=False), min_size=1, max_size=60),
-    st.sampled_from(QS),
-)
-def test_quantile_matches_expanded_bucket_reference(observations, q):
-    hist = Histogram("h", bounds=(1.0, 10.0, 100.0, 1000.0))
-    for v in observations:
-        hist.observe(v)
-    assert hist.quantile(q) == ref_quantile(hist, observations, q)
-
-
-@given(st.lists(st.floats(0.0, 1e4, allow_nan=False), min_size=1, max_size=60))
-def test_quantile_is_monotone_in_q(observations):
-    hist = Histogram("h", bounds=(1.0, 10.0, 100.0, 1000.0))
-    for v in observations:
-        hist.observe(v)
-    results = [hist.quantile(q) for q in QS]
     assert results == sorted(results)

@@ -168,6 +168,23 @@ def test_cli_non_integer_seed_exit_two(bundle_path, capsys, override):
     assert override in err["error"]["message"]
 
 
+def test_cli_unknown_instance_type_exit_two_before_any_replay(
+    bundle_path, capsys, monkeypatch
+):
+    import repro.provenance.cli as cli
+
+    def no_replay(*_args, **_kwargs):
+        raise AssertionError("an unknown instance type must not replay")
+
+    monkeypatch.setattr(cli, "replay", no_replay)
+    assert main([str(bundle_path), "--override", "instance_type=m9.huge"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == "override.invalid"
+    assert "'m9.huge'" in err["error"]["message"]
+    # aliases resolve, and the name as given is what gets applied
+    assert parse_overrides(["instance_type=small"]) == {"instance_type": "small"}
+
+
 @pytest.mark.parametrize("key", ["seed", "instance_type"])
 def test_cli_override_no_spec_takes_exit_two(tiny_bundle, tmp_path, capsys, key):
     """An override that would change nothing is a usage error, never a

@@ -154,3 +154,20 @@ def test_view_failing_its_schema_check_exit_three(run_dir, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["code"] == "run.view-schema"
     assert err["detail"]["file"].endswith((".trace.json", ".critpath.json"))
+
+
+def test_run_dir_whose_spans_carry_metrics_still_verifies(run_dir, capsys):
+    """Obs docs used to carry a ``metrics`` object beside the spans. No view
+    and no replay check reads it, so run directories written with it, then
+    re-digested, must still verify and replay."""
+
+    def add_metrics(sections):
+        for doc in sections["spans"]:
+            doc["metrics"] = {"kernel.runs": {"type": "counter", "value": 1}}
+
+    _retamper_bundle(run_dir, add_metrics, rehash=True)
+    assert all("metrics" in d for d in read_bundle(run_dir / "tiny.bundle.json").spans)
+    assert main([str(run_dir), "--check-only"]) == 0
+    assert "bundle ok" in capsys.readouterr().out
+    assert main([str(run_dir)]) == 0
+    assert "VERIFIED" in capsys.readouterr().out

@@ -35,7 +35,8 @@ def test_deployer_retries_through_transient_capacity_errors():
     assert gpi.state.value == "Running"
     assert len(gpi.deployment.nodes) == 5
     # at least one capacity error actually fired (and was retried)
-    assert bed.ctx.obs.counter("ec2.capacity_errors").value >= 1
+    errors = [i for i in bed.ctx.obs.instants if i["name"] == "ec2.capacity-error"]
+    assert len(errors) >= 1
 
 
 def test_deployer_gives_up_after_persistent_capacity_errors():

@@ -188,3 +188,52 @@ def test_corrupt_registry_is_a_named_error(home, capsys, command, text):
     assert err.startswith("error: corrupt instance registry")
     assert str(registry) in err
     assert registry.read_text() == text
+
+
+TOPOLOGY = Topology.from_conf(PAPER_GALAXY_CONF).to_json()
+
+MALFORMED_ENTRIES = {
+    "not-an-object": 5,
+    "empty-object": {},
+    "unknown-status": {"status": "Paused", "topology": TOPOLOGY},
+    "no-topology": {"status": "New"},
+    "non-integer-seed": {"status": "New", "topology": TOPOLOGY, "seed": "7"},
+    "describe-not-an-object": {"status": "Running", "topology": TOPOLOGY, "describe": 5},
+}
+
+
+def write_registry(home, instances):
+    registry = home / "gp-sim" / "instances.json"
+    registry.parent.mkdir()
+    text = json.dumps({"next_id": 1, "instances": instances})
+    registry.write_text(text)
+    return registry, text
+
+
+@pytest.mark.parametrize("command", ["list", "start", "stop", "describe"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_ENTRIES))
+def test_malformed_registry_entry_is_a_named_error(home, capsys, case, command):
+    registry, text = write_registry(home, {"gpi-x": MALFORMED_ENTRIES[case]})
+    argv = [command] if command == "list" else [command, "gpi-x"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: corrupt instance registry")
+    assert "instance gpi-x" in err
+    assert registry.read_text() == text
+
+
+@pytest.mark.parametrize("command", ["start", "update", "ssh"])
+def test_bad_stored_topology_is_a_named_error(home, capsys, command):
+    status = "New" if command == "start" else "Running"
+    registry, text = write_registry(
+        home, {"gpi-x": {"status": status, "topology": "{bad", "seed": 0}}
+    )
+    argv = {
+        "start": ["start", "gpi-x"],
+        "update": ["update", "-t", str(home / "galaxy.conf"), "gpi-x"],
+        "ssh": ["ssh", "gpi-x", "simple-galaxy-condor"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad JSON topology")
+    assert registry.read_text() == text

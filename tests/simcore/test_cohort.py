@@ -74,7 +74,7 @@ def _run_program(program, use_cohorts: bool, chained: bool = False):
                     )
 
             if use_cohorts:
-                cohort = sim.schedule_cohort(list(delays), apply, layer=f"l{idx % 3}")
+                cohort = sim.schedule_cohort(list(delays), apply)
                 dones.append(cohort.done)
             else:
                 dones.append(_timer_cohort(sim, list(delays), apply))
@@ -168,13 +168,6 @@ def _metered_sim():
     rec = ObsRecorder(label="cohort-test", clock=lambda: sim.now)
     sim.obs = rec
     return sim, rec
-
-
-def test_cohort_records_per_member_layer_counter():
-    sim, rec = _metered_sim()
-    sim.schedule_cohort([1.0, 1.0, 2.0], lambda c, k: None, layer="condor.tick")
-    sim.run()
-    assert rec.metrics.counter("cohort.events.condor.tick").value == 3
 
 
 def test_obs_does_not_change_simulation_results():

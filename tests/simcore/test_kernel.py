@@ -454,5 +454,4 @@ def test_obs_records_one_kernel_run_span_per_call():
     spans = [s for s in rec.spans if s.name == "kernel.run"]
     assert len(spans) == 2
     assert [s.attrs["events"] for s in spans] == [1, 1]
-    assert rec.metrics.counter("kernel.runs").value == 2
-    assert rec.metrics.counter("kernel.events").value == sim.events_processed
+    assert sum(s.attrs["events"] for s in spans) == sim.events_processed

@@ -267,8 +267,8 @@ def test_bench_job_rejects_corrupted_bundle(workflow):
     assert corrupt, "bench-smoke must exercise a corrupted bundle"
     step = corrupt[0]
     assert "run-out/smoke.bundle.json" in step, "corrupt the run directory's bundle"
-    assert "unexpectedly verified" in step and "exit 1" in step, (
-        "a verifying corrupted bundle must fail the job"
+    assert "|| code=$?" in step and '[ "$code" -ne 3 ]' in step and "exit 1" in step, (
+        "gp-replay must exit exactly 3 (untrusted bundle), not just nonzero"
     )
     assert "bundle.section-digest" in step, (
         "the structured error code must be asserted"
@@ -326,8 +326,8 @@ def test_bench_job_rejects_tampered_span_log(workflow):
     assert tampered, "bench-smoke must exercise a span-tampered bundle"
     step = tampered[0]
     assert "run-out/smoke.bundle.json" in step, "tamper with the run directory's bundle"
-    assert "unexpectedly verified" in step and "exit 1" in step, (
-        "a verifying tampered bundle must fail the job"
+    assert "|| code=$?" in step and '[ "$code" -ne 1 ]' in step and "exit 1" in step, (
+        "gp-replay must exit exactly 1 (replay diverged), not just nonzero"
     )
     assert "first diverging span" in step, (
         "the replay output must name the first diverging span"
