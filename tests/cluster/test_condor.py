@@ -160,6 +160,7 @@ def test_on_complete_callback_runs():
     job = pool.submit(cpu_work=10.0, on_complete=lambda j: seen.append(j.id))
     ctx.sim.run(until=pool.when_done(job))
     assert seen == [job.id]
+    assert job.on_complete is None  # run once, then dropped with its closure
 
 
 def test_pool_stats():

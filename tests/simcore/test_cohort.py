@@ -10,12 +10,15 @@ both forms and demands identical member application traces,
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import ObsRecorder
 from repro.simcore import Simulator
+from repro.simcore.cohort import EventCohort, _CohortMember
 
 #: collision-rich delay grid: repeated values force same-timestamp runs
 DELAY_GRID = (0.0, 0.25, 0.25, 0.25, 0.5, 1.0, 1.0, 2.0)
@@ -156,6 +159,39 @@ def test_done_awaitable_from_process():
     sim.run()
     assert len(got) == 1
     assert got[0][1] == 2.0
+
+
+def test_finished_cohorts_die_by_refcount():
+    """The kernel pauses the cyclic collector while it drains, so every
+    object a drain leaves in a reference cycle waits for one deferred
+    collection that walks everything the drain allocated.  A finished
+    cohort and its members must die by refcount, not by that walk."""
+    enabled, flags, before = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulator()
+
+        def waiter():
+            yield sim.schedule_cohort([1.0, 2.0], lambda c, k: None).done
+
+        sim.process(waiter())
+        for times in ([0.5, 1.0, 1.0], [], [3.0]):
+            sim.schedule_cohort(times, lambda c, k: None)
+        sim.run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = [
+            type(o).__name__
+            for o in gc.garbage[before:]
+            if isinstance(o, (EventCohort, _CohortMember))
+        ]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[before:]
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 # ---------------------------------------------------------------------------

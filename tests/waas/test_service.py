@@ -1,10 +1,13 @@
 """End-to-end: deploy a pool, open the front door, drain the demand."""
 
+import gc
+
 import pytest
 
 from repro.cluster import JobState
 from repro.core.testbed import CloudTestbed
 from repro.provision.instance import GlobusProvision
+from repro.simcore.cohort import EventCohort, _CohortMember
 from repro.waas import (
     AdmissionController,
     ElasticProvisioner,
@@ -90,6 +93,41 @@ def test_autoscaler_grows_overloaded_pool():
         name: s for name, s in pool.startds.items()
         if not s.draining and s.machine.cores > len(s.busy)
     }
+
+
+def test_drained_run_leaves_no_cohort_for_the_collector():
+    """Condor completions, EC2 boots and Chef converges all run as event
+    cohorts.  With the collector paused, as the kernel pauses it for
+    every drain, none of them may be left in a reference cycle once the
+    run has drained."""
+    enabled, flags, before = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    try:
+        bed, gp, gpi = _deploy(base_workers=1)
+        plan = poisson_plan(4, 12, 0.2, dag_tasks=3, unique_dags=3,
+                            mean_task_work_s=60.0, seed=3)
+        adm = AdmissionController(bed.ctx, max_in_flight=8)
+        service = WaasService(gp, gpi.id, plan, adm)
+        prov = ElasticProvisioner(
+            gp, gpi.id, make_policy("queue_depth"), service.snapshot,
+            min_workers=1, max_workers=3, check_interval_s=60.0,
+        )
+        _drain(bed, service, prov)
+        assert len(service.completed) == 12
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = [
+            type(o).__name__
+            for o in gc.garbage[before:]
+            if isinstance(o, (EventCohort, _CohortMember))
+        ]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[before:]
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 def test_snapshot_reflects_pool_and_admission():
