@@ -63,7 +63,9 @@ class CondorJob:
 
     ``cpu_work`` is in m1.small-seconds; actual runtime is
     ``cpu_work / machine.cpu_factor``.  ``on_complete`` lets the submitter
-    (Galaxy's Condor runner) attach real computation to the simulated job.
+    (the WaaS service) attach real computation to the simulated job; it
+    runs once, when the job completes, and is then dropped, so the
+    submitter's closure does not live as long as the job record.
     """
 
     id: int
@@ -182,6 +184,7 @@ class Startd:
         job.end_time = self.ctx.now
         if job.on_complete is not None:
             job.on_complete(job)
+            job.on_complete = None  # frees the submitter's closure by refcount
         if job.completed is not None and not job.completed.triggered:
             job.completed.succeed(job)
         obs = self.ctx.obs

@@ -55,8 +55,11 @@ class EventCohort:
     """N homogeneous timers registered as one struct-of-arrays record.
 
     Created via :meth:`Simulator.schedule_cohort`; producers keep a
-    reference for its :attr:`done` event (fires once every member has
-    been applied) and for the payload ``apply`` indexes into.
+    reference for its :attr:`done` event (fires with value ``None`` once
+    every member has been applied) and for the payload ``apply`` indexes
+    into.  ``done`` never carries the cohort itself: that would make
+    every cohort a reference cycle, left for the collector instead of
+    freed by refcount once its last member has fired.
     """
 
     __slots__ = (
@@ -88,7 +91,7 @@ class EventCohort:
         self.done = SimEvent(sim)
         self._remaining = n
         if n == 0:
-            self.done.succeed(self)
+            self.done.succeed()
             return
         tl = times.tolist() if isinstance(times, np.ndarray) else times
         now = sim._now
@@ -115,4 +118,4 @@ class EventCohort:
         self.apply(self, ev.index)  # type: ignore[attr-defined]
         self._remaining -= 1
         if self._remaining == 0:
-            self.done.succeed(self)
+            self.done.succeed()

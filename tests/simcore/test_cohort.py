@@ -120,7 +120,7 @@ def test_members_apply_in_index_order():
     sim.run()
     assert seen == [0, 1, 2, 3]
     assert cohort.done.triggered
-    assert cohort.done.value is cohort
+    assert cohort.done.value is None
     assert sim.events_processed == 5  # 4 members + the done event
 
 
