@@ -53,7 +53,7 @@ from .recorder import (
 )
 from .timeseries import NULL_SERIES, TimeSeries, series_points, timeseries_jsonl
 from .tracediff import SpanDivergence, first_span_divergence, render_span_divergence
-from .validate import check_chrome_trace, check_critpath, check_timeseries
+from .validate import check_chrome_trace, check_critpath, check_obs_docs, check_timeseries
 
 __all__ = [
     "Capture",
@@ -69,6 +69,7 @@ __all__ = [
     "capture",
     "check_chrome_trace",
     "check_critpath",
+    "check_obs_docs",
     "check_timeseries",
     "chrome_trace",
     "critical_path",

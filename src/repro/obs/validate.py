@@ -1,5 +1,11 @@
-"""Schema checks ``gp-replay DIR`` runs over a run directory's views.
+"""Schema checks ``gp-replay`` runs over a bundle's obs docs and a run
+directory's views.
 
+* :func:`check_obs_docs` — a bundle's ``spans`` section: a list of
+  :meth:`~repro.obs.recorder.ObsRecorder.to_dict` docs, every field the
+  recorder writes present and of the type the view builders read (extra
+  keys are ignored), so a malformed doc is a named error, never a crash
+  in a view builder;
 * :func:`check_chrome_trace` — Chrome ``trace_event`` JSON: object with
   a ``traceEvents`` list, known phases (``X``/``i``/``M``), integer
   ``pid``/``tid``, finite non-negative ``ts``/``dur``, per (pid, tid)
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["check_chrome_trace", "check_critpath", "check_timeseries"]
+__all__ = ["check_chrome_trace", "check_critpath", "check_obs_docs", "check_timeseries"]
 
 #: tolerance for "segment durations sum to the makespan" (sim-seconds)
 _SUM_TOL = 1e-6
@@ -28,7 +34,93 @@ _PHASES = {"X", "i", "M"}
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+#: field kinds of obs doc records: kind -> (test, what it must be)
+_KINDS = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "num": (_is_num, "a finite number"),
+    "obj": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def _fields(*specs: str) -> tuple:
+    """``"name:kind"`` specs -> (name, test, what, nullable); a ``?``
+    after the kind allows null."""
+    out = []
+    for spec in specs:
+        name, kind = spec.split(":")
+        nullable = kind.endswith("?")
+        test, what = _KINDS[kind.rstrip("?")]
+        out.append((name, test, what + (" or null" if nullable else ""), nullable))
+    return tuple(out)
+
+
+#: the fields the recorder writes in each record list of a doc
+_RECORDS = {
+    "spans": _fields(
+        "id:int", "name:str", "track:str", "start:num", "end:num?",
+        "parent_id:int?", "cause_id:int?", "status:str", "error:str?", "attrs:obj",
+    ),
+    "instants": _fields("name:str", "track:str", "time:num", "attrs:obj"),
+    "annotations": _fields("kind:str", "time:num", "attrs:obj"),
+}
+
+_MISSING = object()
+
+
+def check_obs_docs(docs) -> list[str]:
+    """Schema check for a list of obs docs (a bundle's ``spans`` section)."""
+    if not isinstance(docs, list):
+        return [f"obs docs must be a list, got {type(docs).__name__}"]
+    errors: list[str] = []
+    for i, doc in enumerate(docs):
+        where = f"docs[{i}]"
+        if not isinstance(doc, dict):
+            errors.append(f"{where}: not an object")
+            continue
+        if not isinstance(doc.get("label"), str):
+            errors.append(f"{where}: label must be a string")
+        for key, fields in _RECORDS.items():
+            records = doc.get(key)
+            if not isinstance(records, list):
+                errors.append(f"{where}: {key} must be a list")
+                continue
+            for k, record in enumerate(records):
+                rw = f"{where}.{key}[{k}]"
+                if not isinstance(record, dict):
+                    errors.append(f"{rw}: not an object")
+                    continue
+                for name, test, what, nullable in fields:
+                    value = record.get(name, _MISSING)
+                    if not (test(value) or (nullable and value is None)):
+                        got = "nothing" if value is _MISSING else repr(value)[:60]
+                        errors.append(f"{rw}: {name} must be {what}, got {got}")
+        series = doc.get("series")
+        if not isinstance(series, dict):
+            errors.append(f"{where}: series must be an object")
+            continue
+        for name, points in series.items():
+            sw = f"{where}.series[{name!r}]"
+            if not isinstance(points, list):
+                errors.append(f"{sw}: not a list")
+                continue
+            for k, point in enumerate(points):
+                if not (
+                    isinstance(point, list)
+                    and len(point) == 2
+                    and _is_num(point[0])
+                    and _is_num(point[1])
+                ):
+                    errors.append(f"{sw}[{k}]: must be a [t, value] pair of finite numbers")
+    return errors
 
 
 def check_chrome_trace(doc) -> list[str]:

@@ -59,6 +59,7 @@ class BundleError(Exception):
         bundle.digest           the top-level digest does not match
         calibration.internal    the calibration section disagrees with itself
         calibration.drift       bundled constants differ from the live code
+        bundle.spans-schema     the spans section is not a list of obs docs
         scenario.malformed      the scenario cannot rebuild a suite
         override.unknown        an unsupported counterfactual override key
         override.invalid        an override value of the wrong type

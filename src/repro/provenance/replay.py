@@ -29,6 +29,7 @@ from ..obs.tracediff import (
     first_span_divergence,
     render_span_divergence,
 )
+from ..obs.validate import check_obs_docs
 from ..reporting.divergence import (
     Divergence,
     comparison_rows,
@@ -43,12 +44,13 @@ OVERRIDE_KEYS = ("instance_type", "seed")
 
 
 def verify_bundle(bundle: ProvenanceBundle) -> None:
-    """Integrity + calibration checks; raises :class:`BundleError`.
+    """Integrity, calibration and span-schema checks; raises :class:`BundleError`.
 
     Order matters for error attribution: per-section content digests
     first (so corrupting a section names that section), then the
     top-level digest, then calibration internal consistency and drift
-    against the live code.
+    against the live code, then the ``spans`` section's obs-doc schema
+    (a re-digested section must still be docs the views can read).
     """
     stored_sections = bundle.stored_section_digests
     if not isinstance(stored_sections, dict):
@@ -99,6 +101,15 @@ def verify_bundle(bundle: ProvenanceBundle) -> None:
             f" {constants.get(first)!r} bundled vs {live.get(first)!r} live)",
             section="calibration",
             detail={"constants": drifted},
+        )
+    errors = check_obs_docs(bundle.spans)
+    if errors:
+        raise BundleError(
+            "bundle.spans-schema",
+            f"spans section: {errors[0]}"
+            + (f" (and {len(errors) - 1} more)" if len(errors) > 1 else ""),
+            section="spans",
+            detail={"errors": errors[:20]},
         )
 
 

@@ -83,14 +83,16 @@ def read_run_dir(run_dir: pathlib.Path | str) -> ProvenanceBundle:
     def fail(code: str, name: str, message: str) -> BundleError:
         return BundleError(code, f"{name}: {message}", detail={"file": name})
 
-    for path in sorted(run_dir.iterdir()):
-        if path.name != bundles[0] and (path.name not in views or not path.is_file()):
-            raise fail("run.extra-file", path.name, "is neither the bundle nor one of its views")
+    # views are looked up in the listing, never by path: a doc label can
+    # derive a file name no file system would take
+    files = {path.name: path for path in run_dir.iterdir()}
+    for name, path in sorted(files.items()):
+        if name != bundles[0] and (name not in views or not path.is_file()):
+            raise fail("run.extra-file", name, "is neither the bundle nor one of its views")
     for name, text in views.items():
-        path = run_dir / name
-        if not path.exists():
+        if name not in files:
             raise fail("run.view-missing", name, "view the bundle derives is missing")
-        data = path.read_bytes()
+        data = files[name].read_bytes()
         if data != text.encode():
             if not data.strip():
                 raise fail("run.view-empty", name, "empty view file (no content to validate)")

@@ -1,7 +1,7 @@
 """Property tests: bundles round-trip losslessly and replay byte-identically.
 
 Two layers: a cheap serialization property over arbitrary JSON-shaped
-sections (many examples), and an end-to-end property that actually runs a
+sections, with obs docs in the spans section (many examples), and an end-to-end property that actually runs a
 random tiny scenario through the harness, bundles it, and replays it
 (few examples — each one is two full simulations).
 """
@@ -35,12 +35,50 @@ _json_docs = st.recursive(
     max_leaves=8,
 )
 
+# the spans section holds obs docs in the recorder's form (verify_bundle
+# checks their schema), with JSON-shaped attrs
+_num = st.integers(min_value=-(10**9), max_value=10**9) | st.floats(
+    allow_nan=False, allow_infinity=False, width=32
+)
+_ids = st.integers(min_value=0, max_value=10**6)
+_names = st.text(max_size=12)
+_attrs = st.dictionaries(st.text(max_size=8), _json_docs, max_size=3)
+_obs_docs = st.fixed_dictionaries(
+    {
+        "label": _names,
+        "spans": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "id": _ids, "name": _names, "track": _names, "start": _num,
+                    "end": st.none() | _num, "parent_id": st.none() | _ids,
+                    "cause_id": st.none() | _ids, "status": _names,
+                    "error": st.none() | _names, "attrs": _attrs,
+                }
+            ),
+            max_size=3,
+        ),
+        "instants": st.lists(
+            st.fixed_dictionaries(
+                {"name": _names, "track": _names, "time": _num, "attrs": _attrs}
+            ),
+            max_size=2,
+        ),
+        "annotations": st.lists(
+            st.fixed_dictionaries({"kind": _names, "time": _num, "attrs": _attrs}),
+            max_size=2,
+        ),
+        "series": st.dictionaries(
+            _names, st.lists(st.lists(_num, min_size=2, max_size=2), max_size=3), max_size=2
+        ),
+    }
+)
+
 
 @given(
     scenario=st.dictionaries(st.text(max_size=8), _json_docs, max_size=3),
     seeds=st.dictionaries(st.text(max_size=8), st.integers(0, 2**31), max_size=3),
     topology=st.lists(_json_docs, max_size=3),
-    spans=st.lists(_json_docs, max_size=3),
+    spans=st.lists(_obs_docs, max_size=3),
     sim=st.dictionaries(st.text(max_size=8), _json_docs, max_size=3),
 )
 @settings(max_examples=40, deadline=None)

@@ -2,10 +2,13 @@
 one of its views, and ``gp-replay DIR`` exits 3 with a named code on
 anything else."""
 
+import copy
 import json
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.provenance import read_bundle, run_views, write_run_dir
 from repro.provenance.bundle import content_digest
@@ -171,3 +174,93 @@ def test_run_dir_whose_spans_carry_metrics_still_verifies(run_dir, capsys):
     assert "bundle ok" in capsys.readouterr().out
     assert main([str(run_dir)]) == 0
     assert "VERIFIED" in capsys.readouterr().out
+
+
+def _first_doc(sections):
+    return sections["spans"][0]
+
+
+def _drop_span_name(sections):
+    del _first_doc(sections)["spans"][0]["name"]
+
+
+MALFORMED_SPANS = {
+    "doc is an int": lambda sections: sections["spans"].__setitem__(0, 5),
+    "section is an object": lambda sections: sections.__setitem__(
+        "spans", {"0": _first_doc(sections)}
+    ),
+    "span start is a string": lambda sections: _first_doc(sections)["spans"][0].__setitem__(
+        "start", "soon"
+    ),
+    "span has no name": _drop_span_name,
+    "series is an int": lambda sections: _first_doc(sections).__setitem__("series", 5),
+    "instant is an int": lambda sections: _first_doc(sections)["instants"].__setitem__(0, 5),
+}
+
+INVOCATIONS = {
+    "DIR": lambda d: [str(d)],
+    "DIR --check-only": lambda d: [str(d), "--check-only"],
+    "BUNDLE": lambda d: [str(d / "tiny.bundle.json")],
+    "BUNDLE --check-only": lambda d: [str(d / "tiny.bundle.json"), "--check-only"],
+}
+
+
+@pytest.mark.parametrize("invocation", sorted(INVOCATIONS))
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPANS))
+def test_malformed_spans_doc_exit_three_with_named_code(run_dir, capsys, case, invocation):
+    """A re-digested spans section the view builders cannot read used to
+    crash ``gp-replay DIR`` with a traceback (exit 1) and pass
+    ``gp-replay BUNDLE --check-only``; the bundle check now names it."""
+    _retamper_bundle(run_dir, MALFORMED_SPANS[case], rehash=True)
+    assert main(INVOCATIONS[invocation](run_dir)) == 3
+    captured = capsys.readouterr()
+    assert "bundle ok" not in captured.out
+    err = json.loads(captured.err)["error"]
+    assert err["code"] == "bundle.spans-schema"
+    assert err["section"] == "spans"
+
+
+def _node_paths(node, path=()):
+    """Every node of a JSON document, the root included, as key paths."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _node_paths(child, path + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_target(fresh_run_dir, tmp_path_factory):
+    out = shutil.copytree(fresh_run_dir, tmp_path_factory.mktemp("fuzz") / "run-out")
+    doc = json.loads((out / "tiny.bundle.json").read_text())
+    return out, doc, list(_node_paths(doc["sections"]["spans"]))
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_fuzzed_spans_section_exits_zero_or_three(fuzz_target, data):
+    """Any one node of the spans section replaced by any JSON value, then
+    re-digested: ``gp-replay DIR --check-only`` verifies it (0) or names
+    what is wrong (3), and never raises."""
+    out, original, paths = fuzz_target
+    doc = copy.deepcopy(original)
+    path = data.draw(st.sampled_from(paths), label="node")
+    value = data.draw(_JSON_VALUES, label="value")
+    if path:
+        parent = doc["sections"]["spans"]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc["sections"]["spans"] = value
+    doc["section_digests"]["spans"] = content_digest(doc["sections"]["spans"])
+    doc["digest"] = content_digest(doc["section_digests"])
+    (out / "tiny.bundle.json").write_text(json.dumps(doc))
+    assert main([str(out), "--check-only", "-q"]) in (0, 3)
