@@ -275,6 +275,23 @@ def test_bench_job_rejects_corrupted_bundle(workflow):
     )
 
 
+def test_bench_job_rejects_malformed_spans_doc(workflow):
+    """The schema gate: a copy of the run directory whose bundle holds a
+    spans doc the views cannot read, re-digested so its digests hold, must
+    exit exactly 3 with the named schema code, never a traceback."""
+    commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
+    malformed = [c for c in commands if "['spans'][0] = 5" in c]
+    assert malformed, "bench-smoke must exercise a malformed spans doc"
+    step = malformed[0]
+    assert "cp -r run-out run-out-malformed" in step, "tamper with a copy of run-out"
+    assert "content_digest" in step, "the spans section must be re-digested"
+    assert "run-out-malformed --check-only" in step
+    assert "|| code=$?" in step and '[ "$code" -ne 3 ]' in step and "exit 1" in step, (
+        "gp-replay must exit exactly 3 (untrusted bundle), not just nonzero"
+    )
+    assert "bundle.spans-schema" in step, "the structured error code must be asserted"
+
+
 def test_bench_job_uploads_suite_artifact(workflow):
     uploads = [
         s for s in _steps(workflow, "bench-smoke")
