@@ -80,6 +80,23 @@ def _rename_first_span(sections):
     sections["spans"][0]["spans"][0]["name"] = "renamed"
 
 
+LONG_LABEL = "x" * 300
+
+
+def _long_label_and_no_views(run_dir):
+    """A doc label deriving view names the file system refuses, in a
+    directory holding the bundle alone: views are looked up in the
+    listing, so this is a missing view, not an ``OSError``."""
+
+    def relabel(sections):
+        sections["spans"][0]["label"] = f"{LONG_LABEL}:sim-0"
+
+    _retamper_bundle(run_dir, relabel, rehash=True)
+    for path in run_dir.iterdir():
+        if path.name != "tiny.bundle.json":
+            path.unlink()
+
+
 DAMAGE = {
     "missing view": (
         lambda d: (d / "scale.critpath.json").unlink(),
@@ -124,6 +141,11 @@ DAMAGE = {
         lambda d: _retamper_bundle(d, _rename_first_span, rehash=True),
         "run.view-mismatch",
         "scale.trace.json",
+    ),
+    "label too long for a file name": (
+        _long_label_and_no_views,
+        "run.view-missing",
+        f"{LONG_LABEL}.trace.json",
     ),
 }
 
