@@ -42,35 +42,28 @@ def _is_num(v) -> bool:
         return False
 
 
-#: field kinds of obs doc records: kind -> (test, what it must be)
-_KINDS = {
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "num": (_is_num, "a finite number"),
-    "obj": (lambda v: isinstance(v, dict), "an object"),
-}
+#: field types of obs doc records: (test, what a value must be)
+_STR = (lambda v: isinstance(v, str), "a string")
+_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_NUM = (_is_num, "a finite number")
+_OBJ = (lambda v: isinstance(v, dict), "an object")
 
 
-def _fields(*specs: str) -> tuple:
-    """``"name:kind"`` specs -> (name, test, what, nullable); a ``?``
-    after the kind allows null."""
-    out = []
-    for spec in specs:
-        name, kind = spec.split(":")
-        nullable = kind.endswith("?")
-        test, what = _KINDS[kind.rstrip("?")]
-        out.append((name, test, what + (" or null" if nullable else ""), nullable))
-    return tuple(out)
+def _or_null(kind: tuple) -> tuple:
+    test, what = kind
+    return (lambda v: v is None or test(v), f"{what} or null")
 
 
 #: the fields the recorder writes in each record list of a doc
 _RECORDS = {
-    "spans": _fields(
-        "id:int", "name:str", "track:str", "start:num", "end:num?",
-        "parent_id:int?", "cause_id:int?", "status:str", "error:str?", "attrs:obj",
+    "spans": (
+        ("id", _INT), ("name", _STR), ("track", _STR), ("start", _NUM),
+        ("end", _or_null(_NUM)), ("parent_id", _or_null(_INT)),
+        ("cause_id", _or_null(_INT)), ("status", _STR),
+        ("error", _or_null(_STR)), ("attrs", _OBJ),
     ),
-    "instants": _fields("name:str", "track:str", "time:num", "attrs:obj"),
-    "annotations": _fields("kind:str", "time:num", "attrs:obj"),
+    "instants": (("name", _STR), ("track", _STR), ("time", _NUM), ("attrs", _OBJ)),
+    "annotations": (("kind", _STR), ("time", _NUM), ("attrs", _OBJ)),
 }
 
 _MISSING = object()
@@ -94,23 +87,21 @@ def check_obs_docs(docs) -> list[str]:
                 errors.append(f"{where}: {key} must be a list")
                 continue
             for k, record in enumerate(records):
-                rw = f"{where}.{key}[{k}]"
                 if not isinstance(record, dict):
-                    errors.append(f"{rw}: not an object")
+                    errors.append(f"{where}.{key}[{k}]: not an object")
                     continue
-                for name, test, what, nullable in fields:
+                for name, (test, what) in fields:
                     value = record.get(name, _MISSING)
-                    if not (test(value) or (nullable and value is None)):
+                    if not test(value):
                         got = "nothing" if value is _MISSING else repr(value)[:60]
-                        errors.append(f"{rw}: {name} must be {what}, got {got}")
+                        errors.append(f"{where}.{key}[{k}]: {name} must be {what}, got {got}")
         series = doc.get("series")
         if not isinstance(series, dict):
             errors.append(f"{where}: series must be an object")
             continue
         for name, points in series.items():
-            sw = f"{where}.series[{name!r}]"
             if not isinstance(points, list):
-                errors.append(f"{sw}: not a list")
+                errors.append(f"{where}.series[{name!r}]: not a list")
                 continue
             for k, point in enumerate(points):
                 if not (
@@ -119,7 +110,10 @@ def check_obs_docs(docs) -> list[str]:
                     and _is_num(point[0])
                     and _is_num(point[1])
                 ):
-                    errors.append(f"{sw}[{k}]: must be a [t, value] pair of finite numbers")
+                    errors.append(
+                        f"{where}.series[{name!r}][{k}]: must be a [t, value] pair"
+                        " of finite numbers"
+                    )
     return errors
 
 

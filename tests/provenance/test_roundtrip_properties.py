@@ -1,9 +1,10 @@
 """Property tests: bundles round-trip losslessly and replay byte-identically.
 
 Two layers: a cheap serialization property over arbitrary JSON-shaped
-sections, with obs docs in the spans section (many examples), and an end-to-end property that actually runs a
-random tiny scenario through the harness, bundles it, and replays it
-(few examples — each one is two full simulations).
+sections, with obs docs in the spans section (many examples), and an
+end-to-end property that actually runs a random tiny scenario through
+the harness, bundles it, and replays it (few examples — each one is two
+full simulations).
 """
 
 import json
