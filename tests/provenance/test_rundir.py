@@ -2,7 +2,6 @@
 one of its views, and ``gp-replay DIR`` exits 3 with a named code on
 anything else."""
 
-import copy
 import json
 import shutil
 
@@ -198,25 +197,20 @@ def test_run_dir_whose_spans_carry_metrics_still_verifies(run_dir, capsys):
     assert "VERIFIED" in capsys.readouterr().out
 
 
-def _first_doc(sections):
-    return sections["spans"][0]
-
-
-def _drop_span_name(sections):
-    del _first_doc(sections)["spans"][0]["name"]
+def _put(node, path, value):
+    """Set the node at key ``path`` (non-empty) below ``node`` to ``value``."""
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
 
 
 MALFORMED_SPANS = {
-    "doc is an int": lambda sections: sections["spans"].__setitem__(0, 5),
-    "section is an object": lambda sections: sections.__setitem__(
-        "spans", {"0": _first_doc(sections)}
-    ),
-    "span start is a string": lambda sections: _first_doc(sections)["spans"][0].__setitem__(
-        "start", "soon"
-    ),
-    "span has no name": _drop_span_name,
-    "series is an int": lambda sections: _first_doc(sections).__setitem__("series", 5),
-    "instant is an int": lambda sections: _first_doc(sections)["instants"].__setitem__(0, 5),
+    "doc is an int": lambda s: _put(s, ("spans", 0), 5),
+    "section is an object": lambda s: _put(s, ("spans",), {"0": s["spans"][0]}),
+    "span start is a string": lambda s: _put(s, ("spans", 0, "spans", 0, "start"), "soon"),
+    "span has no name": lambda s: s["spans"][0]["spans"][0].pop("name"),
+    "series is an int": lambda s: _put(s, ("spans", 0, "series"), 5),
+    "instant is an int": lambda s: _put(s, ("spans", 0, "instants", 0), 5),
 }
 
 INVOCATIONS = {
@@ -261,8 +255,8 @@ _JSON_VALUES = st.recursive(
 @pytest.fixture(scope="module")
 def fuzz_target(fresh_run_dir, tmp_path_factory):
     out = shutil.copytree(fresh_run_dir, tmp_path_factory.mktemp("fuzz") / "run-out")
-    doc = json.loads((out / "tiny.bundle.json").read_text())
-    return out, doc, list(_node_paths(doc["sections"]["spans"]))
+    text = (out / "tiny.bundle.json").read_text()
+    return out, text, list(_node_paths(json.loads(text)["sections"]["spans"]))
 
 
 @given(data=st.data())
@@ -272,17 +266,8 @@ def test_fuzzed_spans_section_exits_zero_or_three(fuzz_target, data):
     re-digested: ``gp-replay DIR --check-only`` verifies it (0) or names
     what is wrong (3), and never raises."""
     out, original, paths = fuzz_target
-    doc = copy.deepcopy(original)
     path = data.draw(st.sampled_from(paths), label="node")
     value = data.draw(_JSON_VALUES, label="value")
-    if path:
-        parent = doc["sections"]["spans"]
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-    else:
-        doc["sections"]["spans"] = value
-    doc["section_digests"]["spans"] = content_digest(doc["sections"]["spans"])
-    doc["digest"] = content_digest(doc["section_digests"])
-    (out / "tiny.bundle.json").write_text(json.dumps(doc))
+    (out / "tiny.bundle.json").write_text(original)
+    _retamper_bundle(out, lambda s: _put(s, ("spans", *path), value), rehash=True)
     assert main([str(out), "--check-only", "-q"]) in (0, 3)
