@@ -331,17 +331,16 @@ class Simulator:
 
         # Pause the cyclic garbage collector for the drain: the hot loop
         # allocates thousands of short-lived events/tuples per run, which
-        # would trip a gen-0 collection every few hundred allocations,
-        # while the kernel itself creates no reference cycles that need
+        # would trip a gen-0 collection every 700 net allocations, while
+        # the kernel itself creates no reference cycles that need
         # collecting mid-run.  Re-enabled (and nesting-safe) on exit; the
         # next allocation then runs one deferred collection over every
-        # object the drain allocated and left alive.  That walk stays
-        # short only because per-event objects die by refcount (a
-        # cohort's ``done`` carries no value; Condor drops a job's
-        # ``on_complete`` once it has run), so it walks live objects
-        # only.  Measured on perfbench's waas pass (seed 1, 2-vCPU VM):
-        # 30k objects walked in ~15 ms, where one cyclic cohort per
-        # completion batch had left 172k objects and ~215 ms.
+        # object the drain allocated and left alive.  Invariant: per-event
+        # objects die by refcount (a cohort's ``done`` carries no value;
+        # Condor drops a job's ``on_complete`` once it has run), so that
+        # collection walks live objects only.  On perfbench's waas pass
+        # (seed 1, 2-vCPU VM) it walks 30k objects in ~15 ms; with one
+        # reference cycle per cohort it walked 172k in ~215 ms.
         paused_gc = gc.isenabled()
         if paused_gc:
             gc.disable()
