@@ -3,9 +3,9 @@ directory's views.
 
 * :func:`check_obs_docs` — a bundle's ``spans`` section: a list of
   :meth:`~repro.obs.recorder.ObsRecorder.to_dict` docs, every field the
-  recorder writes present and of the type the view builders read (extra
+  recorder writes present and of the type the exporters read (extra
   keys are ignored), so a malformed doc is a named error, never a crash
-  in a view builder;
+  while the views are derived;
 * :func:`check_chrome_trace` — Chrome ``trace_event`` JSON: object with
   a ``traceEvents`` list, known phases (``X``/``i``/``M``), integer
   ``pid``/``tid``, finite non-negative ``ts``/``dur``, per (pid, tid)

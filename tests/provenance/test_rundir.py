@@ -224,7 +224,7 @@ INVOCATIONS = {
 @pytest.mark.parametrize("invocation", sorted(INVOCATIONS))
 @pytest.mark.parametrize("case", sorted(MALFORMED_SPANS))
 def test_malformed_spans_doc_exit_three_with_named_code(run_dir, capsys, case, invocation):
-    """A re-digested spans section the view builders cannot read used to
+    """A re-digested spans section the exporters cannot read used to
     crash ``gp-replay DIR`` with a traceback (exit 1) and pass
     ``gp-replay BUNDLE --check-only``; the bundle check now names it."""
     _retamper_bundle(run_dir, MALFORMED_SPANS[case], rehash=True)
