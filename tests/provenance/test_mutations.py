@@ -10,6 +10,8 @@ silently.
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.provenance import (
     BundleError,
@@ -17,8 +19,10 @@ from repro.provenance import (
     verify_bundle,
     write_bundle,
 )
-from repro.provenance.bundle import SECTION_NAMES, content_digest
+from repro.provenance.bundle import SECTION_NAMES, canonical_json, content_digest
 from repro.provenance.cli import main
+
+from .conftest import JSON_VALUES, node_paths, put
 
 
 def _doc(bundle) -> dict:
@@ -163,3 +167,78 @@ def test_no_mutation_passes_silently(tiny_bundle):
     doc["digest"] = flipped
     with pytest.raises(BundleError):
         verify_bundle(_load(doc))
+
+
+# -- re-digested edits of what the run recorded ------------------------------
+
+
+def _span_named(sections, name):
+    return next(s for d in sections["spans"] for s in d["spans"] if s["name"] == name)
+
+
+#: edit -> (mutation of the sections, the section it must be reported in)
+RECORDED_EDITS = {
+    "instant time": (lambda s: put(s, ("spans", 0, "instants", 0, "time"), 99.0), "spans"),
+    "series value": (
+        lambda s: put(s, ("spans", 0, "series", "condor.idle_jobs", 0, 1), 42),
+        "spans",
+    ),
+    "span attrs": (lambda s: _span_named(s, "kernel.run")["attrs"].update(events=1), "spans"),
+    "span error": (lambda s: put(s, ("spans", 0, "spans", 0, "error"), "boom"), "spans"),
+    "annotation time": (
+        lambda s: put(s, ("spans", 0, "annotations", 0, "time"), 99.0),
+        "spans",
+    ),
+    "doc label": (lambda s: put(s, ("spans", 0, "label"), "scale/other:sim-0"), "spans"),
+    "topology entry time": (lambda s: put(s, ("topology", 0, "time"), 99.0), "topology"),
+    "emptied topology": (lambda s: put(s, ("topology",), []), "topology"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(RECORDED_EDITS))
+def test_re_digested_recorded_edit_diverges_naming_the_section(
+    tiny_bundle, tmp_path, capsys, edit
+):
+    """An edit to what the run recorded, digests recomputed: the bundle
+    verifies, but the replay's own spans or topology differ from it."""
+    mutate, section = RECORDED_EDITS[edit]
+    doc = _doc(tiny_bundle)
+    mutate(doc["sections"])
+    path = tmp_path / "edited.bundle.json"
+    path.write_text(json.dumps(_rehash(doc)))
+    assert main([str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "DIVERGED" in out
+    assert f"first divergence in {section}:" in out
+
+
+@pytest.fixture(scope="module")
+def fuzz_target(tiny_bundle, tmp_path_factory):
+    """A bundle path to overwrite, and the key path of every node of the
+    spans and topology sections."""
+    sections = _doc(tiny_bundle)["sections"]
+    nodes = [
+        (name, *path)
+        for name in ("spans", "topology")
+        for path in node_paths(sections[name])
+    ]
+    return tmp_path_factory.mktemp("fuzz") / "edited.bundle.json", nodes
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_any_re_digested_spans_or_topology_edit_never_verifies(
+    tiny_bundle, fuzz_target, data
+):
+    """Any one node of the spans or topology section replaced by a JSON
+    value of another canonical form, then re-digested: ``gp-replay
+    BUNDLE`` reports a divergence (1) or an untrusted bundle (3)."""
+    path, nodes = fuzz_target
+    node = data.draw(st.sampled_from(nodes), label="node")
+    value = data.draw(JSON_VALUES, label="value")
+    doc = _doc(tiny_bundle)
+    before = canonical_json(doc["sections"][node[0]])
+    put(doc["sections"], node, value)
+    assume(canonical_json(doc["sections"][node[0]]) != before)
+    path.write_text(json.dumps(_rehash(doc)))
+    assert main([str(path), "-q"]) in (1, 3)

@@ -13,6 +13,8 @@ from repro.provenance import read_bundle, run_views, write_run_dir
 from repro.provenance.bundle import content_digest
 from repro.provenance.cli import main
 
+from .conftest import JSON_VALUES, node_paths, put
+
 
 @pytest.fixture(scope="module")
 def fresh_run_dir(tiny_bundle, tmp_path_factory):
@@ -197,20 +199,13 @@ def test_run_dir_whose_spans_carry_metrics_still_verifies(run_dir, capsys):
     assert "VERIFIED" in capsys.readouterr().out
 
 
-def _put(node, path, value):
-    """Set the node at key ``path`` (non-empty) below ``node`` to ``value``."""
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-
-
 MALFORMED_SPANS = {
-    "doc is an int": lambda s: _put(s, ("spans", 0), 5),
-    "section is an object": lambda s: _put(s, ("spans",), {"0": s["spans"][0]}),
-    "span start is a string": lambda s: _put(s, ("spans", 0, "spans", 0, "start"), "soon"),
+    "doc is an int": lambda s: put(s, ("spans", 0), 5),
+    "section is an object": lambda s: put(s, ("spans",), {"0": s["spans"][0]}),
+    "span start is a string": lambda s: put(s, ("spans", 0, "spans", 0, "start"), "soon"),
     "span has no name": lambda s: s["spans"][0]["spans"][0].pop("name"),
-    "series is an int": lambda s: _put(s, ("spans", 0, "series"), 5),
-    "instant is an int": lambda s: _put(s, ("spans", 0, "instants", 0), 5),
+    "series is an int": lambda s: put(s, ("spans", 0, "series"), 5),
+    "instant is an int": lambda s: put(s, ("spans", 0, "instants", 0), 5),
 }
 
 INVOCATIONS = {
@@ -236,27 +231,11 @@ def test_malformed_spans_doc_exit_three_with_named_code(run_dir, capsys, case, i
     assert err["section"] == "spans"
 
 
-def _node_paths(node, path=()):
-    """Every node of a JSON document, the root included, as key paths."""
-    yield path
-    if isinstance(node, (dict, list)):
-        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from _node_paths(child, path + (key,))
-
-
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
-    max_leaves=8,
-)
-
-
 @pytest.fixture(scope="module")
 def fuzz_target(fresh_run_dir, tmp_path_factory):
     out = shutil.copytree(fresh_run_dir, tmp_path_factory.mktemp("fuzz") / "run-out")
     text = (out / "tiny.bundle.json").read_text()
-    return out, text, list(_node_paths(json.loads(text)["sections"]["spans"]))
+    return out, text, list(node_paths(json.loads(text)["sections"]["spans"]))
 
 
 @given(data=st.data())
@@ -267,7 +246,7 @@ def test_fuzzed_spans_section_exits_zero_or_three(fuzz_target, data):
     what is wrong (3), and never raises."""
     out, original, paths = fuzz_target
     path = data.draw(st.sampled_from(paths), label="node")
-    value = data.draw(_JSON_VALUES, label="value")
+    value = data.draw(JSON_VALUES, label="value")
     (out / "tiny.bundle.json").write_text(original)
-    _retamper_bundle(out, lambda s: _put(s, ("spans", *path), value), rehash=True)
+    _retamper_bundle(out, lambda s: put(s, ("spans", *path), value), rehash=True)
     assert main([str(out), "--check-only", "-q"]) in (0, 3)
