@@ -52,7 +52,6 @@ from .recorder import (
     recorder_for_context,
 )
 from .timeseries import NULL_SERIES, TimeSeries, series_points, timeseries_jsonl
-from .tracediff import SpanDivergence, first_span_divergence, render_span_divergence
 from .validate import check_chrome_trace, check_critpath, check_obs_docs, check_timeseries
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "NullRecorder",
     "ObsRecorder",
     "Span",
-    "SpanDivergence",
     "TimeSeries",
     "annotations",
     "as_docs",
@@ -74,10 +72,8 @@ __all__ = [
     "chrome_trace",
     "critical_path",
     "critpath_doc",
-    "first_span_divergence",
     "layer_of",
     "recorder_for_context",
-    "render_span_divergence",
     "series_points",
     "summary_rows",
     "summary_table",

@@ -3,9 +3,9 @@ directory's views.
 
 * :func:`check_obs_docs` — a bundle's ``spans`` section: a list of
   :meth:`~repro.obs.recorder.ObsRecorder.to_dict` docs, every field the
-  recorder writes present and of the type the exporters read (extra
-  keys are ignored), so a malformed doc is a named error, never a crash
-  while the views are derived;
+  recorder writes (a doc's are :data:`OBS_DOC_KEYS`) present and of the
+  type the exporters read (extra keys are ignored), so a malformed doc
+  is a named error, never a crash while the views are derived;
 * :func:`check_chrome_trace` — Chrome ``trace_event`` JSON: object with
   a ``traceEvents`` list, known phases (``X``/``i``/``M``), integer
   ``pid``/``tid``, finite non-negative ``ts``/``dur``, per (pid, tid)
@@ -25,7 +25,13 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["check_chrome_trace", "check_critpath", "check_obs_docs", "check_timeseries"]
+__all__ = [
+    "OBS_DOC_KEYS",
+    "check_chrome_trace",
+    "check_critpath",
+    "check_obs_docs",
+    "check_timeseries",
+]
 
 #: tolerance for "segment durations sum to the makespan" (sim-seconds)
 _SUM_TOL = 1e-6
@@ -65,6 +71,11 @@ _RECORDS = {
     "instants": (("name", _STR), ("track", _STR), ("time", _NUM), ("attrs", _OBJ)),
     "annotations": (("kind", _STR), ("time", _NUM), ("attrs", _OBJ)),
 }
+
+#: every key the recorder writes in a doc: the keys checked here, and the
+#: keys replay compares (a key no recorder writes any more, such as the
+#: ``metrics`` object of older docs, is neither checked nor compared)
+OBS_DOC_KEYS = ("label", *_RECORDS, "series")
 
 _MISSING = object()
 

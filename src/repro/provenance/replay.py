@@ -2,34 +2,38 @@
 
 Identity replay (the default) rebuilds the bundled scenario — same specs,
 same seeds — runs it in-process through the benchmark harness, and
-compares the replayed ``sim_json()`` against the bundled sim section
-*as bytes*.  Equal means the run is reproducible
-infrastructure; unequal produces a structured first-divergence report
-(see :mod:`repro.reporting.divergence`), never a silent pass.
+builds the bundle that run would write with the code that wrote the
+original (:func:`~repro.provenance.bundle.build_bundle`).  The run
+reproduces when that bundle's ``spans``, ``topology`` and ``sim``
+sections have the bundled sections' canonical bytes (content digests).
+For each section that does not,
+:func:`~repro.reporting.divergence.first_divergence` names the first
+differing JSON path, and a ``spans`` divergence inside a span or an
+instant also names that record (name, track, sim time): never a silent
+pass.  A bundled obs doc is compared on every key the recorder writes
+(:data:`~repro.obs.validate.OBS_DOC_KEYS`); a key it no longer writes,
+the ``metrics`` object of docs written before metrics were dropped, is
+not compared.
+
+The replay records spans only when the bundle carries some, so a bundle
+of an uncaptured run (empty ``spans`` and ``topology``) replays as one.
 
 Counterfactual replay (``overrides``) re-runs the same scenario under
 altered inputs — a different instance type or seed — and reports
 per-metric deltas instead of demanding byte identity.
-
-Any kernel change that breaks reproduction of a bundle fails here,
-naming the exact JSON path and the first span that diverged.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .. import calibration
 from ..bench.harness import BenchSpec, BenchSuite, run_suite
 from ..cloud.instance_types import resolve
-from ..obs.tracediff import (
-    SpanDivergence,
-    first_span_divergence,
-    render_span_divergence,
-)
-from ..obs.validate import check_obs_docs
+from ..obs.validate import OBS_DOC_KEYS, check_obs_docs
 from ..reporting.divergence import (
     Divergence,
     comparison_rows,
@@ -37,10 +41,17 @@ from ..reporting.divergence import (
     render_comparison,
     render_divergence,
 )
-from .bundle import BundleError, ProvenanceBundle, content_digest
+from .bundle import BundleError, ProvenanceBundle, build_bundle, content_digest
 
 #: counterfactual knobs ``--override`` accepts, and how each applies
 OVERRIDE_KEYS = ("instance_type", "seed")
+
+#: the sections an identity replay derives from its own run, in report order
+REPLAYED_SECTIONS = ("spans", "topology", "sim")
+
+#: a ``first_divergence`` path into the spans section that falls inside
+#: one span or instant: doc index, record list, record index
+_RECORD_PATH = re.compile(r"\$\[(\d+)\]\.(spans|instants)\[(\d+)\]")
 
 
 def verify_bundle(bundle: ProvenanceBundle) -> None:
@@ -216,10 +227,11 @@ class ReplayReport:
     suite: str
     overrides: dict = field(default_factory=dict)
     verified: Optional[bool] = None
-    divergence: Optional[Divergence] = None
-    #: first recorded *span* that moved (trace-level localization of the
-    #: numeric divergence above; None when spans matched or none bundled)
-    span_divergence: Optional[SpanDivergence] = None
+    #: the first divergence of each replayed section that did not reproduce
+    divergences: dict[str, Divergence] = field(default_factory=dict)
+    #: name, track, sim time and doc label of the span or instant the
+    #: ``spans`` divergence falls inside (None when it falls elsewhere)
+    record: Optional[dict] = None
     replay_ok: bool = True         # every replayed task returned ok
     comparison: list[dict] = field(default_factory=list)
     tasks: int = 0
@@ -230,10 +242,10 @@ class ReplayReport:
             "suite": self.suite,
             "overrides": dict(self.overrides),
             "verified": self.verified,
-            "divergence": self.divergence.to_dict() if self.divergence else None,
-            "span_divergence": self.span_divergence.to_dict()
-            if self.span_divergence
-            else None,
+            "divergences": {
+                name: div.to_dict() for name, div in self.divergences.items()
+            },
+            "record": self.record,
             "replay_ok": self.replay_ok,
             "comparison": list(self.comparison),
             "tasks": self.tasks,
@@ -243,18 +255,44 @@ class ReplayReport:
         head = f"replay of suite {self.suite!r}: {self.tasks} spec(s)"
         if self.mode == "verify":
             if self.verified:
-                return f"{head}\nVERIFIED: replayed sim JSON is byte-identical"
+                return f"{head}\nVERIFIED: replayed spans, topology and sim are byte-identical"
             lines = [head, "DIVERGED: replay did not reproduce the bundled run"]
-            if self.span_divergence is not None:
-                lines.append(render_span_divergence(self.span_divergence))
-            if self.divergence is not None:
-                lines.append(render_divergence(self.divergence))
+            for name, div in self.divergences.items():
+                lines.append(render_divergence(div, title=f"first divergence in {name}"))
+                if name == "spans" and self.record is not None:
+                    rec = self.record
+                    lines.append(
+                        f"  record:   {rec['name']} [{rec['track']}] at t={rec['time']:g}s"
+                        f" in {rec['context']}"
+                    )
             return "\n".join(lines)
         lines = [head, f"counterfactual overrides: {self.overrides}"]
         if not self.replay_ok:
             lines.append("WARNING: some replayed tasks failed; deltas are partial")
         lines.append(render_comparison(self.comparison))
         return "\n".join(lines)
+
+
+def _record_at(path: str, *sides: list) -> Optional[dict]:
+    """Name, track, sim time and doc label of the span or instant that a
+    spans-section divergence ``path`` falls inside, from the first side
+    holding it."""
+    match = _RECORD_PATH.match(path)
+    if match is None:
+        return None
+    doc, kind, index = int(match[1]), match[2], int(match[3])
+    for docs in sides:
+        records = docs[doc][kind] if doc < len(docs) else []
+        if index < len(records):
+            rec = records[index]
+            time = rec["start"] if kind == "spans" else rec["time"]
+            return {
+                "name": rec["name"],
+                "track": rec["track"],
+                "time": time,
+                "context": docs[doc]["label"],
+            }
+    return None
 
 
 def replay(
@@ -266,19 +304,18 @@ def replay(
     """Re-execute a bundle; identity-verify or compare counterfactually.
 
     ``verify=True`` (the default) runs :func:`verify_bundle` first, so a
-    corrupted bundle never reaches the simulator.  ``workers`` feeds the
-    harness fan-out; the merge is spec-order deterministic, so identity
-    verification is unaffected by parallelism.
+    corrupted bundle never reaches the simulator; pass ``False`` only for
+    a bundle already verified.  ``workers`` feeds the harness fan-out;
+    the merge is spec-order deterministic, so identity verification is
+    unaffected by parallelism.
     """
     if verify:
         verify_bundle(bundle)
     overrides = dict(overrides or {})
     suite = rebuild_suite(bundle, overrides)
     counterfactual = bool(overrides)
-    # Identity verification of a bundle that carries spans records them
-    # on the replay too: the obs-on sim JSON is byte-identical to obs-off
-    # (CI pins this), so one run serves both the numeric byte-compare and
-    # the structural span diff that *names* the first operation to move.
+    # recording spans leaves the sim JSON byte-identical (CI pins this),
+    # so one run yields every section the bundle's own run wrote
     replay_obs = not counterfactual and bool(bundle.spans)
     result = run_suite(suite, workers=workers, obs=replay_obs)
     report = ReplayReport(
@@ -289,21 +326,26 @@ def replay(
         tasks=len(result.tasks),
     )
     if not counterfactual:
-        expected, actual = bundle.sim_json(), result.sim_json()
-        sim_ok = expected == actual
-        if replay_obs:
-            report.span_divergence = first_span_divergence(
-                bundle.spans, result.obs_docs()
+        replayed = build_bundle(result).sections()
+        bundled = {
+            "spans": [{key: doc[key] for key in OBS_DOC_KEYS} for doc in bundle.spans],
+            "topology": bundle.topology,
+            "sim": bundle.sim,
+        }
+        for name in REPLAYED_SECTIONS:
+            expected, actual = bundled[name], replayed[name]
+            if content_digest(expected) == content_digest(actual):
+                continue
+            # equal values in other bytes (an int where the other side has
+            # a float, or -0.0 against 0.0) diverge at the root
+            report.divergences[name] = first_divergence(expected, actual) or Divergence(
+                "$", "<equal values>", "<other canonical bytes>"
             )
-        report.verified = sim_ok and report.span_divergence is None
-        if not sim_ok:
-            report.divergence = first_divergence(bundle.sim, result.sim_dict())
-            if report.divergence is None:
-                # semantically equal but not byte-equal (should not
-                # happen with canonical writers; still never pass silently)
-                report.divergence = Divergence(
-                    "$", "<byte-level formatting>", "<byte-level formatting>"
-                )
+        if "spans" in report.divergences:
+            report.record = _record_at(
+                report.divergences["spans"].path, bundled["spans"], replayed["spans"]
+            )
+        report.verified = not report.divergences
         return report
 
     # counterfactual: pair payloads by spec name and diff the numbers

@@ -2,11 +2,12 @@
 
 Two consumers share this module:
 
-* ``gp-replay``'s verifier — when a replayed run's sim JSON is not
-  byte-identical to the bundled original, :func:`first_divergence` walks
-  both documents in deterministic order and names the first differing
-  path, so the failure report says *where* reproduction broke instead of
-  dumping two multi-kilobyte blobs;
+* ``gp-replay``'s verifier — for each section the replayed run derives
+  (``spans``, ``topology``, ``sim``) whose canonical bytes differ from
+  the bundled one, :func:`first_divergence` walks both documents in
+  deterministic order and names the first differing path, so the
+  failure report says *where* reproduction broke instead of dumping two
+  multi-kilobyte blobs;
 * counterfactual replay — :func:`comparison_rows` /
   :func:`render_comparison` turn a baseline payload and a what-if payload
   into a per-metric delta table (makespans, costs, event counts).

@@ -6,7 +6,6 @@ bundle section (topology annotations, span log, seeds, sim payload).
 """
 
 import pytest
-from hypothesis import strategies as st
 
 from repro.bench.harness import BenchSpec, BenchSuite, run_suite
 from repro.provenance import build_bundle
@@ -38,26 +37,3 @@ def tiny_result():
 def tiny_bundle(tiny_result):
     return build_bundle(tiny_result)
 
-
-def put(node, path, value):
-    """Set the node at key ``path`` (non-empty) below ``node`` to ``value``."""
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-
-
-def node_paths(node, path=()):
-    """Every node of a JSON document, the root included, as key paths."""
-    yield path
-    if isinstance(node, (dict, list)):
-        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from node_paths(child, path + (key,))
-
-
-#: any JSON value, small enough that one replay stays cheap
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
-    max_leaves=8,
-)

@@ -22,7 +22,7 @@ from repro.provenance import (
 from repro.provenance.bundle import SECTION_NAMES, canonical_json, content_digest
 from repro.provenance.cli import main
 
-from .conftest import JSON_VALUES, node_paths, put
+from ..json_fuzz import JSON_VALUES, node_paths, put
 
 
 def _doc(bundle) -> dict:

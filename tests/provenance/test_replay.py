@@ -27,7 +27,8 @@ def test_replay_is_byte_identical():
     report = replay(bundle)
     assert report.mode == "verify"
     assert report.verified is True
-    assert report.divergence is None
+    assert report.divergences == {}
+    assert report.record is None
 
 
 def test_rebuild_suite_reapplies_seeds(tiny_bundle):
@@ -138,7 +139,8 @@ def test_cli_json_out_report(bundle_path, tmp_path):
     assert main([str(bundle_path), "--json-out", str(report_path), "-q"]) == 0
     doc = json.loads(report_path.read_text())
     assert doc["verified"] is True
-    assert doc["divergence"] is None
+    assert doc["divergences"] == {}
+    assert doc["record"] is None
 
 
 def test_cli_counterfactual_exit_zero(bundle_path, capsys):
@@ -236,7 +238,7 @@ def test_cli_unrebuildable_scenario_exit_three(
     assert err["error"]["section"] == "scenario"
 
 
-# -- trace-diff localization: name the span that moved ----------------------
+# -- localization: name the section, the path and the span that moved -------
 
 
 def _tampered_bundle_path(bundle, tmp_path, mutate):
@@ -283,17 +285,19 @@ def test_replay_names_the_span_that_moved(tiny_bundle, tmp_path):
     path = _tampered_bundle_path(tiny_bundle, tmp_path, shift_first_condor_wait)
     report = replay(read_bundle(path))
     assert report.verified is False
-    div = report.span_divergence
-    assert div is not None
-    assert div.name == "condor.wait"
-    assert div.track.startswith("condor/")
-    assert div.field == "start"
+    div = report.divergences["spans"]
+    assert div.path.endswith(".start")
     assert div.actual == div.expected + 1.5
+    record = report.record
+    assert record["name"] == "condor.wait"
+    assert record["track"].startswith("condor/")
+    assert record["time"] == div.expected
+    assert record["context"] == tiny_bundle.spans[0]["label"]
     rendered = report.render()
     assert "DIVERGED" in rendered
     assert "condor.wait" in rendered
-    assert div.track in rendered
-    assert f"t={div.time:g}s" in rendered
+    assert record["track"] in rendered
+    assert f"t={record['time']:g}s" in rendered
 
 
 def test_spans_only_tamper_still_fails_verification(tiny_bundle, tmp_path):
@@ -306,13 +310,17 @@ def test_spans_only_tamper_still_fails_verification(tiny_bundle, tmp_path):
     path = _tampered_bundle_path(tiny_bundle, tmp_path, drop_last_span)
     report = replay(read_bundle(path))
     assert report.verified is False
-    assert report.span_divergence is not None
-    assert report.span_divergence.field == "<missing>"
-    # the numeric sim compare saw nothing wrong; the span diff did
-    assert report.divergence is None
+    div = report.divergences["spans"]
+    last = len(tiny_bundle.spans[0]["spans"]) - 1
+    assert div.path == f"$[0].spans[{last}]"
+    assert div.expected == "<absent>"
+    # the record comes from the side that has it: the replay's
+    assert report.record["name"] == tiny_bundle.spans[0]["spans"][last]["name"]
+    # the sim and topology sections reproduced; only the spans did not
+    assert set(report.divergences) == {"spans"}
 
 
-def test_cli_reports_span_divergence_and_exit_one(tiny_bundle, tmp_path, capsys):
+def test_cli_names_the_shifted_span_and_exits_one(tiny_bundle, tmp_path, capsys):
     def shift_boot(sections):
         spans = [
             s for d in sections["spans"] for s in d["spans"]
@@ -323,5 +331,5 @@ def test_cli_reports_span_divergence_and_exit_one(tiny_bundle, tmp_path, capsys)
     path = _tampered_bundle_path(tiny_bundle, tmp_path, shift_boot)
     assert main([str(path)]) == 1
     out = capsys.readouterr().out
-    assert "first diverging span" in out
+    assert "first divergence in spans" in out
     assert "ec2.boot" in out

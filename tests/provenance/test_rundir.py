@@ -13,7 +13,7 @@ from repro.provenance import read_bundle, run_views, write_run_dir
 from repro.provenance.bundle import content_digest
 from repro.provenance.cli import main
 
-from .conftest import JSON_VALUES, node_paths, put
+from ..json_fuzz import JSON_VALUES, node_paths, put
 
 
 @pytest.fixture(scope="module")

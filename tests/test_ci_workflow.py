@@ -336,7 +336,7 @@ def test_no_step_uses_the_deleted_artefact_flags(workflow):
 
 
 def test_bench_job_rejects_tampered_span_log(workflow):
-    """The trace-diff negative gate: a bundle whose span log was perturbed
+    """The span-log negative gate: a bundle whose span log was perturbed
     must fail replay and the failure must name the diverging span."""
     commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
     tampered = [c for c in commands if "perturbed.bundle.json" in c]
@@ -346,9 +346,25 @@ def test_bench_job_rejects_tampered_span_log(workflow):
     assert "|| code=$?" in step and '[ "$code" -ne 1 ]' in step and "exit 1" in step, (
         "gp-replay must exit exactly 1 (replay diverged), not just nonzero"
     )
-    assert "first diverging span" in step, (
-        "the replay output must name the first diverging span"
+    assert "first divergence in spans" in step, (
+        "the replay output must name the section that diverged"
     )
     assert "condor.wait" in step, (
         "the asserted divergence must carry the span name"
+    )
+
+
+def test_bench_job_rejects_tampered_series_value(workflow):
+    """The whole-section gate: a copy of the bundle whose first
+    ``condor.idle_jobs`` series value was changed, then re-digested, must
+    fail replay, because the replay compares every recorded key."""
+    commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
+    tampered = [c for c in commands if "condor.idle_jobs" in c]
+    assert tampered, "bench-smoke must exercise a bundle with a tampered series value"
+    step = tampered[0]
+    assert "run-out/smoke.bundle.json" in step, "tamper with the run directory's bundle"
+    assert "points[0][1] += 1" in step, "change the first series value"
+    assert "content_digest" in step, "the spans section must be re-digested"
+    assert "|| code=$?" in step and '[ "$code" -ne 1 ]' in step and "exit 1" in step, (
+        "gp-replay must exit exactly 1 (replay diverged), not just nonzero"
     )
