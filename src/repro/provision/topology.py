@@ -52,7 +52,9 @@ class DomainSpec:
             raise TopologyError("cluster-nodes requires condor: yes")
         if self.crdata and not self.galaxy:
             raise TopologyError("crdata tools require galaxy: yes")
-        if self.go_endpoint is not None and "#" not in self.go_endpoint:
+        if self.go_endpoint is not None and not (
+            isinstance(self.go_endpoint, str) and "#" in self.go_endpoint
+        ):
             raise TopologyError(
                 f"go-endpoint {self.go_endpoint!r} must be 'owner#name'"
             )
@@ -231,6 +233,12 @@ class Topology:
             raise TopologyError(f"bad JSON topology: {exc}") from exc
         try:
             domains = tuple(_domain_from_doc(d) for d in doc["domains"])
+            # every EC2 and Globus Online setting is a string
+            for section in ("ec2", "globusonline"):
+                settings = doc.get(section)
+                for key, value in (settings if isinstance(settings, dict) else {}).items():
+                    if not isinstance(value, str):
+                        raise TopologyError(f"{section}: {key}: {value!r} is not a string")
             ec2 = EC2Spec(**doc.get("ec2", {}))
             go_doc = doc.get("globusonline")
             go = GlobusOnlineSpec(**go_doc) if go_doc is not None else None
@@ -255,6 +263,8 @@ class Topology:
             if section not in parser:
                 raise TopologyError(f"missing section [{section}]")
             sec = parser[section]
+            worker_types = sec.get("worker-instance-types", "").split()
+            _check_instance_types(f"[{section}] worker-instance-types", worker_types)
             domains.append(
                 DomainSpec(
                     name=name,
@@ -266,9 +276,7 @@ class Topology:
                     crdata=_conf_get(sec, "crdata", False),
                     cluster_nodes=_conf_get(sec, "cluster-nodes", 0),
                     go_endpoint=sec.get("go-endpoint", fallback=None),
-                    worker_instance_types=tuple(
-                        sec.get("worker-instance-types", "").split()
-                    ),
+                    worker_instance_types=tuple(worker_types),
                     storage=sec.get("storage", fallback="nfs"),
                     storage_nodes=_conf_get(sec, "storage-nodes", 0),
                 )
@@ -292,27 +300,43 @@ class Topology:
 
 #: JSON domain keys whose values must have exactly this type
 _JSON_DOMAIN_TYPES = {
+    "name": str, "storage": str,
     "nfs": bool, "gridftp": bool, "condor": bool, "galaxy": bool, "crdata": bool,
     "cluster_nodes": int, "storage_nodes": int,
 }
 
+_EXPECTED = {str: "a string", bool: "true or false", int: "an integer"}
+
+#: JSON domain keys whose values must be lists of strings
+_JSON_DOMAIN_LISTS = ("users", "worker_instance_types")
+
 
 def _domain_from_doc(d: dict) -> DomainSpec:
-    """One domain of a JSON topology; a flag or count of the wrong type is
-    a TopologyError naming the domain, the key and the value."""
+    """One domain of a JSON topology; a value of the wrong type, or a worker
+    type the catalog does not know, is a TopologyError naming the domain,
+    the key and the value."""
+    if not isinstance(d, dict):
+        raise TopologyError(f"domain {d!r} is not an object")
+    where = f"domain {d.get('name')!r}"
     for key, kind in _JSON_DOMAIN_TYPES.items():
         if key in d and type(d[key]) is not kind:
-            expected = "true or false" if kind is bool else "an integer"
-            raise TopologyError(
-                f"domain {d.get('name')!r}: {key}: {d[key]!r} is not {expected}"
-            )
-    return DomainSpec(
-        **{
-            **d,
-            "users": tuple(d.get("users", ())),
-            "worker_instance_types": tuple(d.get("worker_instance_types", ())),
-        }
-    )
+            raise TopologyError(f"{where}: {key}: {d[key]!r} is not {_EXPECTED[kind]}")
+    for key in _JSON_DOMAIN_LISTS:
+        value = d.get(key, [])
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise TopologyError(f"{where}: {key}: {value!r} is not a list of strings")
+    _check_instance_types(f"{where}: worker_instance_types", d.get("worker_instance_types", ()))
+    return DomainSpec(**{**d, **{key: tuple(d.get(key, ())) for key in _JSON_DOMAIN_LISTS}})
+
+
+def _check_instance_types(where: str, names) -> None:
+    """A worker type the catalog does not know is a TopologyError here, at
+    parse, not a KeyError when the deployer launches the worker."""
+    for name in names:
+        try:
+            resolve(name)
+        except KeyError as exc:
+            raise TopologyError(f"{where}: {exc.args[0]}") from None
 
 
 def _conf_get(sec: configparser.SectionProxy, key: str, fallback: bool | int) -> bool | int:

@@ -3,9 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.provision import PAPER_GALAXY_CONF, Topology, with_extra_worker
 from repro.provision.cli import main
+
+from ..json_fuzz import JSON_VALUES, node_paths, put
 
 
 @pytest.fixture
@@ -143,8 +147,9 @@ def bad_topology_file(home, name, key, value):
         doc["domains"][0][key] = value
         path.write_text(json.dumps(doc))
     else:
-        line = next(ln for ln in conf.splitlines() if ln.startswith(f"{key}:"))
-        path.write_text(conf.replace(line, f"{key}: {value}"))
+        lines = [ln for ln in conf.splitlines() if not ln.startswith(f"{key}:")]
+        lines.insert(lines.index("[domain-simple]") + 1, f"{key}: {value}")
+        path.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -174,6 +179,84 @@ def test_update_bad_topology_value_is_a_named_error(home, capsys, name, key, val
     assert code == 1 and out == ""
     assert err.startswith("error: ")
     assert "simple" in err and key in err and repr(value) in err
+
+
+#: values the parsers once let through: (file, key, value, the value as the
+#: error shows it); each crashed a later command, or create itself
+UNCHECKED_VALUES = [
+    ("new.conf", "worker-instance-types", "m9.huge", "'m9.huge'"),
+    ("new.json", "worker_instance_types", ["m9.huge"], "'m9.huge'"),
+    ("new.json", "worker_instance_types", "c1.medium", "'c1.medium'"),
+    ("new.json", "users", "alice", "'alice'"),
+    ("new.json", "name", ["simple"], "['simple']"),
+    ("new.json", "name", {"simple": 1}, "{'simple': 1}"),
+]
+
+
+@pytest.mark.parametrize("command", ["create", "update"])
+@pytest.mark.parametrize(
+    "name, key, value, shown",
+    UNCHECKED_VALUES,
+    ids=[
+        "ini-unknown-worker-type",
+        "json-unknown-worker-type",
+        "json-worker-types-string",
+        "json-users-string",
+        "json-name-list",
+        "json-name-object",
+    ],
+)
+def test_unchecked_topology_value_is_a_named_error(
+    home, capsys, command, name, key, value, shown
+):
+    argv = ["create", "-c"]
+    if command == "update":
+        gpi_id = create_instance(home, capsys)
+        run_cli(capsys, "start", gpi_id)
+        argv = ["update", gpi_id, "-t"]
+    path = bad_topology_file(home, name, key, value)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert "simple" in err and key in err and shown in err
+
+
+@pytest.mark.parametrize("value", [5, None])
+def test_non_string_ec2_instance_type_is_a_named_error(home, capsys, value):
+    doc = json.loads(Topology.from_conf((home / "galaxy.conf").read_text()).to_json())
+    doc["ec2"]["instance_type"] = value
+    path = home / "new.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "create", "-c", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: ec2: instance_type: {value!r} is not a string\n"
+
+
+PAPER_DOC = json.loads(Topology.from_conf(PAPER_GALAXY_CONF).to_json())
+
+
+@pytest.fixture(scope="module")
+def fuzz_home(tmp_path_factory):
+    home = tmp_path_factory.mktemp("fuzz")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GP_SIM_HOME", str(home / "gp-sim"))
+        yield home
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_topology_json_create_exits_zero_or_one(fuzz_home, data):
+    """Any one node of the paper topology's JSON form replaced by any JSON
+    value: ``gp-instance create`` takes it (0) or names what is wrong (1),
+    and never raises.  Only ``create`` runs: a fuzzed ``cluster_nodes``
+    would make ``start`` boot that many instances."""
+    path = data.draw(st.sampled_from(list(node_paths(PAPER_DOC))), label="node")
+    value = data.draw(JSON_VALUES, label="value")
+    box = [json.loads(json.dumps(PAPER_DOC))]
+    put(box, (0, *path), value)
+    topology = fuzz_home / "fuzzed.json"
+    topology.write_text(json.dumps(box[0]))
+    assert main(["create", "-c", str(topology)]) in (0, 1)
 
 
 @pytest.mark.parametrize("text", ["{bad", "[]"], ids=["not-json", "not-an-object"])
