@@ -46,9 +46,6 @@ from .bundle import BundleError, ProvenanceBundle, build_bundle, content_digest
 #: counterfactual knobs ``--override`` accepts, and how each applies
 OVERRIDE_KEYS = ("instance_type", "seed")
 
-#: the sections an identity replay derives from its own run, in report order
-REPLAYED_SECTIONS = ("spans", "topology", "sim")
-
 #: a ``first_divergence`` path into the spans section that falls inside
 #: one span or instant: doc index, record list, record index
 _RECORD_PATH = re.compile(r"\$\[(\d+)\]\.(spans|instants)\[(\d+)\]")
@@ -327,13 +324,14 @@ def replay(
     )
     if not counterfactual:
         replayed = build_bundle(result).sections()
+        # the sections the run derives, in report order
         bundled = {
             "spans": [{key: doc[key] for key in OBS_DOC_KEYS} for doc in bundle.spans],
             "topology": bundle.topology,
             "sim": bundle.sim,
         }
-        for name in REPLAYED_SECTIONS:
-            expected, actual = bundled[name], replayed[name]
+        for name, expected in bundled.items():
+            actual = replayed[name]
             if content_digest(expected) == content_digest(actual):
                 continue
             # equal values in other bytes (an int where the other side has

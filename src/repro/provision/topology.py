@@ -52,9 +52,7 @@ class DomainSpec:
             raise TopologyError("cluster-nodes requires condor: yes")
         if self.crdata and not self.galaxy:
             raise TopologyError("crdata tools require galaxy: yes")
-        if self.go_endpoint is not None and not (
-            isinstance(self.go_endpoint, str) and "#" in self.go_endpoint
-        ):
+        if self.go_endpoint is not None and "#" not in self.go_endpoint:
             raise TopologyError(
                 f"go-endpoint {self.go_endpoint!r} must be 'owner#name'"
             )
@@ -233,10 +231,13 @@ class Topology:
             raise TopologyError(f"bad JSON topology: {exc}") from exc
         try:
             domains = tuple(_domain_from_doc(d) for d in doc["domains"])
-            # every EC2 and Globus Online setting is a string
+            # every EC2 and Globus Online setting is a string; a section that
+            # is not an object is left to the spec constructor to refuse
             for section in ("ec2", "globusonline"):
                 settings = doc.get(section)
-                for key, value in (settings if isinstance(settings, dict) else {}).items():
+                if not isinstance(settings, dict):
+                    continue
+                for key, value in settings.items():
                     if not isinstance(value, str):
                         raise TopologyError(f"{section}: {key}: {value!r} is not a string")
             ec2 = EC2Spec(**doc.get("ec2", {}))

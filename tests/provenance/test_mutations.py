@@ -185,6 +185,7 @@ RECORDED_EDITS = {
     ),
     "span attrs": (lambda s: _span_named(s, "kernel.run")["attrs"].update(events=1), "spans"),
     "span error": (lambda s: put(s, ("spans", 0, "spans", 0, "error"), "boom"), "spans"),
+    "span cause": (lambda s: _span_named(s, "chef.converge").update(cause_id=None), "spans"),
     "annotation time": (
         lambda s: put(s, ("spans", 0, "annotations", 0, "time"), 99.0),
         "spans",

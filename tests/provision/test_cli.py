@@ -181,8 +181,9 @@ def test_update_bad_topology_value_is_a_named_error(home, capsys, name, key, val
     assert "simple" in err and key in err and repr(value) in err
 
 
-#: values the parsers once let through: (file, key, value, the value as the
-#: error shows it); each crashed a later command, or create itself
+#: values a parser must refuse, though their type or name only fails when
+#: a later command deploys them: (file, key, value, the value as the error
+#: shows it)
 UNCHECKED_VALUES = [
     ("new.conf", "worker-instance-types", "m9.huge", "'m9.huge'"),
     ("new.json", "worker_instance_types", ["m9.huge"], "'m9.huge'"),
