@@ -264,8 +264,9 @@ class Topology:
             if section not in parser:
                 raise TopologyError(f"missing section [{section}]")
             sec = parser[section]
-            worker_types = sec.get("worker-instance-types", "").split()
-            _check_instance_types(f"[{section}] worker-instance-types", worker_types)
+            raw = sec.get("worker-instance-types", "")
+            worker_types = raw.split()
+            _check_instance_types(f"[{section}] worker-instance-types: {raw!r}", worker_types)
             domains.append(
                 DomainSpec(
                     name=name,
@@ -326,7 +327,8 @@ def _domain_from_doc(d: dict) -> DomainSpec:
         value = d.get(key, [])
         if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
             raise TopologyError(f"{where}: {key}: {value!r} is not a list of strings")
-    _check_instance_types(f"{where}: worker_instance_types", d.get("worker_instance_types", ()))
+    types = d.get("worker_instance_types", [])
+    _check_instance_types(f"{where}: worker_instance_types: {types!r}", types)
     return DomainSpec(**{**d, **{key: tuple(d.get(key, ())) for key in _JSON_DOMAIN_LISTS}})
 
 
@@ -337,7 +339,7 @@ def _check_instance_types(where: str, names) -> None:
         try:
             resolve(name)
         except KeyError as exc:
-            raise TopologyError(f"{where}: {exc.args[0]}") from None
+            raise TopologyError(f"{where} names an {exc.args[0]}") from None
 
 
 def _conf_get(sec: configparser.SectionProxy, key: str, fallback: bool | int) -> bool | int:

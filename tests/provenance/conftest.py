@@ -36,4 +36,3 @@ def tiny_result():
 @pytest.fixture(scope="session")
 def tiny_bundle(tiny_result):
     return build_bundle(tiny_result)
-

@@ -158,6 +158,15 @@ BAD_VALUES = [
     ("new.conf", "condor", "maybe"),
     ("new.json", "cluster_nodes", "abc"),
     ("new.json", "condor", "maybe"),
+    # a worker type, name or list only a later command would trip over
+    ("new.conf", "worker-instance-types", "m9.huge"),
+    pytest.param(
+        "new.json", "worker_instance_types", ["m9.huge"], id="new.json-unknown-worker-type"
+    ),
+    ("new.json", "worker_instance_types", "c1.medium"),
+    ("new.json", "users", "alice"),
+    pytest.param("new.json", "name", ["simple"], id="new.json-name-list"),
+    pytest.param("new.json", "name", {"simple": 1}, id="new.json-name-object"),
 ]
 
 
@@ -179,47 +188,6 @@ def test_update_bad_topology_value_is_a_named_error(home, capsys, name, key, val
     assert code == 1 and out == ""
     assert err.startswith("error: ")
     assert "simple" in err and key in err and repr(value) in err
-
-
-#: values a parser must refuse, though their type or name only fails when
-#: a later command deploys them: (file, key, value, the value as the error
-#: shows it)
-UNCHECKED_VALUES = [
-    ("new.conf", "worker-instance-types", "m9.huge", "'m9.huge'"),
-    ("new.json", "worker_instance_types", ["m9.huge"], "'m9.huge'"),
-    ("new.json", "worker_instance_types", "c1.medium", "'c1.medium'"),
-    ("new.json", "users", "alice", "'alice'"),
-    ("new.json", "name", ["simple"], "['simple']"),
-    ("new.json", "name", {"simple": 1}, "{'simple': 1}"),
-]
-
-
-@pytest.mark.parametrize("command", ["create", "update"])
-@pytest.mark.parametrize(
-    "name, key, value, shown",
-    UNCHECKED_VALUES,
-    ids=[
-        "ini-unknown-worker-type",
-        "json-unknown-worker-type",
-        "json-worker-types-string",
-        "json-users-string",
-        "json-name-list",
-        "json-name-object",
-    ],
-)
-def test_unchecked_topology_value_is_a_named_error(
-    home, capsys, command, name, key, value, shown
-):
-    argv = ["create", "-c"]
-    if command == "update":
-        gpi_id = create_instance(home, capsys)
-        run_cli(capsys, "start", gpi_id)
-        argv = ["update", gpi_id, "-t"]
-    path = bad_topology_file(home, name, key, value)
-    code, out, err = run_cli(capsys, *argv, str(path))
-    assert code == 1 and out == ""
-    assert err.startswith("error: ")
-    assert "simple" in err and key in err and shown in err
 
 
 @pytest.mark.parametrize("value", [5, None])
