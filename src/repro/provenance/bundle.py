@@ -256,9 +256,13 @@ def read_bundle(path: pathlib.Path | str) -> ProvenanceBundle:
     :func:`~repro.provenance.replay.verify_bundle` for integrity)."""
     path = pathlib.Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise BundleError("bundle.unreadable", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise BundleError(
+            "bundle.unreadable", f"{path} is not UTF-8 text: {exc}"
+        ) from exc
     if not text.strip():
         raise BundleError("bundle.unreadable", f"{path} is empty")
     try:

@@ -96,7 +96,10 @@ def save_registry(reg: dict) -> None:
 
 
 def _load_topology(path: str) -> Topology:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TopologyError(f"{path} is not UTF-8 text: {exc}") from None
     if path.endswith(".json"):
         return Topology.from_json(text)
     return Topology.from_conf(text)

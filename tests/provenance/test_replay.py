@@ -162,6 +162,16 @@ def test_cli_missing_bundle_exit_three(tmp_path, capsys):
     assert err["error"]["code"] == "bundle.unreadable"
 
 
+def test_cli_bundle_that_is_not_utf8_exit_three(bundle_path, tmp_path, capsys):
+    """A bundle saved as UTF-16 is unreadable (3), not a divergence (1)."""
+    utf16 = tmp_path / "utf16.bundle.json"
+    utf16.write_bytes(bundle_path.read_text().encode("utf-16"))
+    assert main([str(utf16)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == "bundle.unreadable"
+    assert "not UTF-8 text" in err["error"]["message"]
+
+
 @pytest.mark.parametrize("override", ["seed=abc", "seed=1.5"])
 def test_cli_non_integer_seed_exit_two(bundle_path, capsys, override):
     assert main([str(bundle_path), "--override", override]) == 2

@@ -131,6 +131,13 @@ DAMAGE = {
         "run.bundle-count",
         None,
     ),
+    "bundle not UTF-8": (
+        lambda d: (d / "tiny.bundle.json").write_bytes(
+            (d / "tiny.bundle.json").read_text().encode("utf-16")
+        ),
+        "bundle.unreadable",
+        None,
+    ),
     "tampered bundle section": (
         lambda d: _retamper_bundle(d, _drop_first_span, rehash=False),
         "bundle.section-digest",

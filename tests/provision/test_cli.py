@@ -201,6 +201,21 @@ def test_non_string_ec2_instance_type_is_a_named_error(home, capsys, value):
     assert err == f"error: ec2: instance_type: {value!r} is not a string\n"
 
 
+@pytest.mark.parametrize("command", ["create", "update"])
+def test_topology_file_that_is_not_utf8_is_a_named_error(home, capsys, command):
+    """The paper conf saved as UTF-16, so the file starts ``ff fe``."""
+    path = home / "galaxy-utf16.conf"
+    path.write_bytes(PAPER_GALAXY_CONF.encode("utf-16"))
+    argv = ["create", "-c", str(path)]
+    if command == "update":
+        gpi_id = create_instance(home, capsys)
+        run_cli(capsys, "start", gpi_id)
+        argv = ["update", "-t", str(path), gpi_id]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path} is not UTF-8 text: ")
+
+
 PAPER_DOC = json.loads(Topology.from_conf(PAPER_GALAXY_CONF).to_json())
 
 
