@@ -12,7 +12,8 @@ Exit status is 1 if any task failed or timed out — or if an
 otherwise-ok task's payload reports ``tasks_failed > 0`` — so CI can
 gate on the sweep directly; it is 2 for an unknown suite, a
 ``--workers`` below 1, a ``--timeout`` that is not positive, or a
-``--run-out`` that is an existing file or non-empty directory.
+``--run-out`` that is an existing file or non-empty directory or cannot
+be created.
 
 Payloads and ``--sim-json-out`` hold simulated results only; what a run
 costs the host is measured by ``perfbench/run.py``, not here.
@@ -118,6 +119,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.list:
         _list_suites(args.smoke)
         return 0
+    if run_out is not None:
+        try:
+            run_out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"--run-out {run_out} cannot be created: {exc.strerror}")
 
     suite = suites.combined(args.suites or None, smoke=args.smoke)
     mode = f"{args.workers} workers" if args.workers > 1 else "sequential"

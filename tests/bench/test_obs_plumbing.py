@@ -127,6 +127,20 @@ def test_cli_run_out_refuses_a_used_path(tmp_path, capsys):
     assert cli.main(["fig11", "--smoke", "--run-out", str(empty), "-q"]) == 0
 
 
+def test_cli_run_out_that_cannot_be_created_exits_two_before_running(tmp_path, capsys):
+    """A path below a regular file can never become the run directory:
+    the CLI says so before any task runs, not after the whole suite."""
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    target = a_file / "run"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fig11", "--smoke", "--run-out", str(target), "-q"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--run-out {target} cannot be created" in captured.err
+    assert "running suite" not in captured.out and "| spec" not in captured.out
+
+
 def test_committed_smoke_baseline_regenerates_byte_identically():
     """The obs-off determinism pin: rebuilding the smoke sweep's sim JSON
     reproduces benchmarks/results/bench_smoke_sim.json exactly."""
