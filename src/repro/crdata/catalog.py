@@ -18,7 +18,6 @@ Simulated time is unaffected; it comes from the work model.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from types import MappingProxyType
 from typing import Callable
@@ -615,7 +614,7 @@ def correlation_test_tool(run: ToolRunContext) -> None:
 
 #: bytes of written data and text the memo keeps.  Each shipped suite
 #: uses at most 3 keys (~113 KB per affyDifferentialExpression entry),
-#: all 50 digest-pin cases hold 6.6 MiB, and the largest entry is 2.3 MB
+#: all 50 digest-pin cases hold 6.5 MiB, and the largest entry is 2.3 MB
 #: (affyNormalize on the 72-array archive).
 MEMO_CAP_BYTES = 16 << 20
 
@@ -723,7 +722,6 @@ class ResultMemo:
     def wrap(
         self, tool_id: str, execute: Callable[[ToolRunContext], None]
     ) -> Callable[[ToolRunContext], None]:
-        @functools.wraps(execute)
         def memoized(run: ToolRunContext) -> None:
             try:
                 data = [handle.read() for handle in run.inputs]
