@@ -134,19 +134,21 @@ def flip_one_byte(data: bytes) -> bytes:
 
 
 @pytest.mark.parametrize(
-    "tool_id, upload, params",
+    "tool_id, kind, upload, params",
     [
-        pytest.param(DIFFEXPR, INPUTS["four_cel"], {"top_n": 49}, id="top_n-49"),
+        pytest.param(
+            DIFFEXPR, "four_cel", INPUTS["four_cel"], {"top_n": 49}, id="top_n-49"
+        ),
         pytest.param(
             TTEST,
+            "matrix",
             ("m.tsv", flip_one_byte(INPUTS["matrix"][1]), None, "tabular"),
             None,
             id="flipped-input-byte",
         ),
     ],
 )
-def test_changed_param_or_input_byte_misses(tool_id, upload, params, monkeypatch):
-    kind = "four_cel" if tool_id == DIFFEXPR else "matrix"
+def test_changed_param_or_input_byte_misses(tool_id, kind, upload, params, monkeypatch):
     assert run_once(tool_id, INPUTS[kind])[1].state == JobState.OK
     stub_compute(monkeypatch)
     # a miss computes, and the stubs make computing fail
