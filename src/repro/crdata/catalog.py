@@ -662,7 +662,7 @@ class _KeyedInput:
     @property
     def name(self) -> str:
         # not in the key: error text may name an input, a stored run may not
-        self._run.storable = False
+        self._run._storable = False
         return self._handle.name
 
 
@@ -671,14 +671,14 @@ class _KeyedRun:
     ``output(name)`` and ``log``.  Every effect reaches the real run at
     once and is recorded; any other attribute raises AttributeError."""
 
-    __slots__ = ("params", "outputs", "effects", "storable", "_inputs", "_run")
+    __slots__ = ("params", "outputs", "_effects", "_storable", "_inputs", "_run")
 
     def __init__(self, run: ToolRunContext, data: list[bytes]) -> None:
         self.params = MappingProxyType(run.params)
-        self.effects: list[tuple] = []
-        self.storable = True
+        self._effects: list[tuple] = []
+        self._storable = True
         self.outputs = {
-            name: _KeyedOutput(name, handle, self.effects)
+            name: _KeyedOutput(name, handle, self._effects)
             for name, handle in run.outputs.items()
         }
         self._inputs = [_KeyedInput(d, h, self) for d, h in zip(data, run.inputs)]
@@ -693,7 +693,7 @@ class _KeyedRun:
 
     def log(self, line: str) -> None:
         self._run.log(line)
-        self.effects.append(("log", None, (line,), {}))
+        self._effects.append(("log", None, (line,), {}))
 
 
 class ResultMemo:
@@ -741,8 +741,8 @@ class ResultMemo:
                 return
             keyed = _KeyedRun(run, data)
             execute(keyed)
-            if keyed.storable:
-                self._store(key, keyed.effects)
+            if keyed._storable:
+                self._store(key, keyed._effects)
 
         return memoized
 
