@@ -22,6 +22,10 @@ class DatasetState(str, enum.Enum):
     DISCARDED = "discarded"
 
 
+#: bytes of a payload :meth:`Dataset.set_peek` decodes first; it decodes
+#: four times as many each time the head holds too few lines
+_PEEK_HEAD_BYTES = 4096
+
 #: Extensions Galaxy recognises in this reproduction.
 KNOWN_EXTENSIONS = {
     "auto", "txt", "tabular", "csv", "zip", "cel", "bam", "png", "pdf",
@@ -57,11 +61,21 @@ class Dataset:
         return self.state == DatasetState.OK and not self.deleted
 
     def set_peek(self, data: bytes, lines: int = 5) -> None:
-        try:
-            text = data.decode("utf-8", errors="replace")
-        except Exception:  # pragma: no cover - decode with replace cannot fail
-            text = ""
-        self.peek = "\n".join(text.splitlines()[:lines])
+        """Keep the payload's first ``lines`` lines, decoding only its head.
+
+        The head grows until it splits into more than ``lines`` lines or
+        is the whole payload.  A character or CR LF pair cut at the end
+        of the head can change only the head's last line, which is never
+        kept.
+        """
+        size = _PEEK_HEAD_BYTES
+        while True:
+            head = data[:size]
+            split = head.decode("utf-8", errors="replace").splitlines()
+            if len(split) > lines or len(head) == len(data):
+                break
+            size *= 4
+        self.peek = "\n".join(split[:lines])
 
 
 @dataclass
