@@ -57,7 +57,7 @@ class MachineAd:
     attrs: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class CondorJob:
     """One queued unit of work.
 
@@ -66,6 +66,8 @@ class CondorJob:
     (the WaaS service) attach real computation to the simulated job; it
     runs once, when the job completes, and is then dropped, so the
     submitter's closure does not live as long as the job record.
+    :meth:`CondorPool.submit` passes the fields up to ``completed``
+    positionally.
     """
 
     id: int
@@ -76,13 +78,13 @@ class CondorJob:
     requirements: Optional[Requirements] = None
     rank: Optional[Rank] = None
     on_complete: Optional[Callable[["CondorJob"], None]] = None
-    state: JobState = JobState.IDLE
     submit_time: float = 0.0
+    completed: Optional[SimEvent] = None  # fires when COMPLETED
+    state: JobState = JobState.IDLE
     start_time: Optional[float] = None
     end_time: Optional[float] = None
     machine_name: Optional[str] = None
     evictions: int = 0
-    completed: Optional[SimEvent] = None  # fires when COMPLETED
     # obs causal carriers: ids of the job's current condor.wait /
     # condor.run spans, so each phase span can cite its predecessor
     # (wait <- submitter's span, run <- wait, requeued wait <- run) even
@@ -143,14 +145,17 @@ class Startd:
         """
         if self.free_slots < 1:
             raise CondorError(f"{self.machine.name} has no free slot")
+        machine = self.machine
         busy = self.busy
         slot = 0
         while slot in busy:  # lowest free slot; free_slots >= 1 bounds it
             slot += 1
         busy[slot] = job
+        pool._running += 1
+        now = self.ctx.now
         job.state = JobState.RUNNING
-        job.start_time = self.ctx.now
-        job.machine_name = self.machine.name
+        job.start_time = now
+        job.machine_name = machine.name
         obs = self.ctx.obs
         if obs.enabled:
             track = f"condor/job-{job.id}"
@@ -160,16 +165,13 @@ class Startd:
                 track=track,
                 cause=job.wait_span_id,
                 job=job.id,
-                machine=self.machine.name,
+                machine=machine.name,
             ).id
         self._claim_seq += 1
         self._claims[slot] = self._claim_seq
         pool._update_free(self)
-        duration = (
-            job.cpu_work / self.machine.cpu_factor
-            + job.io_work / self.machine.io_factor
-        )
-        return slot, self._claim_seq, self.ctx.now + duration
+        duration = job.cpu_work / machine.cpu_factor + job.io_work / machine.io_factor
+        return slot, self._claim_seq, now + duration
 
     def _finish_job(
         self, slot: int, token: int, job: CondorJob, pool: "CondorPool"
@@ -179,6 +181,7 @@ class Startd:
             return  # evicted or condor_rm'd; the slot moved on
         del self.busy[slot]
         del self._claims[slot]
+        pool._running -= 1
         pool._update_free(self)
         job.state = JobState.COMPLETED
         job.end_time = self.ctx.now
@@ -201,6 +204,7 @@ class Startd:
         """
         del self.busy[slot]
         self._claims.pop(slot, None)
+        pool._running -= 1
         pool._update_free(self)
         obs = self.ctx.obs
         if job.state == JobState.REMOVED:
@@ -236,13 +240,20 @@ class Startd:
 
     def drain(self) -> SimEvent:
         """Stop matching new jobs; event fires when the last job finishes."""
-        self.draining = True
-        if self.pool is not None:
-            self.pool._update_free(self)
+        self._stop_matching()
         if self._drained_event is None:
             self._drained_event = self.ctx.sim.event()
         self._check_drained()
         return self._drained_event
+
+    def _stop_matching(self) -> None:
+        """Mark the machine draining; its cores leave the pool's slot total."""
+        if self.draining:
+            return
+        self.draining = True
+        if self.pool is not None:
+            self.pool._total_slots -= self.machine.cores
+            self.pool._update_free(self)
 
     def _check_drained(self) -> None:
         if self.draining and not self.busy and self._drained_event is not None:
@@ -277,9 +288,8 @@ class Schedd:
         self._idle_count = 0
         self._idle_work = 0.0
 
-    def submit(self, job_kwargs: dict, ctx: SimContext) -> CondorJob:
-        job = CondorJob(id=self._next_id, submit_time=ctx.now, **job_kwargs)
-        job.completed = ctx.sim.event()
+    def submit(self, job: CondorJob) -> None:
+        """Queue ``job``, built with ``id=self._next_id``, as idle."""
         self._next_id += 1
         self.jobs[job.id] = job
         bucket = self._idle_by_owner.get(job.owner)
@@ -330,14 +340,18 @@ class Schedd:
     def idle_job(self, owner: str, n: int = 0) -> Optional[CondorJob]:
         """``owner``'s idle job at index ``n`` of its (submit_time, id)
         order, or None when it has no more; ``n = 0`` is its head."""
-        bucket = self._idle_by_owner.get(owner, {})
+        bucket = self._idle_by_owner.get(owner)
+        if bucket is None:
+            return None
         if owner in self._dirty_owners:
             ordered = sorted(
                 bucket.values(), key=lambda j: (j.submit_time, j.id)
             )
             bucket = self._idle_by_owner[owner] = {j.id: j for j in ordered}
             self._dirty_owners.discard(owner)
-        return next(islice(bucket.values(), n, None), None)
+        if n:
+            return next(islice(bucket.values(), n, None), None)
+        return next(iter(bucket.values()))  # a bucket is never empty
 
 
 class CondorPool:
@@ -361,6 +375,11 @@ class CondorPool:
         self._owner_heap: list[tuple[float, float, int, str]] = []
         self.schedd = Schedd()
         self.startds: dict[str, Startd] = {}
+        #: busy slots, and cores of non-draining machines, over
+        #: ``startds``: kept current on every claim, release, join and
+        #: drain, so the per-cycle gauges read them without a scan
+        self._running = 0
+        self._total_slots = 0
         #: index of machines with at least one free slot, so negotiation
         #: never scans fully-loaded startds (name -> Startd)
         self._free: dict[str, Startd] = {}
@@ -392,6 +411,7 @@ class CondorPool:
         startd = Startd(self.ctx, machine)
         startd.pool = self
         self.startds[machine.name] = startd
+        self._total_slots += machine.cores
         self._update_free(startd)
         self.ctx.obs.instant(
             "condor.startd-join", track="condor",
@@ -414,8 +434,11 @@ class CondorPool:
             drained = startd.drain()
 
             def _finish(_ev: SimEvent) -> None:
-                self.startds.pop(name, None)
-                self._free.pop(name, None)
+                # an eviction may have removed it already, and a new
+                # machine may have joined under its name since
+                if self.startds.get(name) is startd:
+                    del self.startds[name]
+                    self._free.pop(name, None)
                 self.ctx.obs.instant("condor.startd-leave", track="condor", machine=name)
                 done.succeed(name)
 
@@ -424,7 +447,7 @@ class CondorPool:
             else:
                 drained.callbacks.append(_finish)
         else:
-            startd.draining = True
+            startd._stop_matching()
             startd.evict_all()
             self.startds.pop(name, None)
             self._free.pop(name, None)
@@ -446,24 +469,26 @@ class CondorPool:
         on_complete: Optional[Callable[[CondorJob], None]] = None,
         cause: Optional[int] = None,
     ) -> CondorJob:
-        for name, work in (("cpu_work", cpu_work), ("io_work", io_work)):
-            if not 0.0 <= work < math.inf:  # NaN fails every comparison
-                raise CondorError(f"{name} must be finite and >= 0, got {work!r}")
-        job = self.schedd.submit(
-            dict(
-                owner=owner,
-                cpu_work=cpu_work,
-                io_work=io_work,
-                req_memory_gb=req_memory_gb,
-                requirements=requirements,
-                rank=rank,
-                on_complete=on_complete,
-            ),
-            self.ctx,
+        for name, value in (
+            ("cpu_work", cpu_work),
+            ("io_work", io_work),
+            # a NaN requirement would pass every ``matches`` check
+            ("req_memory_gb", req_memory_gb),
+        ):
+            if not 0.0 <= value < math.inf:  # NaN fails every comparison
+                raise CondorError(f"{name} must be finite and >= 0, got {value!r}")
+        schedd = self.schedd
+        ctx = self.ctx
+        # positional: a class called with keywords first packs them into
+        # a dict, which costs more than the rest of the construction
+        job = CondorJob(
+            schedd._next_id, owner, cpu_work, io_work, req_memory_gb,
+            requirements, rank, on_complete, ctx.now, SimEvent(ctx.sim),
         )
-        if self.schedd.idle_count_of(owner) == 1:
+        schedd.submit(job)
+        if schedd.idle_count_of(owner) == 1:
             self._enter_owner(job)  # the owner had no idle job until now
-        obs = self.ctx.obs
+        obs = ctx.obs
         if obs.enabled:
             # ``cause`` names the submitter's span (a Galaxy job, a WaaS
             # workflow) so the queue-wait interval is causally reachable
@@ -517,11 +542,11 @@ class CondorPool:
 
     @property
     def running_count(self) -> int:
-        return sum(len(s.busy) for s in self.startds.values())
+        return self._running
 
     @property
     def total_slots(self) -> int:
-        return sum(s.machine.cores for s in self.startds.values() if not s.draining)
+        return self._total_slots
 
     @property
     def total_cpu_capacity(self) -> float:
@@ -561,8 +586,13 @@ class CondorPool:
     # -- negotiation --------------------------------------------------------------
     def _update_free(self, startd: Startd) -> None:
         """Re-index one machine after its slot occupancy changed."""
-        name = startd.machine.name
-        if startd.free_slots > 0 and name in self.startds:
+        machine = startd.machine
+        name = machine.name
+        if (
+            not startd.draining
+            and machine.cores > len(startd.busy)
+            and name in self.startds
+        ):
             self._free[name] = startd
         else:
             self._free.pop(name, None)
@@ -653,16 +683,24 @@ class CondorPool:
             if key != top:
                 heapreplace(owners, key)  # make the top entry current
                 continue
-            # one fused pass picks the best-ranked candidate; ``free``
-            # is exact, since ``_update_free`` runs on every slot change
+            # one fused pass picks the best-ranked candidate, inlining
+            # ``job.matches`` and ``job.rank_of``; ``free`` is exact,
+            # since ``_update_free`` runs on every slot change
+            memory_gb = job.req_memory_gb
+            requirements = job.requirements
+            rank = job.rank
             best = None
             best_key = None
             for s in free.values():
-                if job.matches(s.machine):
-                    key = (job.rank_of(s.machine), -len(s.busy), s.machine.name)
-                    if best is None or key > best_key:
-                        best = s
-                        best_key = key
+                m = s.machine
+                if memory_gb > m.memory_gb or (
+                    requirements is not None and not requirements(m)
+                ):
+                    continue
+                key = (m.cpu_factor if rank is None else rank(m), -len(s.busy), m.name)
+                if best is None or key > best_key:
+                    best = s
+                    best_key = key
             if best is None:
                 n = skipped[owner] = n + 1
             else:

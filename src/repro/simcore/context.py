@@ -37,7 +37,7 @@ class SimContext:
 
     @property
     def now(self) -> float:
-        return self.sim.now
+        return self.sim._now  # one hop: the hot paths read it per job
 
     def stream(self, name: str) -> np.random.Generator:
         return self.rng.stream(name)

@@ -83,6 +83,8 @@ class WaasService:
         self.plan = plan
         self.admission = admission
         self.domain = domain
+        #: the deployment's Condor pool, resolved once by :meth:`open`
+        self._pool = None
         admission.bind(self._start_workflow, self._workflow_rejected)
         # -- per-DAG execution plans, shared across requests ----------------
         # keyed by object identity: the arrival plan hands the same DAG
@@ -126,6 +128,9 @@ class WaasService:
         this once the deployment is up) and enter the kernel as a single
         cohort — the service's demand side costs O(1) registrations.
         """
+        # ``gp.update`` resizes the deployment's pool but never replaces
+        # it, so every task can submit to the pool resolved here
+        self._pool = self.pool
         t0 = self.ctx.now
         requests = self.plan.requests
         times = [t0 + r.arrival_s for r in requests]
@@ -203,7 +208,7 @@ class WaasService:
         def _done(job, req=req, task_id=task_id):
             self._task_done(req, task_id)
 
-        self.pool.submit(
+        self._pool.submit(
             cpu_work=task.cpu_work,
             owner=req.tenant.name,
             on_complete=_done,

@@ -9,6 +9,7 @@ two-group differential-expression signal so correctness is checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -179,8 +180,10 @@ class WorkflowDAG:
     def n_tasks(self) -> int:
         return len(self.tasks)
 
-    @property
+    @cached_property
     def total_work(self) -> float:
+        """Summed once per DAG: admission reads it on every offer and
+        completion, and one DAG serves many requests."""
         return sum(t.cpu_work for t in self.tasks)
 
     def critical_path_work(self) -> float:

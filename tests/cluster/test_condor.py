@@ -124,6 +124,20 @@ def test_evict_removal_rematches_job():
     assert j.end_time == pytest.approx(110.0, abs=21.0)
 
 
+def test_machine_rejoining_after_drain_then_evict_stays_in_the_pool():
+    """The drain's removal used to fire after the eviction and take the
+    machine that had rejoined under the same name out of the pool."""
+    ctx, pool = make_pool([("w1", 1, 1.7, 1.0)])
+    j = pool.submit(cpu_work=100.0)
+    ctx.sim.run(until=10.0)
+    pool.remove_machine("w1", drain=True)
+    pool.remove_machine("w1", drain=False)
+    pool.add_machine(MachineAd(name="w1", cores=1, memory_gb=1.7, cpu_factor=1.0))
+    ctx.sim.run(until=300.0)
+    assert "w1" in pool.startds and pool.total_slots == 1
+    assert j.state == JobState.COMPLETED and j.evictions == 1
+
+
 def test_remove_unknown_machine_and_duplicate_add():
     ctx, pool = make_pool([("w1", 1, 1.7, 1.0)])
     with pytest.raises(CondorError):
@@ -138,11 +152,19 @@ def test_negative_work_rejected():
         pool.submit(cpu_work=-1.0)
 
 
-@pytest.mark.parametrize("field", ["cpu_work", "io_work"])
+def test_negative_memory_requirement_rejected():
+    ctx, pool = make_pool([("w1", 1, 1.7, 1.0)])
+    with pytest.raises(CondorError, match=r"req_memory_gb .*-1\.0"):
+        pool.submit(cpu_work=10.0, req_memory_gb=-1.0)
+    assert not pool.schedd.jobs
+
+
+@pytest.mark.parametrize("field", ["cpu_work", "io_work", "req_memory_gb"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_work_rejected_before_a_job_exists(field, value):
-    """NaN used to pass the ``< 0`` check and crash the next cycle's
-    completion cohort; inf held its slot forever."""
+    """NaN work used to pass the ``< 0`` check and crash the next cycle's
+    completion cohort; inf work held its slot forever.  A NaN memory
+    requirement passed every ``matches`` check."""
     ctx, pool = make_pool([("w1", 1, 1.7, 1.0)])
     work = {"cpu_work": 10.0, field: value}
     with pytest.raises(CondorError, match=rf"{field} .*{value!r}"):

@@ -6,7 +6,9 @@ owner's accumulated usage, give each job the free matching machine with
 the largest ``(rank_of, -len(busy), name)``, step over a job no free
 machine matches, and stop once no slot is free.  Every cycle's sequence
 of ``Startd.claim`` calls must equal the reference's, through
-completions, submits and ``remove_machine(drain=False)`` evictions.
+completions, submits, ``remove_machine`` drains and evictions, and
+``remove_job``; and the pool's running and total slot counts must equal
+their sums over its machines.
 """
 
 from unittest import mock
@@ -81,7 +83,9 @@ step_st = st.one_of(
     st.tuples(st.just("run"), st.sampled_from([0.5, 3.0, 7.0, 20.0])),
     st.tuples(st.just("submit"), st.lists(job_st, min_size=1, max_size=6)),
     st.tuples(st.just("evict"), st.sampled_from(sorted(MACHINES))),
+    st.tuples(st.just("drain"), st.sampled_from(sorted(MACHINES))),
     st.tuples(st.just("add"), st.sampled_from(sorted(MACHINES))),
+    st.tuples(st.just("rm"), st.integers(1, 30)),  # a job id
 )
 
 
@@ -104,6 +108,11 @@ def test_property_cycles_claim_as_the_reference_negotiator(machines, jobs, steps
         run_cycle()
         cycles.append(want)
         assert log == want
+        startds = pool.startds.values()
+        assert pool.running_count == sum(len(s.busy) for s in startds)
+        assert pool.total_slots == sum(
+            s.machine.cores for s in startds if not s.draining
+        )
 
     real_claim = Startd.claim
 
@@ -135,7 +144,13 @@ def test_property_cycles_claim_as_the_reference_negotiator(machines, jobs, steps
                 submit(arg)
             elif kind == "evict" and arg in pool.startds:
                 pool.remove_machine(arg, drain=False)
+            elif kind == "drain" and arg in pool.startds:
+                pool.remove_machine(arg, drain=True)
             elif kind == "add" and arg not in pool.startds:
                 add(pool, arg)
+            elif kind == "rm" and arg in pool.schedd.jobs:
+                job = pool.schedd.jobs[arg]
+                if job.state in (JobState.IDLE, JobState.RUNNING):
+                    pool.remove_job(job)
         ctx.sim.run(until=ctx.now + 120.0)
     assert cycles  # the checked cycle really ran
