@@ -298,7 +298,6 @@ class Schedd:
         bucket[job.id] = job
         self._idle_count += 1
         self._idle_work += job.cpu_work + job.io_work
-        return job
 
     def _job_requeued(self, job: CondorJob) -> None:
         """An eviction put ``job`` back to IDLE (possibly out of order)."""
