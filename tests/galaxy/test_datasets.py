@@ -24,7 +24,7 @@ piece_st = st.one_of(
 
 @st.composite
 def payload_st(draw):
-    """A payload, usually with a run of generated bytes across a cut."""
+    """A payload; half of them put a run of generated bytes across a cut."""
     body = b"".join(draw(st.lists(piece_st, max_size=24)))
     if draw(st.booleans()):
         return body  # all of it inside the first head
