@@ -273,12 +273,12 @@ class Schedd:
 
     def __init__(self) -> None:
         self.jobs: dict[int, CondorJob] = {}
-        self._next_id = 1
         # Idle jobs bucketed per owner so a negotiation cycle never scans
         # (or sorts) the full queue history.  Submission order is already
-        # (submit_time, id) order — ids are monotonic and sim time never
-        # goes backwards — so a bucket stays sorted until an eviction
-        # re-queues an old job out of order, which dirties its owner.
+        # (submit_time, id) order — the pool numbers jobs in submission
+        # order and sim time never goes backwards — so a bucket stays
+        # sorted until an eviction re-queues an old job out of order,
+        # which dirties its owner.
         self._idle_by_owner: dict[str, dict[int, CondorJob]] = {}
         self._dirty_owners: set[str] = set()
         #: idle-job count and total cpu+io work of the idle queue,
@@ -289,8 +289,7 @@ class Schedd:
         self._idle_work = 0.0
 
     def submit(self, job: CondorJob) -> None:
-        """Queue ``job``, built with ``id=self._next_id``, as idle."""
-        self._next_id += 1
+        """Queue the newly built ``job`` as idle under its id."""
         self.jobs[job.id] = job
         bucket = self._idle_by_owner.get(job.owner)
         if bucket is None:
@@ -373,6 +372,8 @@ class CondorPool:
         #: head submit_time, head id, owner); see :meth:`_negotiation_cycle`.
         self._owner_heap: list[tuple[float, float, int, str]] = []
         self.schedd = Schedd()
+        #: id of the next job :meth:`submit` builds
+        self._next_job_id = 1
         self.startds: dict[str, Startd] = {}
         #: busy slots, and cores of non-draining machines, over
         #: ``startds``: kept current on every claim, release, join and
@@ -476,14 +477,16 @@ class CondorPool:
         ):
             if not 0.0 <= value < math.inf:  # NaN fails every comparison
                 raise CondorError(f"{name} must be finite and >= 0, got {value!r}")
-        schedd = self.schedd
+        job_id = self._next_job_id
+        self._next_job_id = job_id + 1
         ctx = self.ctx
         # positional: a class called with keywords first packs them into
         # a dict, which costs more than the rest of the construction
         job = CondorJob(
-            schedd._next_id, owner, cpu_work, io_work, req_memory_gb,
+            job_id, owner, cpu_work, io_work, req_memory_gb,
             requirements, rank, on_complete, ctx.now, SimEvent(ctx.sim),
         )
+        schedd = self.schedd
         schedd.submit(job)
         if schedd.idle_count_of(owner) == 1:
             self._enter_owner(job)  # the owner had no idle job until now

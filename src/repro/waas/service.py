@@ -67,7 +67,11 @@ def waas_topology(
 
 
 class WaasService:
-    """Multi-tenant workflow execution bound to one GP instance."""
+    """Multi-tenant workflow execution bound to one GP instance.
+
+    Build it once the instance's deployment is up: the constructor
+    resolves the deployment's Condor pool.
+    """
 
     def __init__(
         self,
@@ -83,8 +87,9 @@ class WaasService:
         self.plan = plan
         self.admission = admission
         self.domain = domain
-        #: the deployment's Condor pool, resolved once by :meth:`open`
-        self._pool = None
+        #: the deployment's Condor pool: ``gp.update`` resizes it but
+        #: never replaces it, so it is resolved once, here
+        self.pool = gp.get(instance_id).deployment.pool
         admission.bind(self._start_workflow, self._workflow_rejected)
         # -- per-DAG execution plans, shared across requests ----------------
         # keyed by object identity: the arrival plan hands the same DAG
@@ -117,10 +122,6 @@ class WaasService:
         """Fires once every planned request has completed or been rejected."""
         return self._all_done
 
-    @property
-    def pool(self):
-        return self.gp.get(self.instance_id).deployment.pool
-
     def open(self) -> float:
         """Register the full arrival schedule; returns the open instant.
 
@@ -128,9 +129,6 @@ class WaasService:
         this once the deployment is up) and enter the kernel as a single
         cohort — the service's demand side costs O(1) registrations.
         """
-        # ``gp.update`` resizes the deployment's pool but never replaces
-        # it, so every task can submit to the pool resolved here
-        self._pool = self.pool
         t0 = self.ctx.now
         requests = self.plan.requests
         times = [t0 + r.arrival_s for r in requests]
@@ -208,7 +206,7 @@ class WaasService:
         def _done(job, req=req, task_id=task_id):
             self._task_done(req, task_id)
 
-        self._pool.submit(
+        self.pool.submit(
             cpu_work=task.cpu_work,
             owner=req.tenant.name,
             on_complete=_done,
