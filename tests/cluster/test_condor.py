@@ -8,12 +8,21 @@ from repro.cluster import CondorError, CondorPool, JobState, MachineAd
 from repro.simcore import SimContext
 
 
-def make_pool(machines=(), interval=20.0):
-    ctx = SimContext(seed=3)
+def make_pool(machines=(), interval=20.0, obs=None):
+    ctx = SimContext(seed=3, obs=obs)
     pool = CondorPool(ctx, negotiation_interval_s=interval)
     for name, cores, mem, speed in machines:
         pool.add_machine(MachineAd(name=name, cores=cores, memory_gb=mem, cpu_factor=speed))
     return ctx, pool
+
+
+def leave_instants(ctx, name):
+    """The attrs of each ``condor.startd-leave`` instant for ``name``."""
+    return [
+        i["attrs"]
+        for i in ctx.obs.instants
+        if i["name"] == "condor.startd-leave" and i["attrs"]["machine"] == name
+    ]
 
 
 def test_single_job_runs_and_completes():
@@ -99,7 +108,7 @@ def test_adding_machine_at_runtime_drains_queue_faster():
 
 
 def test_drain_removal_waits_for_running_job():
-    ctx, pool = make_pool([("w1", 1, 1.7, 1.0), ("w2", 1, 1.7, 1.0)])
+    ctx, pool = make_pool([("w1", 1, 1.7, 1.0), ("w2", 1, 1.7, 1.0)], obs=True)
     j = pool.submit(cpu_work=100.0, rank=lambda m: 1.0 if m.name == "w1" else 0.0)
     ctx.sim.run(until=10.0)
     assert j.state == JobState.RUNNING
@@ -108,6 +117,7 @@ def test_drain_removal_waits_for_running_job():
     assert ctx.now == pytest.approx(100.0, abs=1.0)
     assert j.state == JobState.COMPLETED
     assert "w1" not in pool.startds
+    assert leave_instants(ctx, "w1") == [{"machine": "w1"}]
 
 
 def test_evict_removal_rematches_job():
@@ -126,8 +136,9 @@ def test_evict_removal_rematches_job():
 
 def test_machine_rejoining_after_drain_then_evict_stays_in_the_pool():
     """The drain's removal used to fire after the eviction and take the
-    machine that had rejoined under the same name out of the pool."""
-    ctx, pool = make_pool([("w1", 1, 1.7, 1.0)])
+    machine that had rejoined under the same name out of the pool, and
+    to record a second leave for the one machine that left."""
+    ctx, pool = make_pool([("w1", 1, 1.7, 1.0)], obs=True)
     j = pool.submit(cpu_work=100.0)
     ctx.sim.run(until=10.0)
     pool.remove_machine("w1", drain=True)
@@ -136,6 +147,7 @@ def test_machine_rejoining_after_drain_then_evict_stays_in_the_pool():
     ctx.sim.run(until=300.0)
     assert "w1" in pool.startds and pool.total_slots == 1
     assert j.state == JobState.COMPLETED and j.evictions == 1
+    assert leave_instants(ctx, "w1") == [{"machine": "w1", "evicted": True}]
 
 
 def test_remove_unknown_machine_and_duplicate_add():
