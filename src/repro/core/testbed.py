@@ -10,6 +10,7 @@ endpoint hosting the paper's two use-case archives
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional
 
 from ..chef import ChefRunner
@@ -26,6 +27,20 @@ CVRG_DATA_ENDPOINT = "galaxy#CVRG-Galaxy"
 #: paths of the use-case archives on that endpoint
 FOUR_CEL_PATH = "/home/boliu/fourCelFileSamples.zip"
 AFFY_CEL_PATH = "/home/boliu/affyCelFileSamples.zip"
+
+
+@cache
+def _usecase_archives() -> tuple[tuple[str, bytes, int], ...]:
+    """``(path, bytes, declared size)`` of each use-case archive.  Their
+    seeds are fixed and bytes are immutable, so every testbed in a
+    process stages the same two."""
+    return tuple(
+        (path, archive.to_bytes(), archive.declared_size)
+        for path, archive in (
+            (FOUR_CEL_PATH, make_four_cel_archive()),
+            (AFFY_CEL_PATH, make_affy_cel_archive()),
+        )
+    )
 
 
 class CloudTestbed:
@@ -78,14 +93,8 @@ class CloudTestbed:
         self._stage_usecase_data()
 
     def _stage_usecase_data(self) -> None:
-        four = make_four_cel_archive()
-        affy = make_affy_cel_archive()
-        self.cvrg_fs.write(
-            FOUR_CEL_PATH, data=four.to_bytes(), size=four.declared_size
-        )
-        self.cvrg_fs.write(
-            AFFY_CEL_PATH, data=affy.to_bytes(), size=affy.declared_size
-        )
+        for path, data, size in _usecase_archives():
+            self.cvrg_fs.write(path, data=data, size=size)
 
     # -- convenience --------------------------------------------------------------
     @property

@@ -19,6 +19,7 @@ Simulated time is unaffected; it comes from the work model.
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 from types import MappingProxyType
 from typing import Callable
 
@@ -800,10 +801,12 @@ _TOP_N = {"name": "top_n", "type": "integer", "default": 50, "label": "Rows in t
 _FIG = {"name": "figure", "ext": "html", "label": "Figure"}
 
 
-def build_crdata_tools() -> list[Tool]:
-    """All 35 CRData tools, in catalog order."""
+@cache
+def build_crdata_tools() -> tuple[Tool, ...]:
+    """All 35 CRData tools, in catalog order, built once per process and
+    shared by every world's toolbox."""
     t = _tool
-    return [
+    return (
         # -- Affymetrix CEL tools (1-15) --------------------------------------
         t("affyDifferentialExpression.R",
           "Two-group differential expression on Affymetrix CEL files",
@@ -968,10 +971,10 @@ def build_crdata_tools() -> list[Tool]:
           classify_nearest_centroid,
           outputs=[{"name": "predictions", "ext": "tabular"}],
           work=matrix_work),
-    ]
+    )
 
 
-def install_crdata_tools(toolbox: Toolbox) -> list[Tool]:
+def install_crdata_tools(toolbox: Toolbox) -> tuple[Tool, ...]:
     """Register the full catalog (what the crdata recipe does to Galaxy)."""
     tools = build_crdata_tools()
     for tool in tools:

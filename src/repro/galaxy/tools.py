@@ -11,7 +11,7 @@ machinery — with a *work model* giving its simulated cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -108,16 +108,20 @@ def as_sizes_matrix(sizes: Any) -> np.ndarray:
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tool:
-    """A runnable Galaxy tool."""
+    """A runnable Galaxy tool.
+
+    Frozen, like its parameters and outputs: the catalogs build each tool
+    once per process and every world's toolbox registers the same object.
+    """
 
     id: str
     name: str
     version: str = "1.0.0"
     description: str = ""
-    parameters: list[ToolParameter] = field(default_factory=list)
-    outputs: list[ToolOutput] = field(default_factory=list)
+    parameters: Sequence[ToolParameter] = ()
+    outputs: Sequence[ToolOutput] = ()
     execute: Optional[ExecuteFn] = None
     work_model: WorkFn = default_work_model
     #: software the executing node must have converged (Chef packages)
@@ -169,8 +173,8 @@ class Tool:
             name = config["name"]
         except KeyError as exc:
             raise ToolError(f"tool config missing {exc}") from exc
-        params = [ToolParameter(**p) for p in config.get("parameters", [])]
-        outputs = [ToolOutput(**o) for o in config.get("outputs", [])]
+        params = tuple(ToolParameter(**p) for p in config.get("parameters", ()))
+        outputs = tuple(ToolOutput(**o) for o in config.get("outputs", ()))
         return cls(
             id=tool_id,
             name=name,

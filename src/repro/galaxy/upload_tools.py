@@ -13,6 +13,8 @@ The HTTP tool enforces the 2 GB limit; the FTP tool requires
 
 from __future__ import annotations
 
+from functools import cache
+
 from .jobs import ToolRunContext
 from .tools import Tool, Toolbox, ToolError
 
@@ -75,7 +77,9 @@ def ftp_upload_execute(run: ToolRunContext):
     yield from _do_upload(run, FTPUploader)
 
 
-def build_upload_tools() -> list[Tool]:
+@cache
+def build_upload_tools() -> tuple[Tool, ...]:
+    """Both upload tools, built once per process and shared by every world."""
     http_tool = Tool.from_config(
         {
             "id": UPLOAD_HTTP_TOOL_ID,
@@ -96,10 +100,10 @@ def build_upload_tools() -> list[Tool]:
         },
         execute=ftp_upload_execute,
     )
-    return [http_tool, ftp_tool]
+    return http_tool, ftp_tool
 
 
-def install_upload_tools(toolbox: Toolbox) -> list[Tool]:
+def install_upload_tools(toolbox: Toolbox) -> tuple[Tool, ...]:
     tools = build_upload_tools()
     for tool in tools:
         toolbox.register(tool, section=TOOL_SECTION)

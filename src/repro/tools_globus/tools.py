@@ -21,6 +21,7 @@ Wiring: the deployment injects two services into the job manager —
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional
 
 from ..galaxy.jobs import ToolRunContext
@@ -174,7 +175,10 @@ _DEADLINE = {
 }
 
 
-def build_globus_tools() -> list[Tool]:
+@cache
+def build_globus_tools() -> tuple[Tool, ...]:
+    """The three Globus Transfer tools, built once per process and shared
+    by every world: a run reaches its world through ``run.services``."""
     go_transfer = Tool.from_config(
         {
             "id": GO_TRANSFER_TOOL_ID,
@@ -220,10 +224,10 @@ def build_globus_tools() -> list[Tool]:
         },
         execute=send_data_execute,
     )
-    return [go_transfer, get_data, send_data]
+    return go_transfer, get_data, send_data
 
 
-def install_globus_tools(toolbox: Toolbox) -> list[Tool]:
+def install_globus_tools(toolbox: Toolbox) -> tuple[Tool, ...]:
     tools = build_globus_tools()
     for tool in tools:
         toolbox.register(tool, section=TOOL_SECTION)

@@ -1,5 +1,7 @@
 """Job lifecycle, runners, history panel integration."""
 
+import dataclasses
+
 import pytest
 
 from repro import calibration
@@ -156,8 +158,7 @@ def test_tool_requirements_constrain_condor_match():
     pool.add_node(rnode)
 
     app = GalaxyApp(ctx, runner=CondorJobRunner(ctx, pool), job_overheads=(0.0, 0.0))
-    tool = sleep_tool(cpu_work=10.0)
-    tool.requirements = ("R",)
+    tool = dataclasses.replace(sleep_tool(cpu_work=10.0), requirements=("R",))
     app.install_tool(tool)
     app.create_user("u")
     h = app.create_history("u")
