@@ -178,7 +178,7 @@ def poisson_plan(
             tenant=tenants[int(tenant_ix[i])],
             dag=(dag := catalog[i % unique_dags]),
             arrival_s=float(times[i]),
-            allowance_s=deadline_base_s + deadline_slack * dag.critical_path_work(),
+            allowance_s=deadline_base_s + deadline_slack * dag.critical_path_work,
         )
         for i in range(workflows)
     )
@@ -220,7 +220,7 @@ def trace_plan(
         dag = catalog[int(rec.get("variant", i)) % unique_dags]
         allowance = rec.get("allowance_s")
         if allowance is None:
-            allowance = deadline_base_s + deadline_slack * dag.critical_path_work()
+            allowance = deadline_base_s + deadline_slack * dag.critical_path_work
         requests.append(
             WorkflowRequest(
                 id=i,

@@ -186,8 +186,10 @@ class WorkflowDAG:
         completion, and one DAG serves many requests."""
         return sum(t.cpu_work for t in self.tasks)
 
+    @cached_property
     def critical_path_work(self) -> float:
-        """Longest dependency-chain work sum (ids are topological order)."""
+        """Longest dependency-chain work sum (ids are topological order),
+        walked once per DAG: every request's deadline reads it."""
         finish: list[float] = []
         for t in self.tasks:
             upstream = max((finish[p] for p in t.parents), default=0.0)

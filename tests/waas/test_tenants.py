@@ -49,7 +49,7 @@ def test_poisson_plan_shares_dag_objects():
 def test_deadline_allowance_covers_critical_path():
     plan = poisson_plan(4, 20, 1.0, deadline_base_s=100.0, deadline_slack=2.0, seed=0)
     for r in plan.requests:
-        assert r.allowance_s == 100.0 + 2.0 * r.dag.critical_path_work()
+        assert r.allowance_s == 100.0 + 2.0 * r.dag.critical_path_work
 
 
 def test_poisson_plan_rejects_bad_args():

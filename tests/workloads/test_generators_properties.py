@@ -37,6 +37,22 @@ def test_property_same_args_same_dag(shape, n_tasks, seed):
     )
 
 
+def longest_chain_work(dag):
+    """The longest path's work, recomputed backwards: each task's chain is
+    its own work plus the longest chain ending at one of its parents."""
+    chain = {}
+
+    def ending_at(task_id):
+        if task_id not in chain:
+            task = dag.tasks[task_id]
+            chain[task_id] = task.cpu_work + max(
+                (ending_at(p) for p in task.parents), default=0.0
+            )
+        return chain[task_id]
+
+    return max(ending_at(t.id) for t in dag.tasks)
+
+
 @settings(max_examples=40, deadline=None)
 @given(**dag_args)
 def test_property_work_bounds_and_critical_path(shape, n_tasks, seed):
@@ -46,7 +62,8 @@ def test_property_work_bounds_and_critical_path(shape, n_tasks, seed):
         # log-uniform over [mean/spread, mean*spread], ms-rounded
         assert 90.0 / 4.0 - 0.001 <= t.cpu_work <= 90.0 * 4.0 + 0.001
         assert t.cpu_work == round(t.cpu_work, 3)
-    cp = dag.critical_path_work()
+    cp = dag.critical_path_work
+    assert cp == longest_chain_work(dag)
     assert 0 < cp <= dag.total_work + 1e-9
     longest_task = max(t.cpu_work for t in dag.tasks)
     assert cp >= longest_task - 1e-9
