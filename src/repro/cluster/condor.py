@@ -434,12 +434,14 @@ class CondorPool:
             drained = startd.drain()
 
             def _finish(_ev: SimEvent) -> None:
-                # an eviction may have removed it already, and a new
-                # machine may have joined under its name since
+                # an eviction may have removed it already, recording its
+                # leave, and a new machine may have joined under its name
                 if self.startds.get(name) is startd:
                     del self.startds[name]
                     self._free.pop(name, None)
-                self.ctx.obs.instant("condor.startd-leave", track="condor", machine=name)
+                    self.ctx.obs.instant(
+                        "condor.startd-leave", track="condor", machine=name
+                    )
                 done.succeed(name)
 
             if drained.processed:
