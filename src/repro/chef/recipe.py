@@ -12,7 +12,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .node import ChefNode
-from .resources import ChefResource
+from .resources import (
+    ChefResource,
+    Directory,
+    Execute,
+    Package,
+    RemoteFile,
+    ScmCheckout,
+    Service,
+    ServiceRestart,
+    Template,
+    UserAccount,
+)
 
 RecipeBuilder = Callable[["RecipeContext", ChefNode], None]
 
@@ -30,48 +41,30 @@ class RecipeContext:
 
     # Convenience constructors mirroring Chef's DSL keywords ----------------
     def package(self, name: str, io_work: float = 0.0, cpu_work: float = 0.0, **kw):
-        from .resources import Package
-
         return self.add(Package(name=name, io_work=io_work, cpu_work=cpu_work, **kw))
 
     def user(self, name: str, io_work: float = 1.0, **kw):
-        from .resources import UserAccount
-
         return self.add(UserAccount(name=name, io_work=io_work, **kw))
 
     def directory(self, path: str, io_work: float = 0.5, **kw):
-        from .resources import Directory
-
         return self.add(Directory(name=path, io_work=io_work, **kw))
 
     def remote_file(self, path: str, io_work: float = 0.0, **kw):
-        from .resources import RemoteFile
-
         return self.add(RemoteFile(name=path, io_work=io_work, **kw))
 
     def template(self, path: str, io_work: float = 0.5, **kw):
-        from .resources import Template
-
         return self.add(Template(name=path, io_work=io_work, **kw))
 
     def service(self, name: str, io_work: float = 1.0, **kw):
-        from .resources import Service
-
         return self.add(Service(name=name, io_work=io_work, **kw))
 
     def restart(self, name: str, io_work: float = 2.0, **kw):
-        from .resources import ServiceRestart
-
         return self.add(ServiceRestart(name=name, io_work=io_work, **kw))
 
     def execute(self, name: str, io_work: float = 0.0, cpu_work: float = 0.0, **kw):
-        from .resources import Execute
-
         return self.add(Execute(name=name, io_work=io_work, cpu_work=cpu_work, **kw))
 
     def checkout(self, path: str, io_work: float = 0.0, **kw):
-        from .resources import ScmCheckout
-
         return self.add(ScmCheckout(name=path, io_work=io_work, **kw))
 
 
