@@ -1,10 +1,13 @@
 """SimFilesystem, NFS exports, mount tables."""
 
+import posixpath
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster import FilesystemError, MountTable, NFSServer, SimFilesystem
+from repro.cluster.nfs import _norm
 
 
 def test_write_read_roundtrip_with_content():
@@ -152,6 +155,28 @@ def test_property_mkdirs_makes_every_prefix_a_dir(parts):
     for p in parts:
         cur += "/" + p
         assert fs.isdir(cur)
+
+
+@given(st.text(alphabet="ab/.", max_size=24))
+def test_norm_is_normpath_with_a_leading_double_slash_read_as_one(tail):
+    """POSIX lets ``//`` lead a path with its own meaning and
+    ``posixpath.normpath`` keeps it; Linux, like every other mkdirs and
+    lookup here, reads it as ``/``."""
+    path = "/" + tail
+    expected = posixpath.normpath(path)
+    if expected.startswith("//"):
+        expected = expected[1:]
+    assert _norm(path) == expected
+
+
+def test_a_leading_double_slash_names_the_same_file():
+    fs = SimFilesystem()
+    fs.write("//data/x.txt", data=b"hi")
+    assert fs.isfile("/data/x.txt")
+    assert fs.listdir("/data") == ["x.txt"]
+    fs.write("/data/x.txt", data=b"yo")
+    assert fs.read("//data/x.txt") == b"yo"
+    assert [node.path for node in fs.walk_files()] == ["/data/x.txt"]
 
 
 # ---------------------------------------------------------------------------

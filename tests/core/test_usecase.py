@@ -1,8 +1,13 @@
 """The Sec. V-A use case end-to-end, with the paper's anchors as shape checks."""
 
+import gc
+
 import pytest
 
+from repro.bench.storage_ablation import StorageAblationConfig, run_one
 from repro.core import CloudTestbed, run_usecase
+from repro.galaxy import GalaxyApp
+from repro.provision import Deployer
 
 
 def test_usecase_small_cluster_matches_paper_anchor():
@@ -48,3 +53,29 @@ def test_usecase_cost_anchor_small():
     res = run_usecase(bed=bed, scale_up_with=None)
     cost = res.steps34_cost_usd(bed)
     assert cost == pytest.approx(0.007, rel=0.15)  # paper: 0.007 USD
+
+
+def test_a_drained_use_case_world_dies_by_refcount():
+    """The kernel pauses the cyclic collector while it drains, and the
+    storage ablation drops each world once its row is read.  The world's
+    Galaxy app, deployer and testbed must then die by refcount: no
+    reference cycle may hold them for the collector."""
+    enabled, flags, before = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    try:
+        row = run_one("nfs", StorageAblationConfig(seed=1))
+        assert row.exec_min > 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = sorted(
+            type(o).__name__
+            for o in gc.garbage[before:]
+            if isinstance(o, (GalaxyApp, CloudTestbed, Deployer))
+        )
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[before:]
+        if enabled:
+            gc.enable()
+    assert left == []

@@ -3,13 +3,15 @@
 import pytest
 
 from repro.cloud import InstanceState
-from repro.core import CloudTestbed, usecase_topology
+from repro.core import CloudTestbed, run_usecase, usecase_topology
+from repro.obs import capture
 from repro.provision import (
     Deployer,
     DeploymentError,
     GlobusProvision,
     GPError,
     GPInstanceState,
+    Topology,
     TopologyError,
     with_extra_worker,
 )
@@ -274,3 +276,27 @@ def test_preloaded_custom_ami_deploys_much_faster():
     topo2 = replace(topo, ec2=replace(topo.ec2, ami=ami.id))
     _, gpi2 = deploy(bed, topo2)
     assert gpi2.start_seconds < baseline * 0.5
+
+
+def test_topology_docs_are_built_only_for_a_live_recorder(monkeypatch):
+    """The ``topology`` and ``topology-update`` annotations feed the
+    provenance bundle alone, so with obs off neither a deploy nor a
+    ``gp.update`` builds the doc."""
+    with capture() as cap:
+        run_usecase(scale_up_with="c1.medium", run_large=False, seed=3)
+    (recorder,) = cap.recorders
+    deployed, updated = recorder.annotations
+    assert (deployed["kind"], updated["kind"]) == ("topology", "topology-update")
+    first = usecase_topology()
+    assert deployed["attrs"]["topology"] == first.to_doc()
+    assert updated["attrs"]["topology"] == with_extra_worker(
+        first, "simple", "c1.medium"
+    ).to_doc()
+
+    def refuse(self):
+        raise AssertionError("Topology.to_doc called with obs off")
+
+    monkeypatch.setattr(Topology, "to_doc", refuse)
+    result = run_usecase(scale_up_with="c1.medium", run_large=False, seed=3)
+    assert result.update_seconds is not None
+    assert result.instance.deployment.galaxy.ctx.obs.enabled is False

@@ -1,5 +1,8 @@
 """Topology model: parsing, node planning, diffing."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from repro.provision import (
     PAPER_GALAXY_CONF,
     DomainSpec,
     EC2Spec,
+    GlobusOnlineSpec,
     Topology,
     TopologyError,
     diff_topologies,
@@ -198,3 +202,55 @@ def test_property_diff_worker_counts(old_n, new_n):
     diff = diff_topologies(topo(old_n), topo(new_n))
     assert len(diff.added_nodes) == max(0, new_n - old_n)
     assert len(diff.removed_nodes) == max(0, old_n - new_n)
+
+
+_words = st.text(alphabet="abcxyz-", min_size=1, max_size=6)
+_types = st.sampled_from(["t1.micro", "m1.small", "c1.medium", "m1.xlarge"])
+
+
+@st.composite
+def topologies(draw):
+    """Valid topologies: any services, explicit worker types or none,
+    striped storage with its data nodes, a Globus Online section or
+    none, and a GO endpoint or none."""
+    domains = []
+    for name in draw(st.lists(_words, min_size=1, max_size=3, unique=True)):
+        condor = draw(st.booleans())
+        galaxy = draw(st.booleans())
+        workers = draw(st.integers(0, 4)) if condor else 0
+        storage = draw(st.sampled_from(["nfs", "object_store", "striped_fs", "local_staging"]))
+        domains.append(
+            DomainSpec(
+                name=name,
+                users=tuple(draw(st.lists(_words, max_size=3))),
+                nfs=draw(st.booleans()),
+                gridftp=draw(st.booleans()),
+                condor=condor,
+                galaxy=galaxy,
+                crdata=galaxy and draw(st.booleans()),
+                cluster_nodes=workers,
+                go_endpoint=draw(st.none() | _words.map(lambda w: f"{w}#{w}")),
+                worker_instance_types=tuple(draw(st.lists(_types, max_size=workers))),
+                storage=storage,
+                storage_nodes=draw(st.integers(0, 3)) if storage == "striped_fs" else 0,
+            )
+        )
+    return Topology(
+        domains=tuple(domains),
+        ec2=EC2Spec(keypair=draw(_words), instance_type=draw(_types)),
+        globusonline=draw(st.none() | st.builds(GlobusOnlineSpec, ssh_key=_words)),
+    )
+
+
+@given(topologies())
+def test_to_doc_is_the_json_form_of_every_spec_field(topology):
+    """The reference: each spec's ``asdict`` through a JSON round trip."""
+    reference = {
+        "domains": [asdict(d) for d in topology.domains],
+        "ec2": asdict(topology.ec2),
+        "globusonline": asdict(topology.globusonline) if topology.globusonline else None,
+    }
+    doc = topology.to_doc()
+    assert json.dumps(doc) == json.dumps(reference)
+    assert doc == json.loads(json.dumps(reference))
+    assert Topology.from_json(topology.to_json()) == topology
