@@ -635,7 +635,12 @@ class _KeyedOutput:
         self._effects.append((method, self._name, args, kwargs))
 
     def write(self, data: bytes | None = None, size: int | None = None) -> None:
-        self._apply("write", data, size)
+        node = self._handle.write(data, size)
+        # a content write's checksum is the SHA-256 of its bytes, which a
+        # replay hands over instead of hashing them again; a size-only
+        # write's token names its path and time, so a replay mints its own
+        kwargs = {} if data is None else {"checksum": node.checksum}
+        self._effects.append(("write", self._name, (data, size), kwargs))
 
     def set_info(self, info: str) -> None:
         self._apply("set_info", info)
@@ -705,8 +710,9 @@ class ResultMemo:
     runs the tool against a :class:`_KeyedRun` and keeps its effects if
     ``execute`` returns; a hit replays them, in order, through the real
     output handles, so size, peek, checksum and mtime come out as a real
-    run's would.  At most :data:`MEMO_CAP_BYTES` are kept, the oldest
-    entry evicted first.
+    run's would.  A content write replays with the checksum its first
+    run's file got, so no replayed byte is hashed again.  At most
+    :data:`MEMO_CAP_BYTES` are kept, the oldest entry evicted first.
     """
 
     def __init__(self) -> None:

@@ -22,7 +22,7 @@ from typing import Any, Callable, Optional, Union
 
 from .. import calibration
 from ..cluster.condor import CondorPool, MachineAd
-from ..cluster.nfs import MountTable, SimFilesystem
+from ..cluster.nfs import FileNode, MountTable, SimFilesystem
 from ..simcore import Resource, SimContext, SimEvent
 from .datasets import Dataset, DatasetState, History
 from .tools import Tool, ToolError
@@ -120,14 +120,23 @@ class OutputHandle:
         self._now = now
         self.written = False
 
-    def write(self, data: Optional[bytes] = None, size: Optional[int] = None) -> None:
+    def write(
+        self,
+        data: Optional[bytes] = None,
+        size: Optional[int] = None,
+        checksum: Optional[str] = None,
+    ) -> FileNode:
+        """Write the dataset's file; ``checksum`` is passed to the
+        filesystem's ``write`` (a replay passes its first run's)."""
         node = self._fs.write(
-            self.dataset.file_path, data=data, size=size, mtime=self._now
+            self.dataset.file_path, data=data, size=size, mtime=self._now,
+            checksum=checksum,
         )
         self.dataset.size = node.size
         if data is not None:
             self.dataset.set_peek(data)
         self.written = True
+        return node
 
     def adopt(self) -> None:
         """Claim a payload an external mover (e.g. Globus Transfer) already
