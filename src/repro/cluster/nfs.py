@@ -22,10 +22,16 @@ class FilesystemError(Exception):
 
 
 def _norm(path: str) -> str:
+    """``path`` as ``posixpath.normpath`` resolves it, with a leading
+    ``//`` read as ``/``, as Linux reads it.  A path with no ``//``, no
+    ``/.`` and no trailing slash is already normal and returned as is."""
     if not path.startswith("/"):
         raise FilesystemError(f"path must be absolute: {path!r}")
-    norm = posixpath.normpath(path)
-    return norm
+    if "//" in path or "/." in path or (path.endswith("/") and path != "/"):
+        path = posixpath.normpath(path)
+        if path.startswith("//"):
+            path = path[1:]
+    return path
 
 
 def _mount_rel(path: str, mount_point: str) -> Optional[str]:
@@ -242,7 +248,10 @@ class NFSServer:
 
 @dataclass
 class Mount:
-    """One mount of an NFS export at a mount point in a node namespace."""
+    """One mount of an NFS export at a mount point in a node namespace.
+
+    ``mount_point`` is normalized: :meth:`MountTable.mount` builds every
+    mount."""
 
     server: NFSServer
     mount_point: str
@@ -250,10 +259,9 @@ class Mount:
     def translate(self, path: str) -> str:
         """Node-namespace path -> server-filesystem path."""
         path = _norm(path)
-        mp = _norm(self.mount_point)
-        rel = _mount_rel(path, mp)
+        rel = _mount_rel(path, self.mount_point)
         if rel is None:
-            raise FilesystemError(f"{path} is not under mount {mp}")
+            raise FilesystemError(f"{path} is not under mount {self.mount_point}")
         if not rel:
             return _norm(self.server.export)
         return _norm(posixpath.join(self.server.export, rel))
@@ -291,9 +299,8 @@ class MountTable:
         path = _norm(path)
         best: Optional[Mount] = None
         for m in self.mounts:
-            mp = _norm(m.mount_point)
-            if _mount_rel(path, mp) is not None:
-                if best is None or len(mp) > len(_norm(best.mount_point)):
+            if _mount_rel(path, m.mount_point) is not None:
+                if best is None or len(m.mount_point) > len(best.mount_point):
                     best = m
         if best is None:
             return self.local, path
@@ -301,7 +308,7 @@ class MountTable:
 
     def is_mount_point(self, path: str) -> bool:
         path = _norm(path)
-        return any(_norm(m.mount_point) == path for m in self.mounts)
+        return any(m.mount_point == path for m in self.mounts)
 
     # Thin pass-through helpers so callers can use node.vfs like a fs --------
     def write(self, path: str, **kw) -> FileNode:
