@@ -154,10 +154,11 @@ class Deployer:
         if not plan:
             raise DeploymentError("topology plans no nodes")
         # provenance: the full deployment spec rides in the span log so a
-        # bundle can reconstruct what was deployed, not just when
-        self.ctx.obs.annotate(
-            "topology", topology=topology.to_doc(), nodes=len(plan)
-        )
+        # bundle can reconstruct what was deployed, not just when; only a
+        # live recorder reads it
+        obs = self.ctx.obs
+        if obs.enabled:
+            obs.annotate("topology", topology=topology.to_doc(), nodes=len(plan))
         procs = [
             self.ctx.sim.process(
                 self._provision_node(deployment, spec), name=f"provision-{spec.name}"
@@ -349,13 +350,15 @@ class Deployer:
         start = self.ctx.now
         diff = diff_topologies(deployment.topology, new_topology)
         report = UpdateReport(diff=diff, seconds=0.0)
-        self.ctx.obs.annotate(
-            "topology-update",
-            topology=new_topology.to_doc(),
-            added=[n.name for n in diff.added_nodes],
-            removed=list(diff.removed_nodes),
-            retyped=sorted(diff.type_changes),
-        )
+        obs = self.ctx.obs
+        if obs.enabled:
+            obs.annotate(
+                "topology-update",
+                topology=new_topology.to_doc(),
+                added=[n.name for n in diff.added_nodes],
+                removed=list(diff.removed_nodes),
+                retyped=sorted(diff.type_changes),
+            )
         for name in list(diff.type_changes) + list(diff.removed_nodes):
             node = deployment.nodes.get(name)
             if node is not None and (node.has_role("galaxy") or node.has_role("nfs")):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from ..cloud.instance_types import resolve
@@ -213,12 +213,11 @@ class Topology:
     def to_doc(self) -> dict:
         """JSON-safe dict form (tuples become lists); feeds both
         :meth:`to_json` and the provenance bundle's topology section."""
-        doc = {
-            "domains": [asdict(d) for d in self.domains],
-            "ec2": asdict(self.ec2),
-            "globusonline": asdict(self.globusonline) if self.globusonline else None,
+        return {
+            "domains": [_spec_doc(d) for d in self.domains],
+            "ec2": _spec_doc(self.ec2),
+            "globusonline": _spec_doc(self.globusonline) if self.globusonline else None,
         }
-        return json.loads(json.dumps(doc))
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), indent=2)
@@ -298,6 +297,15 @@ class Topology:
                 ssh_key=parser["globusonline"].get("ssh-key", "~/.ssh/id_rsa")
             )
         return cls(domains=tuple(domains), ec2=EC2Spec(**ec2_kwargs), globusonline=go)
+
+
+def _spec_doc(spec) -> dict:
+    """A spec's fields in order, each a str, bool, int or None, or a
+    tuple of str, which becomes a list."""
+    return {
+        f.name: list(value) if isinstance(value := getattr(spec, f.name), tuple) else value
+        for f in fields(spec)
+    }
 
 
 #: JSON domain keys whose values must have exactly this type
