@@ -79,21 +79,26 @@ class ChefRunner:
         obs = self.ctx.obs
         track = f"chef/{node.name}"
         span = obs.start("chef.converge", track=track, cause=cause, node=node.name)
+        outcomes = report.outcomes
+        total_applied = 0
         try:
             for item in run_list:
                 recipe = self.repo.resolve(item)
-                recipe_span = obs.start("chef.recipe", track=track, recipe=item)
-                before = len(report.outcomes)
+                recipe_span = (
+                    obs.start("chef.recipe", track=track, recipe=item)
+                    if obs.enabled else None
+                )
+                applied = 0
                 for resource in recipe.compile(node):
                     if resource.only_if is not None and not resource.only_if(node):
-                        report.outcomes.append(
+                        outcomes.append(
                             ResourceOutcome(resource.describe(), item, "guarded", 0.0)
                         )
                         continue
                     if resource.is_satisfied(node):
                         cost = SKIP_COST_S / node.io_factor
                         yield self.ctx.sim.timeout(cost)
-                        report.outcomes.append(
+                        outcomes.append(
                             ResourceOutcome(resource.describe(), item, "skipped", cost)
                         )
                         continue
@@ -105,25 +110,25 @@ class ChefRunner:
                         raise ConvergeError(
                             f"{resource.describe()} failed on {node.name}: {exc}"
                         ) from exc
-                    report.outcomes.append(
+                    outcomes.append(
                         ResourceOutcome(resource.describe(), item, "applied", cost)
                     )
-                applied = sum(
-                    1 for o in report.outcomes[before:] if o.action == "applied"
-                )
-                obs.finish(recipe_span.set(applied=applied))
+                    applied += 1
+                total_applied += applied
+                if recipe_span is not None:
+                    obs.finish(recipe_span.set(applied=applied))
         except BaseException as exc:
             obs.finish_open(track, status="error", error=repr(exc))
             raise
-        obs.finish(span.set(applied=len(report.applied)))
+        obs.finish(span.set(applied=total_applied))
         node.run_list = run_list
         report.finished_at = self.ctx.now
         node.converge_log.append(
             {
                 "run_list": run_list,
                 "duration": report.duration_s,
-                "applied": len(report.applied),
-                "skipped": len(report.skipped),
+                "applied": total_applied,
+                "skipped": len(outcomes) - total_applied,
             }
         )
         return report
