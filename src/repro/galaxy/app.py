@@ -83,7 +83,7 @@ class GalaxyApp:
         self.pages = PageStore()
         from .libraries import LibraryStore
 
-        self.libraries = LibraryStore(self)
+        self.libraries = LibraryStore(self.fs, self.jobs, ctx)
         self.users: dict[str, GalaxyUser] = {}
         self.histories: dict[int, History] = {}
         self.workflow_store: dict[str, Workflow] = {}

@@ -42,10 +42,16 @@ class DataLibrary:
 
 
 class LibraryStore:
-    """All data libraries of a Galaxy instance."""
+    """All data libraries of a Galaxy instance.
 
-    def __init__(self, app) -> None:
-        self._app = app
+    It holds the instance's filesystem, job manager (which numbers every
+    dataset) and context, not the app, so no reference cycle keeps a
+    dropped app alive."""
+
+    def __init__(self, fs, jobs, ctx) -> None:
+        self._fs = fs
+        self._jobs = jobs
+        self._ctx = ctx
         self._libraries: dict[str, DataLibrary] = {}
         self._next_item_id = 1
 
@@ -85,7 +91,7 @@ class LibraryStore:
         """Deposit a curated dataset (admin operation)."""
         lib = self.get(library)
         path = f"/galaxy/libraries/{library}/{name}"
-        node = self._app.fs.write(path, data=data, size=size)
+        node = self._fs.write(path, data=data, size=size)
         item = LibraryItem(
             id=self._next_item_id,
             name=name,
@@ -109,10 +115,10 @@ class LibraryStore:
         if item is None:
             raise LibraryError(f"library {library!r} has no item {item_id}")
         ds = history.new_dataset(
-            self._app.jobs._next_dataset_id, item.name, ext=item.ext,
-            created_at=self._app.ctx.now,
+            self._jobs._next_dataset_id, item.name, ext=item.ext,
+            created_at=self._ctx.now,
         )
-        self._app.jobs._next_dataset_id += 1
+        self._jobs._next_dataset_id += 1
         ds.file_path = item.file_path
         ds.size = item.size
         ds.state = DatasetState.OK

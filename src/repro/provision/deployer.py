@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..cluster import ClusterNode, CondorPool, NFSServer, NISDomain
-from ..galaxy import CondorJobRunner, GalaxyApp, GalaxyConfig, LocalJobRunner
+from ..galaxy import CondorJobRunner, GalaxyApp, GalaxyConfig, GalaxyUser, LocalJobRunner
 from ..galaxy.upload_tools import install_upload_tools
 from ..storage import SharedStorageBackend, make_backend
 
@@ -25,8 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a package-level import cycle
     from ..core.testbed import CloudTestbed
 from ..crdata import install_crdata_tools
 from ..tools_globus import install_globus_tools
-from ..transfer import GridFTPServer, TransferClient
-from ..transfer.api import GlobusAPIError
+from ..transfer import GlobusOnline, GridFTPServer, TransferClient
 from .topology import (
     DomainSpec,
     NodeSpec,
@@ -134,6 +133,22 @@ class UpdateReport:
     added: list[str] = field(default_factory=list)
     removed: list[str] = field(default_factory=list)
     retyped: list[str] = field(default_factory=list)
+
+
+def _client_factory(users: dict[str, GalaxyUser], go: GlobusOnline):
+    """The Globus Transfer tools' ``transfer_client_factory``: a Galaxy
+    user's client, under their linked GO username.  It holds the user
+    table and the GO service, not the app or the testbed, so a dropped
+    world dies by refcount."""
+
+    def factory(galaxy_username: str) -> TransferClient:
+        user = users.get(galaxy_username)
+        go_name = (
+            user.globus_username if user and user.globus_username else galaxy_username
+        )
+        return TransferClient(go, go_name)
+
+    return factory
 
 
 class Deployer:
@@ -308,7 +323,9 @@ class Deployer:
             runner=runner,
             services={"galaxy_endpoint": runtime.endpoint_name},
         )
-        app.jobs.services["transfer_client_factory"] = self._make_client_factory(app)
+        app.jobs.services["transfer_client_factory"] = _client_factory(
+            app.users, self.bed.go
+        )
         app.jobs.services["galaxy_fs"] = app.fs
         app.jobs.services["galaxy_config"] = app.config
         # non-NFS backends charge explicit stage-in/out around each job
@@ -329,18 +346,6 @@ class Deployer:
         for username in dom.users:
             user = app.create_user(username)
             user.globus_username = username
-
-    def _make_client_factory(self, app: GalaxyApp):
-        def factory(galaxy_username: str) -> TransferClient:
-            user = app.users.get(galaxy_username)
-            go_name = (
-                user.globus_username if user and user.globus_username else galaxy_username
-            )
-            try:
-                return TransferClient(self.bed.go, go_name)
-            except GlobusAPIError:
-                raise
-        return factory
 
     # ------------------------------------------------------------------ update
     def update(self, deployment: Deployment, new_topology: Topology):
