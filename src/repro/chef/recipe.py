@@ -8,7 +8,8 @@ as the paper describes GP's Chef usage (Sec. III-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable, Iterable, Optional
 
 from .node import ChefNode
@@ -68,7 +69,7 @@ class RecipeContext:
         return self.add(ScmCheckout(name=path, io_work=io_work, **kw))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Recipe:
     """Named builder of a resource collection."""
 
@@ -90,9 +91,12 @@ class Recipe:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cookbook:
-    """A named group of recipes plus cookbook-level default attributes."""
+    """A named group of recipes plus cookbook-level default attributes.
+
+    The fields are never reassigned; in a frozen repository (see
+    :meth:`CookbookRepository.freeze`) both mappings are read-only."""
 
     name: str
     recipes: dict[str, Recipe] = field(default_factory=dict)
@@ -127,6 +131,20 @@ class CookbookRepository:
         self._books: dict[str, Cookbook] = {}
         for book in cookbooks or ():
             self.register(book)
+
+    def freeze(self) -> "CookbookRepository":
+        """Make the repository read-only, for sharing between worlds:
+        registering a cookbook, or adding or replacing a recipe or a
+        default attribute in one, raises ``TypeError`` from then on."""
+        self._books = MappingProxyType({
+            name: replace(
+                book,
+                recipes=MappingProxyType(dict(book.recipes)),
+                default_attributes=MappingProxyType(dict(book.default_attributes)),
+            )
+            for name, book in self._books.items()
+        })
+        return self
 
     def register(self, cookbook: Cookbook) -> None:
         if cookbook.name in self._books:

@@ -24,6 +24,8 @@ pay off — the ablation benchmark measures exactly that.
 
 from __future__ import annotations
 
+from functools import cache
+
 from ..chef import Cookbook, CookbookRepository
 
 GALAXY_FORK_URL = "https://bitbucket.org/galaxy/galaxy-globus"
@@ -155,9 +157,11 @@ def build_galaxy_cookbook() -> Cookbook:
     return book
 
 
+@cache
 def build_repository() -> CookbookRepository:
-    """The cookbook repository a GP deployment converges from."""
-    return CookbookRepository([build_globus_cookbook(), build_galaxy_cookbook()])
+    """The cookbook repository a GP deployment converges from, built once
+    per process and shared, frozen, by every testbed."""
+    return CookbookRepository([build_globus_cookbook(), build_galaxy_cookbook()]).freeze()
 
 
 #: Run-list of the galaxy head node in the use-case topology (with NFS).

@@ -8,11 +8,16 @@ servers look their path up here.  Same-site transfers use the LAN path.
 
 from __future__ import annotations
 
+from functools import cache
+
 from ..cloud.network import NetworkPath
 
 
 class SiteGraph:
     """Symmetric map of (site, site) -> NetworkPath."""
+
+    #: set by :meth:`freeze`: a frozen graph refuses every change
+    frozen = False
 
     def __init__(self, default: NetworkPath | None = None) -> None:
         self._paths: dict[frozenset[str], NetworkPath] = {}
@@ -20,7 +25,21 @@ class SiteGraph:
         self.default = default if default is not None else NetworkPath.paper_wan()
         self.lan = NetworkPath.lan()
 
+    def __setattr__(self, name: str, value) -> None:
+        if self.frozen:
+            raise TypeError(f"a frozen SiteGraph cannot set {name!r}")
+        super().__setattr__(name, value)
+
+    def freeze(self) -> "SiteGraph":
+        """Make the graph read-only, for sharing between worlds: ``connect``,
+        ``add_site`` and assigning an attribute raise ``TypeError`` from
+        then on."""
+        self.frozen = True
+        return self
+
     def add_site(self, name: str) -> None:
+        if self.frozen:
+            raise TypeError(f"a frozen SiteGraph cannot add site {name!r}")
         self._sites.add(name)
 
     @property
@@ -40,10 +59,12 @@ class SiteGraph:
         return self._paths.get(frozenset((a, b)), self.default)
 
     @classmethod
+    @cache
     def paper_testbed(cls) -> "SiteGraph":
-        """Laptop, EC2 deployment, and the CVRG data endpoint (Sec. V)."""
+        """Laptop, EC2 deployment, and the CVRG data endpoint (Sec. V),
+        built once per process and shared, frozen, by every testbed."""
         g = cls()
         wan = NetworkPath.paper_wan()
         for a, b in [("laptop", "ec2"), ("laptop", "cvrg"), ("cvrg", "ec2")]:
             g.connect(a, b, wan)
-        return g
+        return g.freeze()
