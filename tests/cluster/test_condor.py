@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import CondorError, CondorPool, JobState, MachineAd
-from repro.simcore import SimContext
+from repro.simcore import SimContext, SimEvent
 
 
 def make_pool(machines=(), interval=20.0, obs=None):
@@ -235,3 +235,117 @@ def test_property_all_jobs_complete_and_slots_never_oversubscribed(works, cores)
     total = sum(works)
     assert ctx.now >= total / cores - 1.0
     assert ctx.now <= total + 5.0 * len(works) + 1.0
+
+
+# ---------------------------------------------------------------------------
+# Completion events nobody waits on
+# ---------------------------------------------------------------------------
+
+
+def _busy_pool(n_jobs, read_when_done):
+    """A pool running ``n_jobs`` jobs of mixed work, with same-time
+    completions, interval ticks (more jobs than slots) and a machine
+    joining mid-run.  Returns the pool's observable outcome."""
+    ctx, pool = make_pool([("w1", 4, 8.0, 1.0), ("w2", 2, 8.0, 2.0)], interval=20.0)
+    order = []
+    jobs = []
+    for i in range(n_jobs):
+        job = pool.submit(
+            cpu_work=10.0 + i % 7,
+            owner=f"user{i % 3}",
+            on_complete=lambda j: order.append(j.id),
+        )
+        if read_when_done:
+            pool.when_done(job)
+        jobs.append(job)
+    ctx.sim.call_in(
+        150.0,
+        lambda: pool.add_machine(MachineAd(name="w3", cores=2, memory_gb=8.0, cpu_factor=1.5)),
+    )
+    ctx.sim.run()
+    assert all(j.state == JobState.COMPLETED for j in jobs)
+    return (
+        ctx.sim.events_processed,
+        ctx.sim.peak_queue_depth,
+        [(j.id, j.start_time, j.end_time, j.machine_name) for j in jobs],
+        order,
+    )
+
+
+def test_jobs_nobody_waits_on_allocate_no_event_per_job(monkeypatch):
+    """A job whose completion nobody asked for, its claim's completion
+    cohort and the negotiator's wakes build no ``SimEvent`` per job: the
+    count over a 200-job pool is a constant, not ~3 per job."""
+    calls = [0]
+    init = SimEvent.__init__
+
+    def counting_init(self, sim):
+        calls[0] += 1
+        init(self, sim)
+
+    monkeypatch.setattr(SimEvent, "__init__", counting_init)
+    events = _busy_pool(200, read_when_done=False)[0]
+    assert events > 1000  # the completions still count as kernel events
+    assert calls[0] <= 4
+
+
+def test_when_done_read_or_not_gives_the_same_run():
+    """Reading ``when_done`` for every job or for none changes nothing the
+    kernel counts or the pool does: the same events processed, the same
+    peak queue depth, completion times and completion order."""
+    assert _busy_pool(60, read_when_done=True) == _busy_pool(60, read_when_done=False)
+
+
+def test_when_done_on_a_completed_job_is_processed_with_the_job():
+    ctx, pool = make_pool([("w1", 1, 1.7, 1.0)])
+    job = pool.submit(cpu_work=10.0)
+    ctx.sim.run()
+    done = pool.when_done(job)
+    assert done.processed and done.ok and done.value is job
+    assert ctx.sim.run(until=done) is job
+
+
+def test_a_waiter_on_a_removed_job_gets_a_condor_error():
+    """``condor_rm`` fails a job's completion event, running or idle: a
+    waiter resumes with a ``CondorError`` naming the job instead of
+    hanging (the drain used to end with the awaited event untriggered)."""
+    ctx, pool = make_pool([("w1", 1, 8.0, 1.0)], interval=5.0)
+    running = pool.submit(cpu_work=1000.0)
+    queued = pool.submit(cpu_work=10.0)
+
+    def waiter(job):
+        try:
+            yield pool.when_done(job)
+        except CondorError as exc:
+            return f"{ctx.now}: {exc}"
+        return "completed"
+
+    procs = [ctx.sim.process(waiter(j)) for j in (running, queued)]
+    ctx.sim.run(until=10.0)
+    assert running.state == JobState.RUNNING and queued.state == JobState.IDLE
+    pool.remove_job(running)
+    pool.remove_job(queued)
+    assert ctx.sim.run(until=procs[0]) == f"10.0: job {running.id} was removed"
+    assert ctx.sim.run(until=procs[1]) == f"10.0: job {queued.id} was removed"
+    late = pool.when_done(queued)
+    with pytest.raises(CondorError, match=f"job {queued.id} was removed"):
+        ctx.sim.run(until=late)
+
+
+def test_removing_a_job_nobody_waits_on_schedules_nothing():
+    """An idle job's ``condor_rm`` schedules no event unless its
+    completion event was asked for; one that was asked for and then
+    dropped fails defused, so it cannot crash the drain."""
+    ctx, pool = make_pool([("w1", 1, 8.0, 1.0)], interval=5.0)
+    pool.submit(cpu_work=1000.0)
+    unwatched = pool.submit(cpu_work=10.0)
+    dropped = pool.submit(cpu_work=10.0)
+    pool.when_done(dropped)
+    ctx.sim.run(until=10.0)
+    depth = ctx.sim.queue_depth
+    pool.remove_job(unwatched)
+    assert ctx.sim.queue_depth == depth
+    pool.remove_job(dropped)
+    assert ctx.sim.queue_depth == depth + 1
+    ctx.sim.run()
+    assert pool.when_done(dropped).processed

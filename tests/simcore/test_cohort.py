@@ -5,12 +5,15 @@ cohort behaves exactly like one plain ``sim.timeout`` per member,
 registered in index order, whose callback applies that member.  The
 fuzz suite drives randomly interleaved cohorts and plain timers through
 both forms and demands identical member application traces,
-``events_processed``, and ``peak_queue_depth``.
+``events_processed``, and ``peak_queue_depth``, whether a cohort's
+``done`` is read before the run, first read from inside one of its
+applies, or never read.
 """
 
 from __future__ import annotations
 
 import gc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +26,15 @@ from repro.simcore.cohort import EventCohort, _CohortMember
 #: collision-rich delay grid: repeated values force same-timestamp runs
 DELAY_GRID = (0.0, 0.25, 0.25, 0.25, 0.5, 1.0, 1.0, 2.0)
 
+#: when a program reads a cohort's ``done``: right after registering it,
+#: from inside the first of its applies to run, or never
+READS = ("before", "apply", "never")
+
 PROGRAM = st.lists(
     st.tuples(
         st.sampled_from(["cohort", "timers"]),
         st.lists(st.sampled_from(DELAY_GRID), min_size=0, max_size=10),
+        st.sampled_from(READS),
     ),
     min_size=1,
     max_size=8,
@@ -35,15 +43,17 @@ PROGRAM = st.lists(
 
 def _timer_cohort(sim, times, apply):
     """The oracle: one plain timer per member plus a ``done`` event,
-    mirroring the cohort's registration order and completion."""
+    mirroring the cohort's registration order and completion.  ``apply``
+    gets a stand-in whose ``done`` is that event in place of the cohort."""
     done = sim.event()
     if not times:
         done.succeed()
         return done
     remaining = [len(times)]
+    stand_in = SimpleNamespace(done=done)
 
     def fire(k):
-        apply(None, k)
+        apply(stand_in, k)
         remaining[0] -= 1
         if remaining[0] == 0:
             done.succeed()
@@ -63,11 +73,20 @@ def _run_program(program, use_cohorts: bool, chained: bool = False):
     sim = Simulator()
     trace: list[tuple] = []
     dones = []
-    for idx, (kind, delays) in enumerate(program):
-        if kind == "cohort":
 
-            def apply(_cohort, k, idx=idx):
+    def watch(done, idx):
+        dones.append(done)
+        done.callbacks.append(lambda _e: trace.append((sim.now, "done", idx)))
+
+    for idx, (kind, delays, read) in enumerate(program):
+        if kind == "cohort":
+            unread = [read == "apply"]
+
+            def apply(cohort, k, idx=idx, unread=unread):
                 trace.append((sim.now, "member", idx, k))
+                if unread[0]:
+                    unread[0] = False
+                    watch(cohort.done, idx)
                 if chained:
                     ev = sim.timeout(0.25)
                     ev.callbacks.append(
@@ -78,9 +97,15 @@ def _run_program(program, use_cohorts: bool, chained: bool = False):
 
             if use_cohorts:
                 cohort = sim.schedule_cohort(list(delays), apply)
-                dones.append(cohort.done)
+                done = cohort.done if read == "before" else None
             else:
-                dones.append(_timer_cohort(sim, list(delays), apply))
+                oracle = _timer_cohort(sim, list(delays), apply)
+                done = oracle if read == "before" else None
+            if done is not None:
+                if delays:
+                    watch(done, idx)
+                else:  # an empty cohort's ``done`` has already happened
+                    dones.append(done)
         else:
             for j, delay in enumerate(delays):
                 ev = sim.timeout(delay)
@@ -144,6 +169,21 @@ def test_registration_depth_counts_members():
     sim = Simulator()
     sim.schedule_cohort([1.0] * 8, lambda c, k: None)
     assert sim.queue_depth == 8
+
+
+def test_done_first_read_after_the_cohort_finished_is_processed():
+    """A ``done`` nobody read while the cohort ran is built on first read,
+    already processed, with value ``None``; the completion it stands for
+    was counted when the last member fired."""
+    sim = Simulator()
+    cohort = sim.schedule_cohort([1.0, 2.0], lambda c, k: None)
+    sim.run()
+    assert sim.events_processed == 3
+    done = cohort.done
+    assert done is cohort.done
+    assert done.processed and done.ok and done.value is None
+    assert sim.run(until=done) is None
+    assert sim.events_processed == 3
 
 
 def test_done_awaitable_from_process():

@@ -1,5 +1,7 @@
 """Kernel semantics: clock, event ordering, processes, run modes."""
 
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -226,6 +228,43 @@ def test_run_until_event_that_never_fired_leaves_no_stale_hook():
     sim.process(opener())
     assert sim.run(until=ev) == "late"
     assert sim.now == 3.0
+
+
+def test_run_until_event_leaves_no_cyclic_garbage():
+    """``run(until=ev)`` hooks ``ev`` to stop the drain.  The kernel pauses
+    the cyclic collector while it drains, so a hook left in a reference
+    cycle waits for a later collection instead of dying by refcount; no
+    run, whether ``ev`` fires (with a callback added during the run) or
+    the queue drains first, may leave garbage behind."""
+    enabled, flags, before = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulator()
+        ev = sim.timeout(5.0, value="x")
+
+        def late_waiter():
+            yield sim.timeout(1.0)
+            yield ev
+
+        sim.process(late_waiter())
+        assert sim.run(until=ev) == "x"
+        never = sim.event()
+        try:
+            sim.run(until=never)
+        except SimulationError:
+            pass
+        else:  # pragma: no cover - the queue drains before ``never``
+            raise AssertionError("run(until=never) returned")
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage[before:]]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[before:]
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 def test_yield_non_event_fails_process():

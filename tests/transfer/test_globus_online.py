@@ -182,6 +182,18 @@ def test_fault_free_service_has_no_fault_events(bed):
     assert task.status == TaskStatus.SUCCEEDED
 
 
+def test_fault_free_tasks_build_no_fault_stream(bed):
+    """Only a faulty service draws from ``globus.faults``, so a fault-free
+    one never builds the stream, on the chunk-cohort path or (with a
+    deadline) on the retry loop's."""
+    path = bed.put_file(size=10 * MB)
+    for spec in (simple_spec(src=path), simple_spec(src=path, deadline_s=3600.0)):
+        task = bed.go.submit("boliu", spec)
+        bed.ctx.sim.run(until=bed.go.when_done(task))
+        assert task.status == TaskStatus.SUCCEEDED
+    assert "globus.faults" not in bed.ctx.rng._streams
+
+
 def test_recursive_directory_transfer(bed):
     for i in range(3):
         bed.laptop_fs.write(f"/home/boliu/celdir/sample_{i}.cel", size=MB)
