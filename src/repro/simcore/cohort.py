@@ -18,7 +18,9 @@ every other event in the simulation — exactly as if each member were a
 plain ``sim.timeout`` registered in index order — and members sharing a
 timestamp execute in ascending index order.  Each member is one queue
 entry and one kernel pop, so ``events_processed`` and
-``peak_queue_depth`` count members.
+``peak_queue_depth`` count members.  The cohort's completion is one more
+queue entry, triggered as its last member fires (an empty cohort's, at
+registration), whether or not anybody built :attr:`EventCohort.done`.
 """
 
 from __future__ import annotations
@@ -38,35 +40,51 @@ ApplyFn = Callable[["EventCohort", int], None]
 
 
 class _CohortMember(SimEvent):
-    """One queue entry for member ``index``.
+    """One queue entry for member ``index`` of ``cohort``.
 
     Allocated inline by :class:`EventCohort` via ``__new__`` (members
     are created in bulk; even a flat ``__init__`` call is measurable at
-    cohort scale) with only the attributes the drain loop reads:
-    ``callbacks`` (one list shared by every member of the cohort —
-    popping clears the event's *attribute*, never the list), ``_ok``,
-    ``_defused``, and ``index``.
+    cohort scale) with only the attributes the drain loop and
+    :func:`_apply_member` read: ``callbacks`` (:data:`_MEMBER_CALLBACKS`,
+    one list shared by every member of every cohort — popping clears the
+    event's *attribute*, never the list), ``_ok``, ``_defused``,
+    ``cohort`` and ``index``.  A member points at its cohort and the
+    cohort never points at its members, so no reference cycle forms.
     """
 
-    __slots__ = ("index",)
+    __slots__ = ("cohort", "index")
+
+
+def _apply_member(ev: _CohortMember) -> None:
+    """Kernel callback of every member: apply it, then retire it."""
+    cohort = ev.cohort
+    cohort.apply(cohort, ev.index)
+    cohort._remaining -= 1
+    if cohort._remaining == 0:
+        done = cohort._done
+        if done is None:
+            cohort.sim.trigger_unwatched()
+        else:
+            done.succeed()
+
+
+_MEMBER_CALLBACKS = [_apply_member]
 
 
 class EventCohort:
     """N homogeneous timers registered as one struct-of-arrays record.
 
     Created via :meth:`Simulator.schedule_cohort`; producers keep a
-    reference for its :attr:`done` event (fires with value ``None`` once
-    every member has been applied) and for the payload ``apply`` indexes
-    into.  ``done`` never carries the cohort itself: that would make
-    every cohort a reference cycle, left for the collector instead of
-    freed by refcount once its last member has fired.
+    reference for its :attr:`done` event and for the payload ``apply``
+    indexes into.
     """
 
     __slots__ = (
+        "sim",
         "payload",
         "apply",
         "size",
-        "done",
+        "_done",
         "_remaining",
         "cause",
     )
@@ -85,19 +103,20 @@ class EventCohort:
         # The kernel never reads it; None (the obs-off default) costs one
         # slot write.
         self.cause = cause
+        self.sim = sim
         self.payload = payload
         self.apply = apply
         self.size = n = len(times)
-        self.done = SimEvent(sim)
+        self._done = None
         self._remaining = n
         if n == 0:
-            self.done.succeed()
+            sim.trigger_unwatched()
             return
         tl = times.tolist() if isinstance(times, np.ndarray) else times
         now = sim._now
         pending = sim._pending
         eid = sim._eid
-        cbs = [self._fire_member]
+        cbs = _MEMBER_CALLBACKS
         new = _CohortMember.__new__
         for k in range(n):
             t = tl[k]
@@ -110,12 +129,28 @@ class EventCohort:
             ev.callbacks = cbs
             ev._ok = True
             ev._defused = False
+            ev.cohort = self
             ev.index = k
             pending.append((t, next(eid), ev))
 
-    def _fire_member(self, ev: SimEvent) -> None:
-        """Kernel callback: apply one member, then retire it."""
-        self.apply(self, ev.index)  # type: ignore[attr-defined]
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.done.succeed()
+    @property
+    def done(self) -> SimEvent:
+        """The event that fires with value ``None`` once every member has
+        been applied.
+
+        Built on first read.  Until then the cohort's completion is the
+        kernel's shared unwatched event (see
+        :meth:`Simulator.trigger_unwatched`), counted the same, so a
+        cohort nobody waits on builds no event.  First read after the last
+        member fired (or on an empty cohort), it comes back already
+        processed.  It never carries the cohort itself: that would make
+        the cohort a reference cycle, left for the collector instead of
+        freed by refcount once its last member has fired.
+        """
+        done = self._done
+        if done is None:
+            sim = self.sim
+            done = self._done = (
+                SimEvent(sim) if self._remaining else sim.processed_event()
+            )
+        return done

@@ -130,6 +130,17 @@ class SimEvent:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
+#: The one event that stands for every event nobody waits on (see
+#: :meth:`~repro.simcore.kernel.Simulator.trigger_unwatched`).  It is
+#: already processed and has no callbacks, so any simulator's kernel can
+#: pop it any number of times and run nothing; each pop still counts.
+UNWATCHED = SimEvent.__new__(SimEvent)
+UNWATCHED.callbacks = None
+UNWATCHED._value = None
+UNWATCHED._ok = True
+UNWATCHED._defused = False
+
+
 class Timeout(SimEvent):
     """Event that fires after a fixed simulated delay.
 

@@ -40,7 +40,7 @@ from typing import Callable, Optional
 from ..obs.recorder import NULL_RECORDER
 from .cohort import EventCohort
 from .errors import SimulationError, StopSimulation
-from .events import LAZY, NORMAL, URGENT, AllOf, AnyOf, SimEvent, Timeout
+from .events import LAZY, NORMAL, UNWATCHED, URGENT, AllOf, AnyOf, SimEvent, Timeout
 from .process import Process, ProcessGenerator
 
 __all__ = ["Simulator", "URGENT", "NORMAL", "LAZY"]
@@ -140,6 +140,29 @@ class Simulator:
 
     def any_of(self, events) -> AnyOf:
         return AnyOf(self, events)
+
+    def processed_event(self, value: object = None) -> SimEvent:
+        """An event that has already happened with ``value``.
+
+        A process yielding it resumes at once and ``run(until=...)``
+        returns ``value``; nothing is scheduled or counted.
+        """
+        ev = SimEvent(self)
+        ev._ok = True
+        ev._value = value
+        ev.callbacks = None
+        return ev
+
+    def trigger_unwatched(self) -> None:
+        """Trigger an event nobody waits on without building one.
+
+        The shared, already-processed
+        :data:`~repro.simcore.events.UNWATCHED` takes the queue entry
+        ``sim.event().succeed()`` would: a fresh insertion id on the
+        zero-delay FIFO, so it counts in :attr:`events_processed` and
+        :attr:`peak_queue_depth` exactly as that event would.
+        """
+        self._immediate.append((next(self._eid), UNWATCHED))
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> SimEvent:
         """Run ``fn()`` after ``delay`` simulated seconds."""
