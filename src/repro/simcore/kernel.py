@@ -63,6 +63,29 @@ class _FnCallback:
         self.fn()
 
 
+class _StopHook:
+    """``run(until=event)``'s callback on the event: stops the drain.
+
+    It stops only after every callback on the event, including ones
+    added after the run began: those sit behind the hook, so it moves
+    behind them once and runs again last.  It holds the event's callback
+    list, which holds it; :meth:`Simulator._run` drops the hook's edge
+    when the run ends, so neither waits for the cyclic collector.
+    """
+
+    __slots__ = ("hooks",)
+
+    def __init__(self, hooks: list) -> None:
+        self.hooks: Optional[list] = hooks
+
+    def __call__(self, _event: SimEvent) -> None:
+        hooks = self.hooks
+        if hooks[-1] is not self:
+            hooks.append(self)
+            return
+        raise StopSimulation()
+
+
 class Simulator:
     """Event loop with a virtual clock measured in seconds."""
 
@@ -326,25 +349,15 @@ class Simulator:
 
     def _run(self, until: float | SimEvent | None) -> object:
         until_f: Optional[float] = None
-        # ``until``'s callback list while this run waits on the event
-        hooks: Optional[list] = None
+        # the hook on ``until`` while this run waits on the event
+        stop: Optional[_StopHook] = None
         if isinstance(until, SimEvent):
             if until.processed:
                 if not until.ok:
                     raise until.value  # type: ignore[misc]
                 return until.value
-            hooks = until.callbacks
-
-            def _stop(_ev: SimEvent) -> None:
-                # Stop only after every callback on the event, including
-                # ones added after this run began: those sit behind this
-                # hook, so it moves behind them once and runs again last.
-                if hooks[-1] is not _stop:
-                    hooks.append(_stop)
-                    return
-                raise StopSimulation()
-
-            hooks.append(_stop)
+            stop = _StopHook(until.callbacks)
+            until.callbacks.append(stop)
         elif until is not None:
             until_f = float(until)
             if not until_f >= self._now:  # also rejects NaN
@@ -363,7 +376,8 @@ class Simulator:
         # Condor drops a job's ``on_complete`` once it has run), so that
         # collection walks live objects only.  On perfbench's waas pass
         # (seed 1, 2-vCPU VM) it walks 30k objects in ~15 ms; with one
-        # reference cycle per cohort it walked 172k in ~215 ms.
+        # reference cycle per cohort it walked 172k in ~215 ms.  The
+        # ``until`` hook drops its callback list below for the same reason.
         paused_gc = gc.isenabled()
         if paused_gc:
             gc.disable()
@@ -376,11 +390,13 @@ class Simulator:
         finally:
             if paused_gc:
                 gc.enable()
-            if hooks is not None and until.callbacks is not None:
-                # The event never fired: unhook, so a later run waiting
-                # on it is not stopped by this run's hook.
-                hooks.remove(_stop)
-        if hooks is not None:
+            if stop is not None:
+                if until.callbacks is not None:
+                    # The event never fired: unhook, so a later run
+                    # waiting on it is not stopped by this run's hook.
+                    until.callbacks.remove(stop)
+                stop.hooks = None
+        if stop is not None:
             raise SimulationError(
                 "event queue drained before the awaited event triggered"
             )
