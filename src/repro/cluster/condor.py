@@ -26,6 +26,7 @@ from typing import Any, Callable, Optional
 
 from .. import calibration
 from ..simcore import LAZY, SimContext, SimEvent
+from ..simcore.events import _PENDING
 from .node import ClusterNode
 
 Requirements = Callable[["MachineAd"], bool]
@@ -66,8 +67,8 @@ class CondorJob:
     (the WaaS service) attach real computation to the simulated job; it
     runs once, when the job completes, and is then dropped, so the
     submitter's closure does not live as long as the job record.
-    :meth:`CondorPool.submit` passes the fields up to ``completed``
-    positionally.
+    :meth:`CondorPool.submit` passes the fields up to ``submit_time``
+    positionally; ``completed`` is built by :meth:`CondorPool.when_done`.
     """
 
     id: int
@@ -79,7 +80,7 @@ class CondorJob:
     rank: Optional[Rank] = None
     on_complete: Optional[Callable[["CondorJob"], None]] = None
     submit_time: float = 0.0
-    completed: Optional[SimEvent] = None  # fires when COMPLETED
+    completed: Optional[SimEvent] = None  # see CondorPool.when_done
     state: JobState = JobState.IDLE
     start_time: Optional[float] = None
     end_time: Optional[float] = None
@@ -188,7 +189,9 @@ class Startd:
         if job.on_complete is not None:
             job.on_complete(job)
             job.on_complete = None  # frees the submitter's closure by refcount
-        if job.completed is not None and not job.completed.triggered:
+        if job.completed is None:
+            self.ctx.sim.trigger_unwatched()  # nobody asked: no event object
+        else:
             job.completed.succeed(job)
         obs = self.ctx.obs
         if obs.enabled:
@@ -352,6 +355,45 @@ class Schedd:
         return next(iter(bucket.values()))  # a bucket is never empty
 
 
+def _fail_removed(job: CondorJob, completed: SimEvent) -> None:
+    """Fail ``job``'s completion event for ``condor_rm``, defused so a
+    caller that asked for the event and dropped it cannot crash the
+    drain."""
+    completed.fail(CondorError(f"job {job.id} was removed"))
+    completed.defused = True
+
+
+def _negotiator_wake(ev: "_NegotiatorWake") -> None:
+    """Kernel callback of every wake: run the pool's negotiation cycle."""
+    pool = ev.pool
+    pool._wake_armed = False
+    if not pool._stopped:
+        pool._run_cycle()
+
+
+_WAKE_CALLBACKS = [_negotiator_wake]
+
+
+class _NegotiatorWake(SimEvent):
+    """The LAZY event one negotiator wake arms.
+
+    Built by a flat initializer (see :class:`~repro.simcore.Timeout`)
+    that allocates neither a callback list nor a bound method: it carries
+    its pool, and its ``callbacks`` is :data:`_WAKE_CALLBACKS`, one list
+    shared by every wake, which nothing appends to.
+    """
+
+    __slots__ = ("pool",)
+
+    def __init__(self, pool: "CondorPool") -> None:
+        self.sim = pool.ctx.sim
+        self.callbacks = _WAKE_CALLBACKS
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
+        self.pool = pool
+
+
 class CondorPool:
     """Collector + negotiator + schedd: the pool facade Galaxy talks to.
 
@@ -486,7 +528,7 @@ class CondorPool:
         # a dict, which costs more than the rest of the construction
         job = CondorJob(
             job_id, owner, cpu_work, io_work, req_memory_gb,
-            requirements, rank, on_complete, ctx.now, SimEvent(ctx.sim),
+            requirements, rank, on_complete, ctx.now,
         )
         schedd = self.schedd
         schedd.submit(job)
@@ -508,17 +550,41 @@ class CondorPool:
         return job
 
     def when_done(self, job: CondorJob) -> SimEvent:
-        assert job.completed is not None
-        return job.completed
+        """The event that fires with ``job`` once it completes.
+
+        Built on the first call, so a job nobody waits on builds no event:
+        its completion is the kernel's shared unwatched event instead
+        (:meth:`~repro.simcore.Simulator.trigger_unwatched`), counted the
+        same.  On a job that has already completed it comes back processed,
+        with the job as its value; ``condor_rm`` fails it with a
+        :class:`CondorError`.
+        """
+        ev = job.completed
+        if ev is None:
+            sim = self.ctx.sim
+            if job.state == JobState.COMPLETED:
+                ev = sim.processed_event(job)
+            else:
+                ev = SimEvent(sim)
+                if job.state == JobState.REMOVED:
+                    _fail_removed(job, ev)
+            job.completed = ev
+        return ev
 
     def remove_job(self, job: CondorJob) -> None:
-        """``condor_rm``: drop a queued job, or kill a running one."""
+        """``condor_rm``: drop a queued job, or kill a running one.
+
+        A waiter on the job's :meth:`when_done` event gets a
+        :class:`CondorError`; a job nobody waits on schedules nothing.
+        """
         if job.state in (JobState.COMPLETED, JobState.REMOVED):
             raise CondorError(f"job {job.id} is already {job.state.value}")
         was_running = job.state == JobState.RUNNING
         job.state = JobState.REMOVED
         self.schedd._job_left_queue(job)
         job.end_time = self.ctx.now
+        if job.completed is not None:
+            _fail_removed(job, job.completed)
         if was_running:
             for startd in self.startds.values():
                 for slot, running in list(startd.busy.items()):
@@ -614,14 +680,7 @@ class CondorPool:
         if self._wake_armed or self._stopped:
             return
         self._wake_armed = True
-        ev = SimEvent(self.ctx.sim)
-        ev.callbacks.append(self._on_wake)
-        ev.succeed(priority=LAZY)
-
-    def _on_wake(self, _ev: SimEvent) -> None:
-        self._wake_armed = False
-        if not self._stopped:
-            self._run_cycle()
+        _NegotiatorWake(self).succeed(priority=LAZY)
 
     def _run_cycle(self) -> None:
         self._gen += 1
