@@ -477,7 +477,11 @@ class GlobusOnline:
             calibration.GO_OVERHEAD_S + per_file_request_cost(len(files), network.rtt_s)
         )
 
-        faults_stream = self.ctx.stream("globus.faults")
+        # only a faulty service draws from it; a stream's draws depend on
+        # its seed and name alone, so building it late moves none
+        faults_stream = (
+            self.ctx.stream("globus.faults") if self.fault_rate > 0.0 else None
+        )
         obs = self.ctx.obs
         track = f"go/{task.task_id}"
         src_conn = src._conn_pool.request()
@@ -550,7 +554,7 @@ class GlobusOnline:
                             self._fail(task, "deadline exceeded")
                             return
                         faulted = (
-                            self.fault_rate > 0.0
+                            faults_stream is not None
                             and float(faults_stream.random()) < self.fault_rate
                         )
                         duration = wire
