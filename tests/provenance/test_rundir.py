@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.provenance import read_bundle, run_views, write_run_dir
 from repro.provenance.bundle import content_digest
 from repro.provenance.cli import main
+from repro.reporting import render_critpath
 
 from ..json_fuzz import JSON_VALUES, node_paths, put
 
@@ -40,6 +42,39 @@ def test_views_derive_from_the_spans_section_alone(tiny_bundle, fresh_run_dir):
         assert (fresh_run_dir / name).read_bytes() == text.encode()
     # the bundle on disk round-trips to the same views
     assert run_views(read_bundle(fresh_run_dir / "tiny.bundle.json").spans) == views
+
+
+def test_trace_and_report_carry_the_series_and_the_critical_path(tiny_bundle):
+    """Two views per group: the trace holds every series point as a
+    counter event and every critical-path segment on a ``critical-path``
+    track, and the report holds the critical-path and span tables."""
+    docs = tiny_bundle.spans
+    views = run_views(docs)
+    assert sorted(views) == ["scale.report.md", "scale.trace.json"]
+    events = json.loads(views["scale.trace.json"])["traceEvents"]
+    critpath = obs.critpath_doc(docs, suite="scale")
+    assert any(doc["series"] for doc in docs)
+    for pid, (doc, path) in enumerate(zip(docs, critpath["contexts"]), start=1):
+        counters = [e for e in events if e["pid"] == pid and e["ph"] == "C"]
+        assert len(counters) == sum(len(points) for points in doc["series"].values())
+        for name, points in doc["series"].items():
+            got = [(e["ts"], e["args"]["value"]) for e in counters if e["name"] == name]
+            assert got == [(t * 1e6, value) for t, value in points]
+        (tid,) = [
+            e["tid"]
+            for e in events
+            if e["pid"] == pid and e["ph"] == "M" and e["args"]["name"] == "critical-path"
+        ]
+        track = [e for e in events if (e["pid"], e["tid"], e["ph"]) == (pid, tid, "X")]
+        assert path["segments"]
+        assert [(e["name"], e["args"]["layer"], e["ts"], e["dur"]) for e in track] == [
+            (s["name"], s["layer"], s["start"] * 1e6, s["duration_s"] * 1e6)
+            for s in path["segments"]
+        ]
+    report = views["scale.report.md"]
+    assert report.startswith("# scale\n")
+    assert render_critpath(critpath) in report
+    assert obs.summary_table(docs, title="scale: span summary (sim-seconds)") in report
 
 
 def test_views_group_by_spec_name_prefix():
