@@ -6,14 +6,16 @@ Examples::
     gp-bench --smoke --workers 4            # CI smoke sweep, fanned out
     gp-bench scale --workers 4 --json-out suite.json
     gp-bench fig10 fig11 --workers 2        # a subset of suites
-    gp-bench usecase --smoke --run-out run/ # bundle + trace/critpath views
+    gp-bench usecase --smoke --run-out run/ # bundle + trace and report views
 
 Exit status is 1 if any task failed or timed out — or if an
 otherwise-ok task's payload reports ``tasks_failed > 0`` — so CI can
 gate on the sweep directly; it is 2 for an unknown suite, a
-``--workers`` below 1, a ``--timeout`` that is not positive, or a
+``--workers`` below 1, a ``--timeout`` that is not positive, a
 ``--run-out`` that is an existing file or non-empty directory or cannot
-be created.
+be created, or a ``--json-out`` or ``--sim-json-out`` that is a
+directory, a name the file system refuses, or not in a writable
+directory.  Each is refused before any task runs.
 
 Payloads and ``--sim-json-out`` hold simulated results only; what a run
 costs the host is measured by ``perfbench/run.py``, not here.
@@ -22,11 +24,31 @@ costs the host is measured by ``perfbench/run.py``, not here.
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
+import stat
 import sys
 
 from . import suites
 from .harness import run_suite
+
+
+def output_file(text: str) -> pathlib.Path:
+    """The ``type`` of an output file option: a path that is a directory,
+    that the file system refuses, or that is not in a writable directory
+    is a usage error before any work runs instead of a traceback after it."""
+    path = pathlib.Path(text)
+    try:
+        mode = path.stat().st_mode
+    except FileNotFoundError:
+        mode = 0
+    except OSError as exc:  # e.g. a name too long, or below a regular file
+        raise argparse.ArgumentTypeError(f"{path}: {exc.strerror}") from None
+    if stat.S_ISDIR(mode):
+        raise argparse.ArgumentTypeError(f"{path} is a directory")
+    if not (os.path.isdir(path.parent) and os.access(path.parent, os.W_OK)):
+        raise argparse.ArgumentTypeError(f"{path}: {path.parent} is not a writable directory")
+    return path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,12 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--json-out",
-        type=pathlib.Path,
+        type=output_file,
         help="write the merged suite result (JSON) here",
     )
     parser.add_argument(
         "--sim-json-out",
-        type=pathlib.Path,
+        type=output_file,
         help="write the host-independent simulation metrics (JSON) here",
     )
     parser.add_argument(
@@ -73,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "record spans and write the run directory into DIR (new or empty):"
-            " the provenance bundle plus, per suite, its trace, timeseries,"
-            " critpath and summary views; gp-replay DIR checks it"
+            " the provenance bundle plus, per suite, a trace (spans, series and"
+            " critical path) and a report (critical path and span summary);"
+            " gp-replay DIR checks it"
         ),
     )
     parser.add_argument(
@@ -103,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--timeout must be positive")
     # a stale view from an earlier run would fail gp-replay's directory check
     run_out = args.run_out
-    if run_out is not None and run_out.exists() and (
+    if run_out is not None and os.path.exists(run_out) and (
         not run_out.is_dir() or any(run_out.iterdir())
     ):
         parser.error(f"--run-out {run_out} must be a new or empty directory")

@@ -11,14 +11,16 @@ Disabled (the default), the whole subsystem is a handful of shared no-op
 singletons and simulation output is byte-identical to an uninstrumented
 build — CI enforces this.  Enabled, a run exports:
 
-* a Chrome ``trace_event`` JSON loadable in Perfetto / ``about://tracing``;
-* a ``(t, value)`` gauge sample log (:mod:`repro.obs.timeseries`);
+* a Chrome ``trace_event`` JSON loadable in Perfetto / ``about://tracing``,
+  the gauge series (:mod:`repro.obs.timeseries`) as its counter tracks;
 * the causal critical path (:mod:`repro.obs.critpath`);
 * a text summary table (count / total / p50 / p95 per span name).
 
-``gp-bench --run-out`` writes each as a view of a provenance bundle's
-``spans`` section (:mod:`repro.provenance.rundir`), schema-checked by
-:mod:`repro.obs.validate`.
+``gp-bench --run-out`` writes two views of a provenance bundle's
+``spans`` section per suite group (:mod:`repro.provenance.rundir`): the
+trace, with the critical path as one more track, and a report holding
+the critical-path and summary tables.  :mod:`repro.obs.validate` checks
+the trace's schema.
 
 Enable per context::
 
@@ -51,8 +53,8 @@ from .recorder import (
     capture,
     recorder_for_context,
 )
-from .timeseries import NULL_SERIES, TimeSeries, series_points, timeseries_jsonl
-from .validate import check_chrome_trace, check_critpath, check_obs_docs, check_timeseries
+from .timeseries import NULL_SERIES, TimeSeries
+from .validate import check_chrome_trace, check_critpath, check_obs_docs
 
 __all__ = [
     "Capture",
@@ -68,14 +70,11 @@ __all__ = [
     "check_chrome_trace",
     "check_critpath",
     "check_obs_docs",
-    "check_timeseries",
     "chrome_trace",
     "critical_path",
     "critpath_doc",
     "layer_of",
     "recorder_for_context",
-    "series_points",
     "summary_rows",
     "summary_table",
-    "timeseries_jsonl",
 ]

@@ -226,7 +226,7 @@ def critical_path(doc: dict) -> dict:
 
 
 def critpath_doc(source, suite: str = "") -> dict:
-    """The ``.critpath.json`` artefact: per-context paths + layer totals.
+    """Per-context critical paths + layer totals for a group of docs.
 
     ``source`` is anything :func:`repro.obs.export.as_docs` accepts.
     Aggregate ``layers`` sums seconds across contexts; ``makespan_s`` is

@@ -8,9 +8,10 @@ processes over a pipe), and a provenance bundle's ``spans`` section.
 
 The Chrome trace uses complete (``ph: "X"``) events — one per closed
 span, timestamped in microseconds of *simulated* time — plus thread
-(``i``) instants and ``M`` metadata naming each process (one simulation
-context) and thread (one span track).  The output loads directly in
-Perfetto / ``about://tracing``.
+(``i``) instants, one counter (``C``) event per gauge series point, and
+``M`` metadata naming each process (one simulation context) and thread
+(one span track).  The output loads directly in Perfetto /
+``about://tracing``, which draws each series as a counter track.
 """
 
 from __future__ import annotations
@@ -77,10 +78,13 @@ def _clamp_end(span: dict, fallback: float) -> float:
 def chrome_trace(source) -> dict:
     """Build a Chrome ``trace_event`` document (the JSON-object form).
 
-    Tracks map to thread ids in first-appearance order per context; each
-    context is its own process.  Events are sorted by (pid, tid, ts) so
-    per-track timestamps are monotone by construction — the property
-    :func:`repro.obs.validate.check_chrome_trace` checks.
+    Tracks map to thread ids in first-appearance order per context, spans
+    before instants; each context is its own process, and its series
+    points are counter events on thread 0.  Events are stably sorted by
+    (pid, tid, ts) so per-track timestamps are monotone by construction —
+    the property :func:`repro.obs.validate.check_chrome_trace` checks —
+    and, as a recorder's clock never goes back, each series keeps its
+    recording order.
     """
     docs = as_docs(source)
     events: list[dict] = []
@@ -141,6 +145,19 @@ def chrome_trace(source) -> dict:
                     "args": dict(inst.get("attrs") or {}),
                 }
             )
+        series = doc.get("series") or {}
+        for name in sorted(series):
+            for t, value in series[name]:
+                events.append(
+                    {
+                        "name": name,
+                        "ph": "C",
+                        "pid": pid,
+                        "tid": 0,
+                        "ts": float(t) * _US,
+                        "args": {"value": value},
+                    }
+                )
     metadata = [e for e in events if e["ph"] == "M"]
     timed = [e for e in events if e["ph"] != "M"]
     timed.sort(key=lambda e: (e["pid"], e["tid"], e["ts"]))

@@ -8,23 +8,17 @@ own, so recording a series schedules no events and the simulation output
 stays byte-identical with observability on or off (the same contract
 spans and instants honour).
 
-Points ride inside the recorder's doc form (``to_dict()["series"]``) and
-export as a flat JSONL file via :func:`timeseries_jsonl`::
-
-    {"context": "sim-0", "series": "condor.idle_jobs", "t": 12.5, "value": 3}
-
-one object per line, series in sorted-name order per context, points in
-recording order — the view ``gp-bench --run-out`` writes as
-``<suite>.timeseries.jsonl`` and the autoscaling policies' post-hoc
-analysis consumes.
+Points ride inside the recorder's doc form (``to_dict()["series"]``, one
+``[t, value]`` list per series name) and export as Chrome counter events
+(:func:`repro.obs.export.chrome_trace`): the counter tracks of the
+``<group>.trace.json`` view ``gp-bench --run-out`` writes.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable
 
-__all__ = ["TimeSeries", "NULL_SERIES", "timeseries_jsonl", "series_points"]
+__all__ = ["TimeSeries", "NULL_SERIES"]
 
 
 class TimeSeries:
@@ -74,31 +68,3 @@ class _NullSeries:
 
 #: the disabled singleton every ``NullRecorder.series()`` call returns
 NULL_SERIES = _NullSeries()
-
-
-def series_points(source) -> list[dict]:
-    """Flatten all series across docs into point records.
-
-    Each record is ``{"context", "series", "t", "value"}``; contexts keep
-    doc order, series within a context sort by name, points keep
-    recording order — fully deterministic for byte-stable exports.
-    """
-    # imported here: export.as_docs imports nothing from this module, but
-    # keeping the dependency one-way at module load avoids a cycle if the
-    # exporters ever grow series-aware summaries
-    from .export import as_docs
-
-    out: list[dict] = []
-    for i, doc in enumerate(as_docs(source)):
-        label = doc.get("label") or f"sim-{i}"
-        series = doc.get("series") or {}
-        for name in sorted(series):
-            for t, v in series[name]:
-                out.append({"context": label, "series": name, "t": t, "value": v})
-    return out
-
-
-def timeseries_jsonl(source) -> str:
-    """The ``.timeseries.jsonl`` artefact: one JSON object per point."""
-    lines = [json.dumps(p, sort_keys=True) for p in series_points(source)]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -7,16 +7,14 @@ directory's views.
   type the exporters read (extra keys are ignored), so a malformed doc
   is a named error, never a crash while the views are derived;
 * :func:`check_chrome_trace` — Chrome ``trace_event`` JSON: object with
-  a ``traceEvents`` list, known phases (``X``/``i``/``M``), integer
+  a ``traceEvents`` list, known phases (``X``/``i``/``C``/``M``), integer
   ``pid``/``tid``, finite non-negative ``ts``/``dur``, per (pid, tid)
-  track monotone ``ts`` — the ordering Perfetto relies on;
-* :func:`check_critpath` — critical-path documents: version/suite/
-  contexts present, per-context segments contiguous and non-negative,
-  segment durations summing to the makespan, layer totals matching the
-  segments;
-* :func:`check_timeseries` — gauge sample logs: one JSON object per line
-  with ``context``/``series``/``t``/``value``, finite non-negative times,
-  per-series times monotone non-decreasing.
+  track monotone ``ts`` — the ordering Perfetto relies on — and counter
+  ``args`` that are non-empty objects of finite numbers;
+* :func:`check_critpath` — :func:`~repro.obs.critpath.critpath_doc`
+  documents: version/suite/contexts present, per-context segments
+  contiguous and non-negative, segment durations summing to the
+  makespan, layer totals matching the segments.
 
 Each returns a list of violations; empty means valid.
 """
@@ -30,13 +28,12 @@ __all__ = [
     "check_chrome_trace",
     "check_critpath",
     "check_obs_docs",
-    "check_timeseries",
 ]
 
 #: tolerance for "segment durations sum to the makespan" (sim-seconds)
 _SUM_TOL = 1e-6
 
-_PHASES = {"X", "i", "M"}
+_PHASES = {"X", "i", "C", "M"}
 
 
 def _is_num(v) -> bool:
@@ -161,6 +158,13 @@ def check_chrome_trace(doc) -> list[str]:
             dur = ev.get("dur")
             if not _is_num(dur) or dur < 0:
                 errors.append(f"{where}: dur must be a finite number >= 0, got {dur!r}")
+        elif ph == "C":
+            args = ev.get("args")
+            if not (isinstance(args, dict) and args and all(map(_is_num, args.values()))):
+                errors.append(
+                    f"{where}: counter args must be a non-empty object of finite"
+                    f" numbers, got {repr(args)[:60]}"
+                )
         track = (ev.get("pid"), ev.get("tid"))
         prev = last_ts.get(track)
         if prev is not None and ts < prev:
@@ -175,7 +179,7 @@ def check_chrome_trace(doc) -> list[str]:
 
 
 def check_critpath(doc) -> list[str]:
-    """Schema + invariant check for one ``.critpath.json`` document."""
+    """Schema + invariant check for one critical-path document."""
     errors: list[str] = []
     if not isinstance(doc, dict):
         return [f"top level must be an object, got {type(doc).__name__}"]
@@ -239,36 +243,4 @@ def check_critpath(doc) -> list[str]:
                         f"{where}: layers[{layer!r}] is {declared.get(layer)}, "
                         f"segments sum to {seconds}"
                     )
-    return errors
-
-
-def check_timeseries(lines: list[tuple[int, dict]]) -> list[str]:
-    """Schema check over parsed ``.timeseries.jsonl`` lines.
-
-    ``lines`` pairs each 1-based line number with its parsed object; the
-    caller handles file-level empty/truncated errors.
-    """
-    errors: list[str] = []
-    last_t: dict[tuple, float] = {}
-    for lineno, point in lines:
-        where = f"line {lineno}"
-        if not isinstance(point, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        for key in ("context", "series"):
-            if not isinstance(point.get(key), str) or not point[key]:
-                errors.append(f"{where}: {key} must be a non-empty string")
-        t = point.get("t")
-        if not _is_num(t) or t < 0:
-            errors.append(f"{where}: t must be a finite number >= 0, got {t!r}")
-            continue
-        if not _is_num(point.get("value")):
-            errors.append(f"{where}: value must be a finite number")
-        key = (point.get("context"), point.get("series"))
-        prev = last_t.get(key)
-        if prev is not None and t < prev:
-            errors.append(
-                f"{where}: t went backwards for series {key[1]!r} ({t} < {prev})"
-            )
-        last_t[key] = t
     return errors

@@ -18,7 +18,9 @@ Exit status:
   with every task ok;
 * ``1`` — replay diverged from the bundled run, or replayed tasks failed;
 * ``2`` — usage errors: bad ``--override`` syntax, keys, values or one
-  no bundled spec takes, ``--workers`` below 1;
+  no bundled spec takes, ``--workers`` below 1, an ``--export-sim`` or
+  ``--json-out`` that is a directory, a name the file system refuses,
+  or not in a writable directory;
 * ``3`` — the bundle or run directory cannot be trusted (digest/section/
   calibration/scenario, or a ``run.*`` file problem).
 
@@ -30,9 +32,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 
+from ..bench.cli import output_file
 from .bundle import BundleError, read_bundle
 from .replay import parse_overrides, rebuild_suite, replay, verify_bundle
 from .rundir import read_run_dir
@@ -66,13 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--export-sim",
-        type=pathlib.Path,
+        type=output_file,
         metavar="PATH",
         help="write the bundled sim JSON (SuiteResult.sim_json form) to PATH",
     )
     parser.add_argument(
         "--json-out",
-        type=pathlib.Path,
+        type=output_file,
         metavar="PATH",
         help="write the structured replay report (JSON) to PATH",
     )
@@ -96,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         overrides = parse_overrides(args.override)
-        if args.path.is_dir():
+        if os.path.isdir(args.path):
             bundle = read_run_dir(args.path)
         else:
             bundle = read_bundle(args.path)

@@ -1,11 +1,14 @@
 """Run directories: one provenance bundle and the views derived from it.
 
 ``gp-bench --run-out DIR`` writes ``<suite>.bundle.json`` and, per suite
-group (spec-name prefix: ``fig10/m1.small/w1`` -> ``fig10``), the trace,
-timeseries, critpath and summary views :func:`run_views` derives from
-the bundle's ``spans`` section alone.  The bundle's digests are thus the
-directory's manifest: :func:`read_run_dir` (``gp-replay DIR``) accepts
-the bundle and its views, byte for byte, and nothing else.
+group (spec-name prefix: ``fig10/m1.small/w1`` -> ``fig10``), the two
+views :func:`run_views` derives from the bundle's ``spans`` section
+alone: ``<group>.trace.json``, a Chrome trace whose counter tracks are
+the gauge series and whose ``critical-path`` track is each context's
+critical path, and ``<group>.report.md``, the critical-path and span
+summary tables.  The bundle's digests are thus the directory's manifest:
+:func:`read_run_dir` (``gp-replay DIR``) accepts the bundle and its
+views, byte for byte, and nothing else.
 """
 
 from __future__ import annotations
@@ -19,6 +22,23 @@ from .bundle import BundleError, ProvenanceBundle, read_bundle, write_bundle
 from .replay import verify_bundle
 
 BUNDLE_SUFFIX = ".bundle.json"
+
+
+def _with_critical_path(doc: dict, path: dict) -> dict:
+    """A copy of ``doc`` whose spans end with its critical path's
+    segments, as spans of one more track."""
+    segments = [
+        {
+            "name": seg["name"],
+            "track": "critical-path",
+            "start": seg["start"],
+            "end": seg["end"],
+            "status": "ok",
+            "attrs": {"layer": seg["layer"]},
+        }
+        for seg in path["segments"]
+    ]
+    return dict(doc, spans=[*doc.get("spans", ()), *segments])
 
 
 def run_views(spans: list[dict]) -> dict[str, str]:
@@ -35,11 +55,14 @@ def run_views(spans: list[dict]) -> dict[str, str]:
     views: dict[str, str] = {}
     for group, docs in sorted(groups.items()):
         critpath = obs.critpath_doc(docs, suite=group)
+        trace = obs.chrome_trace(
+            [_with_critical_path(doc, path) for doc, path in zip(docs, critpath["contexts"])]
+        )
         span_summary = obs.summary_table(docs, title=f"{group}: span summary (sim-seconds)")
-        views[f"{group}.trace.json"] = json.dumps(obs.chrome_trace(docs), sort_keys=True) + "\n"
-        views[f"{group}.timeseries.jsonl"] = obs.timeseries_jsonl(docs)
-        views[f"{group}.critpath.json"] = json.dumps(critpath, sort_keys=True) + "\n"
-        views[f"{group}.summary.txt"] = f"{render_critpath(critpath)}\n\n{span_summary}\n"
+        views[f"{group}.trace.json"] = json.dumps(trace, sort_keys=True) + "\n"
+        views[f"{group}.report.md"] = (
+            f"# {group}\n\n```\n{render_critpath(critpath)}\n```\n\n```\n{span_summary}\n```\n"
+        )
     return views
 
 
@@ -51,18 +74,6 @@ def write_run_dir(bundle: ProvenanceBundle, out_dir: pathlib.Path | str) -> list
         (out_dir / name).write_bytes(text.encode())
         written.append(out_dir / name)
     return written
-
-
-def _schema_errors(name: str, text: str) -> list[str]:
-    """The :mod:`repro.obs.validate` check for one view (none for prose)."""
-    if name.endswith(".trace.json"):
-        return obs.check_chrome_trace(json.loads(text))
-    if name.endswith(".critpath.json"):
-        return obs.check_critpath(json.loads(text))
-    if name.endswith(".timeseries.jsonl"):
-        lines = enumerate(text.splitlines(), start=1)
-        return obs.check_timeseries([(n, json.loads(line)) for n, line in lines])
-    return []
 
 
 def read_run_dir(run_dir: pathlib.Path | str) -> ProvenanceBundle:
@@ -102,7 +113,9 @@ def read_run_dir(run_dir: pathlib.Path | str) -> ProvenanceBundle:
                 f"is not the view the bundle derives ({len(data)} bytes on disk,"
                 f" {len(text.encode())} derived)",
             )
-        errors = _schema_errors(name, text)
-        if errors:
-            raise fail("run.view-schema", name, errors[0])
+        # the report is prose; the trace has a schema
+        if name.endswith(".trace.json"):
+            errors = obs.check_chrome_trace(json.loads(text))
+            if errors:
+                raise fail("run.view-schema", name, errors[0])
     return bundle

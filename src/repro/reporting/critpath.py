@@ -1,9 +1,9 @@
 """Text rendering of critical-path attribution (the Fig. 10 view).
 
-Consumes the ``.critpath.json`` document built by
-:func:`repro.obs.critpath.critpath_doc` and renders the per-layer phase
-breakdown the paper reports — boot / converge / transfer / queue /
-execute seconds — one row per simulation context.
+Consumes the document built by :func:`repro.obs.critpath.critpath_doc`
+and renders the per-layer phase breakdown the paper reports — boot /
+converge / transfer / queue / execute seconds — one row per simulation
+context: the first table of a run directory's ``<group>.report.md``.
 """
 
 from __future__ import annotations

@@ -56,3 +56,36 @@ def test_replay_verifies_the_run_directory(bundle_run, capsys):
     assert replay_main([str(run_dir)]) == 0
     assert "VERIFIED" in capsys.readouterr().out
     assert read_run_dir(run_dir) == read_bundle(bundle_run)
+
+
+@pytest.mark.parametrize("place", ["missing directory", "directory", "name too long"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("gp-bench", "--json-out"),
+        ("gp-bench", "--sim-json-out"),
+        ("gp-replay", "--export-sim"),
+        ("gp-replay", "--json-out"),
+    ],
+)
+def test_unwritable_output_path_exits_two_before_any_work(
+    bundle_run, tmp_path, capsys, command, flag, place
+):
+    """An output file that cannot be written is a usage error named before
+    any task or replay runs, not a traceback once the work is done."""
+    target = {
+        "missing directory": tmp_path / "missing" / "out.json",
+        "directory": tmp_path,
+        "name too long": tmp_path / ("x" * 300),
+    }[place]
+    if command == "gp-bench":
+        main, argv = cli.main, ["fig11", "--smoke", "-q"]
+    else:
+        main, argv = replay_main, [str(bundle_run), "--check-only"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: {target}" in captured.err
+    assert "Traceback" not in captured.err
+    assert "running suite" not in captured.out and "bundle ok" not in captured.out

@@ -64,26 +64,20 @@ def test_write_run_dir_one_view_set_per_suite(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         p.name for p in written
     ) == [
-        "fig11.critpath.json",
-        "fig11.summary.txt",
-        "fig11.timeseries.jsonl",
+        "fig11.report.md",
         "fig11.trace.json",
         "usecase+fig11-smoke.bundle.json",
-        "usecase.critpath.json",
-        "usecase.summary.txt",
-        "usecase.timeseries.jsonl",
+        "usecase.report.md",
         "usecase.trace.json",
     ]
     for trace in tmp_path.glob("*.trace.json"):
         assert check_chrome_trace(json.loads(trace.read_text())) == []
-    summary = (tmp_path / "usecase.summary.txt").read_text()
-    assert summary.startswith("critical path per context (usecase")
-    assert "span summary" in summary
-    # gauge samples rode along and parse line by line
-    lines = (tmp_path / "usecase.timeseries.jsonl").read_text().splitlines()
-    assert lines and all(
-        {"context", "series", "t", "value"} == set(json.loads(line)) for line in lines
-    )
+    report = (tmp_path / "usecase.report.md").read_text()
+    assert report.startswith("# usecase\n\n```\ncritical path per context (usecase")
+    assert "span summary" in report
+    # gauge samples rode along as counter events
+    events = json.loads((tmp_path / "usecase.trace.json").read_text())["traceEvents"]
+    assert any(e["ph"] == "C" for e in events)
     assert read_run_dir(tmp_path).spans == result.obs_docs()
 
 
@@ -128,17 +122,18 @@ def test_cli_run_out_refuses_a_used_path(tmp_path, capsys):
 
 
 def test_cli_run_out_that_cannot_be_created_exits_two_before_running(tmp_path, capsys):
-    """A path below a regular file can never become the run directory:
-    the CLI says so before any task runs, not after the whole suite."""
+    """A path below a regular file, or a name too long for the file
+    system, can never become the run directory: the CLI says so before
+    any task runs, not after the whole suite."""
     a_file = tmp_path / "file"
     a_file.write_text("")
-    target = a_file / "run"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["fig11", "--smoke", "--run-out", str(target), "-q"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert f"--run-out {target} cannot be created" in captured.err
-    assert "running suite" not in captured.out and "| spec" not in captured.out
+    for target in (a_file / "run", tmp_path / ("x" * 300)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig11", "--smoke", "--run-out", str(target), "-q"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--run-out {target} cannot be created" in captured.err
+        assert "running suite" not in captured.out and "| spec" not in captured.out
 
 
 def test_committed_smoke_baseline_regenerates_byte_identically():

@@ -1,8 +1,6 @@
 """Sim-time gauge series: recording, export, and the obs-off contract."""
 
-import json
-
-from repro.obs import NULL_RECORDER, ObsRecorder, series_points, timeseries_jsonl
+from repro.obs import NULL_RECORDER, ObsRecorder, chrome_trace
 from repro.obs.timeseries import NULL_SERIES
 
 
@@ -46,23 +44,14 @@ def test_doc_form_carries_series_sorted_by_name():
 
 
 def test_series_points_flatten_deterministically():
-    points = series_points(_recorder())
-    assert points == [
-        {"context": "run", "series": "condor.idle_jobs", "t": 0.0, "value": 3.0},
-        {"context": "run", "series": "condor.idle_jobs", "t": 10.0, "value": 1.0},
-        {"context": "run", "series": "waas.in_flight", "t": 10.0, "value": 2.5},
+    """Each point is one counter event on its context's thread 0: at one
+    time series go in name order, and each keeps its recording order."""
+    counters = [e for e in chrome_trace(_recorder())["traceEvents"] if e["ph"] == "C"]
+    assert counters == [
+        {"name": "condor.idle_jobs", "ph": "C", "pid": 1, "tid": 0, "ts": 0.0,
+         "args": {"value": 3.0}},
+        {"name": "condor.idle_jobs", "ph": "C", "pid": 1, "tid": 0, "ts": 10e6,
+         "args": {"value": 1.0}},
+        {"name": "waas.in_flight", "ph": "C", "pid": 1, "tid": 0, "ts": 10e6,
+         "args": {"value": 2.5}},
     ]
-
-
-def test_timeseries_jsonl_round_trips():
-    text = timeseries_jsonl(_recorder())
-    assert text.endswith("\n")
-    lines = [json.loads(line) for line in text.splitlines()]
-    assert len(lines) == 3
-    assert all(
-        set(obj) == {"context", "series", "t", "value"} for obj in lines
-    )
-
-
-def test_timeseries_jsonl_empty_source_is_empty_string():
-    assert timeseries_jsonl(ObsRecorder(label="quiet")) == ""

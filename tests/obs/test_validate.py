@@ -1,6 +1,6 @@
-"""Schema checks for exported traces, critpath docs and gauge series,
-and ``gp-replay DIR``, the one validator that applies them to a run
-directory's views."""
+"""Schema checks for exported traces, their counter events and critpath
+docs, and ``gp-replay DIR``, the one validator that applies them to a
+run directory's views."""
 
 import json
 import shutil
@@ -132,11 +132,11 @@ def test_cli_main_truncated_file_fails(run_dir, capsys):
 
 
 def test_cli_main_empty_file_fails_even_alongside_good_files(run_dir, capsys):
-    (run_dir / "scale.summary.txt").write_text("")
+    (run_dir / "scale.report.md").write_text("")
     code, _, error = _check(run_dir, capsys)
     assert code == 3
     assert error["code"] == "run.view-empty"
-    assert error["detail"] == {"file": "scale.summary.txt"}
+    assert error["detail"] == {"file": "scale.report.md"}
 
 
 # -- .critpath.json ---------------------------------------------------------
@@ -196,88 +196,54 @@ def test_critpath_rejects_gap_sum_and_layer_drift():
     assert any("duration_s" in e for e in check_critpath(doc))
 
 
-def test_cli_validates_critpath_files(run_dir, capsys):
-    critpath = run_dir / "scale.critpath.json"
-    from repro.obs.validate import check_critpath
-
-    assert check_critpath(json.loads(critpath.read_text())) == []
-    full = critpath.read_text()
-
-    critpath.write_text("")
-    code, _, error = _check(run_dir, capsys)
-    assert (code, error["code"]) == (3, "run.view-empty")
-
-    critpath.write_text(full[:40])
-    code, _, error = _check(run_dir, capsys)
-    assert (code, error["code"]) == (3, "run.view-mismatch")
-    assert "scale.critpath.json" in error["message"]
+# -- series: counter events ---------------------------------------------------
 
 
-# -- .timeseries.jsonl ------------------------------------------------------
-
-
-def _valid_timeseries_text():
-    from repro.obs import timeseries_jsonl
-
+def _series_recorder():
     rec = ObsRecorder(label="ts")
     clock = [0.0]
     rec._clock = lambda: clock[0]
     rec.series("condor.idle_jobs").record(3)
+    rec.finish(rec.start("w", track="a"))
     clock[0] = 5.0
     rec.series("condor.idle_jobs").record(1)
-    return timeseries_jsonl(rec)
+    return rec
+
+
+def _first_counter(doc):
+    return next(e for e in doc["traceEvents"] if e["ph"] == "C")
 
 
 def test_valid_timeseries_passes(run_dir, capsys):
-    from repro.obs.validate import check_timeseries
-
-    lines = [
-        (i + 1, json.loads(line))
-        for i, line in enumerate(_valid_timeseries_text().splitlines())
+    doc = chrome_trace(_series_recorder())
+    assert [e["args"] for e in doc["traceEvents"] if e["ph"] == "C"] == [
+        {"value": 3.0},
+        {"value": 1.0},
     ]
-    assert check_timeseries(lines) == []
-    assert (run_dir / "scale.timeseries.jsonl").read_text().strip()
+    assert check_chrome_trace(doc) == []
+    trace = json.loads((run_dir / "scale.trace.json").read_text())
+    assert any(e["ph"] == "C" for e in trace["traceEvents"])
     assert _check(run_dir, capsys)[0] == 0
 
 
 def test_timeseries_rejects_bad_fields_and_backwards_time():
-    from repro.obs.validate import check_timeseries
+    for args in ({"value": float("nan")}, {"value": "3"}, {}, [3.0], None):
+        doc = chrome_trace(_series_recorder())
+        _first_counter(doc)["args"] = args
+        assert any("counter args" in e for e in check_chrome_trace(doc)), args
 
-    assert check_timeseries([(1, [])]) != []
-    assert check_timeseries(
-        [(1, {"context": "", "series": "s", "t": 0.0, "value": 1.0})]
-    ) != []
-    assert check_timeseries(
-        [(1, {"context": "c", "series": "s", "t": -1.0, "value": 1.0})]
-    ) != []
-    assert check_timeseries(
-        [(1, {"context": "c", "series": "s", "t": 0.0, "value": float("nan")})]
-    ) != []
-    errors = check_timeseries(
-        [
-            (1, {"context": "c", "series": "s", "t": 5.0, "value": 1.0}),
-            (2, {"context": "c", "series": "s", "t": 2.0, "value": 1.0}),
-        ]
-    )
-    assert any("went backwards" in e for e in errors)
-    # different series may interleave times freely
-    assert check_timeseries(
-        [
-            (1, {"context": "c", "series": "a", "t": 5.0, "value": 1.0}),
-            (2, {"context": "c", "series": "b", "t": 2.0, "value": 1.0}),
-        ]
-    ) == []
+    doc = chrome_trace(_series_recorder())
+    _first_counter(doc)["ts"] = -1.0
+    assert check_chrome_trace(doc) != []
 
+    doc = chrome_trace(_series_recorder())
+    _first_counter(doc)["ts"] = 9e6  # later than the next point on its track
+    assert any("went backwards" in e for e in check_chrome_trace(doc))
 
-def test_cli_timeseries_empty_vs_truncated_are_distinct(run_dir, capsys):
-    series = run_dir / "scale.timeseries.jsonl"
-    full = series.read_text()
-
-    series.write_text("")
-    code, _, err_empty = _check(run_dir, capsys)
-    assert (code, err_empty["code"]) == (3, "run.view-empty")
-
-    series.write_text(full[:-20])
-    code, _, err_cut = _check(run_dir, capsys)
-    assert (code, err_cut["code"]) == (3, "run.view-mismatch")
-    assert err_cut["detail"] == err_empty["detail"] == {"file": "scale.timeseries.jsonl"}
+    # the series of a context share one counter track, which the export
+    # keeps monotone though each series alone goes from 0 s to 5 s
+    span = {"name": "w", "track": "a", "start": 0.0, "end": 1.0}
+    series = {"b": [[0.0, 1], [5.0, 2]], "a": [[0.0, 3], [5.0, 4]]}
+    doc = chrome_trace({"label": "two", "spans": [span], "series": series})
+    assert check_chrome_trace(doc) == []
+    assert [e["name"] for e in doc["traceEvents"] if e["ph"] == "C"] == ["a", "b", "a", "b"]

@@ -2,6 +2,8 @@
 one of its views, and ``gp-replay DIR`` exits 3 with a named code on
 anything else."""
 
+import contextlib
+import io
 import json
 import shutil
 
@@ -10,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.obs.validate import check_chrome_trace
 from repro.provenance import read_bundle, run_views, write_run_dir
 from repro.provenance.bundle import content_digest
 from repro.provenance.cli import main
 from repro.reporting import render_critpath
 
 from ..json_fuzz import JSON_VALUES, node_paths, put
+from .test_roundtrip_properties import obs_docs
 
 
 @pytest.fixture(scope="module")
@@ -32,12 +36,7 @@ def run_dir(fresh_run_dir, tmp_path):
 
 def test_views_derive_from_the_spans_section_alone(tiny_bundle, fresh_run_dir):
     views = run_views(tiny_bundle.spans)
-    assert sorted(views) == [
-        "scale.critpath.json",
-        "scale.summary.txt",
-        "scale.timeseries.jsonl",
-        "scale.trace.json",
-    ]
+    assert sorted(views) == ["scale.report.md", "scale.trace.json"]
     for name, text in views.items():
         assert (fresh_run_dir / name).read_bytes() == text.encode()
     # the bundle on disk round-trips to the same views
@@ -77,6 +76,46 @@ def test_trace_and_report_carry_the_series_and_the_critical_path(tiny_bundle):
     assert obs.summary_table(docs, title="scale: span summary (sim-seconds)") in report
 
 
+@given(docs=st.lists(
+    obs_docs(
+        time=st.integers(0, 10**6) | st.floats(0, 1e6),
+        names=st.text(min_size=1, max_size=12),
+        min_spans=1,
+    ),
+    min_size=1,
+    max_size=3,
+))
+@settings(max_examples=60, deadline=None)
+def test_trace_keeps_every_series_point_and_covers_each_makespan(docs):
+    """On any recorder-form docs, the trace view holds one counter event
+    per series point with its value, passes the trace schema check, and
+    each context's ``critical-path`` track sums to its makespan."""
+    docs = [dict(doc, label=f"g/{i}:sim-0") for i, doc in enumerate(docs)]
+    trace = json.loads(run_views(docs)["g.trace.json"])
+    assert check_chrome_trace(trace) == []
+    events = trace["traceEvents"]
+    for pid, doc in enumerate(docs, start=1):
+        counters = [e for e in events if e["pid"] == pid and e["ph"] == "C"]
+        assert len(counters) == sum(len(points) for points in doc["series"].values())
+        for name, points in doc["series"].items():
+            got = [e["args"]["value"] for e in counters if e["name"] == name]
+            assert got == [value for _, value in points]
+        closed = [s for s in doc["spans"] if s["end"] is not None]
+        makespan = (
+            max(s["end"] for s in closed) - min(s["start"] for s in closed) if closed else 0.0
+        )
+        # names of at most 12 characters never name a span track "critical-path"
+        tids = {
+            e["tid"]
+            for e in events
+            if e["pid"] == pid and e["ph"] == "M" and e["args"]["name"] == "critical-path"
+        }
+        durations = [
+            e["dur"] for e in events if (e["pid"], e["ph"]) == (pid, "X") and e["tid"] in tids
+        ]
+        assert abs(sum(durations) / 1e6 - makespan) <= 1e-6
+
+
 def test_views_group_by_spec_name_prefix():
     docs = [
         {"label": "fig10/m1.small/w1:sim-0", "spans": []},
@@ -85,8 +124,8 @@ def test_views_group_by_spec_name_prefix():
     ]
     groups = {name.split(".", 1)[0] for name in run_views(docs)}
     assert groups == {"fig10", "solo"}
-    critpath = json.loads(run_views(docs)["fig10.critpath.json"])
-    assert [c["label"] for c in critpath["contexts"]] == [
+    trace = json.loads(run_views(docs)["fig10.trace.json"])
+    assert [e["args"]["name"] for e in trace["traceEvents"] if e["name"] == "process_name"] == [
         "fig10/m1.small/w1:sim-0",
         "fig10/m1.large/w1:sim-0",
     ]
@@ -135,21 +174,27 @@ def _long_label_and_no_views(run_dir):
 
 DAMAGE = {
     "missing view": (
-        lambda d: (d / "scale.critpath.json").unlink(),
+        lambda d: (d / "scale.report.md").unlink(),
         "run.view-missing",
-        "scale.critpath.json",
+        "scale.report.md",
     ),
     "edited view": (
-        lambda d: (d / "scale.summary.txt").write_text(
-            (d / "scale.summary.txt").read_text().replace("scale", "scaIe", 1)
+        lambda d: (d / "scale.report.md").write_text(
+            (d / "scale.report.md").read_text().replace("scale", "scaIe", 1)
         ),
         "run.view-mismatch",
-        "scale.summary.txt",
+        "scale.report.md",
     ),
     "stale span log": (
         lambda d: (d / "scale.spans.jsonl").write_text("{}\n"),
         "run.extra-file",
         "scale.spans.jsonl",
+    ),
+    # series had a view of their own before they became trace counters
+    "old layout": (
+        lambda d: (d / "scale.timeseries.jsonl").write_text("{}\n"),
+        "run.extra-file",
+        "scale.timeseries.jsonl",
     ),
     "subdirectory": (
         lambda d: (d / "scale.trace.json.d").mkdir(),
@@ -207,6 +252,14 @@ def test_damaged_run_dir_exit_three_with_named_code(run_dir, capsys, case):
         assert file in err["message"]
 
 
+def test_old_layout_bundle_still_verifies_as_a_file(run_dir, capsys):
+    """A directory written when series had a view of their own fails
+    ``gp-replay DIR``, but its bundle verifies on its own."""
+    DAMAGE["old layout"][0](run_dir)
+    assert main([str(run_dir / "tiny.bundle.json"), "--check-only"]) == 0
+    assert "bundle ok" in capsys.readouterr().out
+
+
 def test_view_failing_its_schema_check_exit_three(run_dir, capsys):
     """Views re-derived from spans whose times went negative are what
     the bundle derives, and still fail: the schema checks run too."""
@@ -221,7 +274,7 @@ def test_view_failing_its_schema_check_exit_three(run_dir, capsys):
     assert main([str(run_dir), "--check-only"]) == 3
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["code"] == "run.view-schema"
-    assert err["detail"]["file"].endswith((".trace.json", ".critpath.json"))
+    assert err["detail"]["file"] == "scale.trace.json"
 
 
 def test_run_dir_whose_spans_carry_metrics_still_verifies(run_dir, capsys):
@@ -292,3 +345,53 @@ def test_fuzzed_spans_section_exits_zero_or_three(fuzz_target, data):
     (out / "tiny.bundle.json").write_text(original)
     _retamper_bundle(out, lambda s: put(s, ("spans", *path), value), rehash=True)
     assert main([str(out), "--check-only", "-q"]) in (0, 3)
+
+
+@pytest.fixture(scope="module")
+def argv_targets(fresh_run_dir, tmp_path_factory):
+    """What ``gp-replay``'s path can name, and where its outputs can go."""
+    root = tmp_path_factory.mktemp("argv")
+    bundle = fresh_run_dir / "tiny.bundle.json"
+    (root / "utf16.bundle.json").write_bytes(bundle.read_text().encode("utf-16"))
+    (root / "stray").mkdir()
+    (root / "stray" / "notes.txt").write_text("not a bundle\n")
+    targets = {
+        "run directory": fresh_run_dir,
+        "bundle": bundle,
+        "missing path": root / "absent",
+        "name too long": root / ("x" * 300),
+        "not UTF-8": root / "utf16.bundle.json",
+        "stray file": root / "stray",
+    }
+    return targets, root
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_replay_argv_exits_zero_two_or_three(argv_targets, data):
+    """Any target, overrides, worker count and output paths, always with
+    ``--check-only`` so nothing replays: ``gp-replay`` exits 0, 2 or 3
+    and never raises."""
+    targets, root = argv_targets
+    argv = [str(targets[data.draw(st.sampled_from(sorted(targets)), label="target")])]
+    argv.append("--check-only")
+    for _ in range(data.draw(st.integers(0, 2), label="overrides")):
+        key = data.draw(st.sampled_from(["instance_type", "seed"]) | st.text(max_size=8))
+        value = data.draw(st.sampled_from(["c1.medium", "small", "7"]) | st.text(max_size=8))
+        argv.append(f"--override={key}={value}")
+    if data.draw(st.booleans(), label="workers"):
+        argv += ["-w", str(data.draw(st.integers(-2, 8), label="w"))]
+    for flag in ("--export-sim", "--json-out"):
+        place = data.draw(
+            st.sampled_from([None, root, root / "missing", root / ("x" * 300)]), label=flag
+        )
+        if place is not None:
+            argv += [flag, str(place / "out.json")]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

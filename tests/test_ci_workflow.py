@@ -3,6 +3,7 @@ jobs the repo's workflow contract requires."""
 
 import pathlib
 import re
+import subprocess
 
 import pytest
 
@@ -217,6 +218,26 @@ def test_bench_job_runs_obs_smoke(workflow):
     )
 
 
+def test_obs_smoke_refuses_files_that_are_neither_bundle_nor_view(workflow, tmp_path):
+    """The instrumented step fails when ``run-out`` holds any file but the
+    bundle, the traces and the reports, such as a view format this
+    repository no longer writes."""
+    (step,) = _instrumented_smoke_steps(workflow)
+    lines = step.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("stray="))
+    check = "\n".join(lines[start : lines.index("fi", start) + 1])
+    run_out = tmp_path / "run-out"
+    run_out.mkdir()
+    for name in ("smoke.bundle.json", "fig10.trace.json", "fig10.report.md"):
+        (run_out / name).write_text("{}")
+    bash = ["bash", "-e", "-c", check]
+    assert subprocess.run(bash, cwd=tmp_path, capture_output=True).returncode == 0
+    (run_out / "fig10.timeseries.jsonl").write_text("{}")
+    failed = subprocess.run(bash, cwd=tmp_path, capture_output=True, text=True)
+    assert failed.returncode == 1
+    assert "fig10.timeseries.jsonl" in failed.stdout
+
+
 def test_obs_baseline_is_committed_and_current(workflow):
     """The committed baseline exists and matches what the code produces."""
     baseline = (
@@ -308,9 +329,10 @@ def test_lint_job_runs_ruff(workflow):
 
 
 def test_bench_job_runs_critpath_and_validates_all_obs_artefacts(workflow):
-    """The instrumented sweep's run directory holds the critpath docs,
-    traces and gauge series as views of its bundle, and gp-replay DIR —
-    the one validator — checks every one of them before replaying."""
+    """The instrumented sweep's run directory holds the traces (spans,
+    gauge series and critical paths) and reports as views of its bundle,
+    and gp-replay DIR — the one validator — checks every one of them
+    before replaying."""
     (step,) = _instrumented_smoke_steps(workflow)
     run = step.index("--run-out run-out")
     replay = step.index("repro.provenance.cli run-out")
