@@ -373,8 +373,8 @@ def test_fuzzed_replay_argv_exits_zero_two_or_three(argv_targets, data):
     ``--check-only`` so nothing replays: ``gp-replay`` exits 0, 2 or 3
     and never raises."""
     targets, root = argv_targets
-    argv = [str(targets[data.draw(st.sampled_from(sorted(targets)), label="target")])]
-    argv.append("--check-only")
+    target = targets[data.draw(st.sampled_from(sorted(targets)), label="target")]
+    argv = [str(target), "--check-only"]
     for _ in range(data.draw(st.integers(0, 2), label="overrides")):
         key = data.draw(st.sampled_from(["instance_type", "seed"]) | st.text(max_size=8))
         value = data.draw(st.sampled_from(["c1.medium", "small", "7"]) | st.text(max_size=8))
