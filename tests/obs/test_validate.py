@@ -139,7 +139,7 @@ def test_cli_main_empty_file_fails_even_alongside_good_files(run_dir, capsys):
     assert error["detail"] == {"file": "scale.report.md"}
 
 
-# -- .critpath.json ---------------------------------------------------------
+# -- critpath_doc documents --------------------------------------------------
 
 
 def _valid_critpath():
