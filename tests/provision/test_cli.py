@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.provision import PAPER_GALAXY_CONF, Topology, with_extra_worker
+from repro.provision import PAPER_GALAXY_CONF, Topology, TopologyError, with_extra_worker
 from repro.provision.cli import main
 
 from ..json_fuzz import JSON_VALUES, node_paths, put
@@ -304,3 +304,68 @@ def test_bad_stored_topology_is_a_named_error(home, capsys, command):
     assert code == 1 and out == ""
     assert err.startswith("error: bad JSON topology")
     assert registry.read_text() == text
+
+
+def with_setting(home, name, section, key, value):
+    """The paper topology with ``key`` of one section set to ``value``: in
+    INI the line goes first in ``[section]`` and replaces any line of that
+    key; in JSON ``section`` is ``ec2`` or ``domain``, the first domain."""
+    conf = (home / "galaxy.conf").read_text()
+    path = home / name
+    if name.endswith(".json"):
+        doc = json.loads(Topology.from_conf(conf).to_json())
+        (doc["domains"][0] if section == "domain" else doc[section])[key] = value
+        path.write_text(json.dumps(doc))
+    else:
+        lines = [ln for ln in conf.splitlines() if not ln.startswith(f"{key}:")]
+        lines.insert(lines.index(f"[{section}]") + 1, f"{key}: {value}")
+        path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+#: values that one parser checked and the other did not, so ``create``
+#: took a topology ``start`` could not deploy: (file, section, key, value,
+#: what the error line must name); a ``%`` is taken as written
+SPLIT_PARSER_DEFECTS = [
+    pytest.param("new.json", "domain", "go_endpoint", ["#"],
+                 ("domain 'simple'", "go_endpoint", "['#']"), id="json-go-endpoint-list"),
+    pytest.param("new.json", "domain", "go_endpoint", {"#": 1},
+                 ("domain 'simple'", "go_endpoint", "{'#': 1}"), id="json-go-endpoint-object"),
+    pytest.param("new.json", "domain", "go_endpoint", 5,
+                 ("domain 'simple'", "go_endpoint", "5"), id="json-go-endpoint-int"),
+    pytest.param("new.conf", "domain-simple", "users", "user1 %user2", None, id="conf-percent"),
+    pytest.param("new.conf", "domain-simple", "condr", "yes",
+                 ("[domain-simple]", "condr"), id="conf-unknown-key"),
+    pytest.param("new.conf", "domain-simple", "cluster_nodes", "2",
+                 ("[domain-simple]", "cluster_nodes"), id="conf-json-spelling"),
+    pytest.param("new.conf", "domain-simple", "name", "other",
+                 ("[domain-simple]", "name"), id="conf-name-key"),
+    pytest.param("new.conf", "ec2", "instance-type", "bogus",
+                 ("[ec2]", "instance-type", "'bogus'"), id="conf-unknown-ec2-type"),
+    pytest.param("new.conf", "domain-simple", "worker-instance-types",
+                 "m1.small m1.small m1.small",
+                 ("simple", "more worker-instance-types"), id="conf-too-many-worker-types"),
+    pytest.param("new.json", "domain", "worker_instance_types", ["m1.small"] * 3,
+                 ("simple", "more worker-instance-types"), id="json-too-many-worker-types"),
+]
+
+
+@pytest.mark.parametrize("name, section, key, value, named", SPLIT_PARSER_DEFECTS)
+def test_create_refuses_what_start_could_not_deploy(home, capsys, name, section, key,
+                                                    value, named):
+    path = with_setting(home, name, section, key, value)
+    registry = home / "gp-sim" / "instances.json"
+    code, out, err = run_cli(capsys, "create", "-c", str(path))
+    if named is None:
+        assert code == 0 and err == ""
+        (entry,) = json.loads(registry.read_text())["instances"].values()
+        assert json.loads(entry["topology"])["domains"][0]["users"] == ["user1", "%user2"]
+        return
+    assert code == 1 and out == ""
+    assert not registry.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for part in named:
+        assert part in err
+    if section == "ec2":
+        with pytest.raises(TopologyError, match=r"\[ec2\] instance-type"):
+            Topology.from_conf(path.read_text())
