@@ -127,7 +127,7 @@ def _replay_start(topology: Topology, seed: int) -> tuple[GlobusProvision, str]:
 def cmd_create(args: argparse.Namespace) -> int:
     try:
         topology = _load_topology(args.conf)
-    except (OSError, TopologyError, KeyError) as exc:
+    except (OSError, TopologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     reg = load_registry()
@@ -198,7 +198,7 @@ def cmd_update(args: argparse.Namespace) -> int:
         return 1
     try:
         new_topology = _load_topology(args.topology)
-    except (OSError, TopologyError, KeyError) as exc:
+    except (OSError, TopologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     old_topology = Topology.from_json(entry["topology"])

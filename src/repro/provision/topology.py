@@ -3,15 +3,19 @@
 A topology names one or more *domains*, each with users, services
 (GridFTP, Condor, Galaxy, the CRData add-on), a worker count, and a
 Globus Online endpoint name, plus EC2 credentials/AMI/instance-type and
-Globus Online settings.  Both the paper's INI format (``galaxy.conf``)
-and a JSON form (``gp-instance-update -t newtopology.json``) parse to the
-same model; topologies diff structurally to drive runtime updates
-(Sec. III-C).
+Globus Online settings.  It comes in two forms: the paper's INI format
+(``galaxy.conf``) and a JSON form (``gp-instance-update -t
+newtopology.json``).  The INI form is lowered to the JSON one, and one
+validator reads both: it refuses a value of the wrong type, an unknown
+key or an instance type the catalog does not know, naming the section
+and key as the input spelled them.  Topologies diff structurally to
+drive runtime updates (Sec. III-C).
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -52,6 +56,10 @@ class DomainSpec:
             raise TopologyError("cluster-nodes requires condor: yes")
         if self.crdata and not self.galaxy:
             raise TopologyError("crdata tools require galaxy: yes")
+        if len(self.worker_instance_types) > self.cluster_nodes:
+            raise TopologyError(
+                f"domain {self.name!r}: more worker-instance-types than cluster-nodes"
+            )
         if self.go_endpoint is not None and "#" not in self.go_endpoint:
             raise TopologyError(
                 f"go-endpoint {self.go_endpoint!r} must be 'owner#name'"
@@ -76,10 +84,6 @@ class DomainSpec:
 
     def worker_types(self, default_type: str) -> tuple[str, ...]:
         explicit = tuple(self.worker_instance_types)
-        if len(explicit) > self.cluster_nodes:
-            raise TopologyError(
-                "more worker-instance-types than cluster-nodes"
-            )
         return explicit + (default_type,) * (self.cluster_nodes - len(explicit))
 
 
@@ -228,75 +232,32 @@ class Topology:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise TopologyError(f"bad JSON topology: {exc}") from exc
-        try:
-            domains = tuple(_domain_from_doc(d) for d in doc["domains"])
-            # every EC2 and Globus Online setting is a string; a section that
-            # is not an object is left to the spec constructor to refuse
-            for section in ("ec2", "globusonline"):
-                settings = doc.get(section)
-                if not isinstance(settings, dict):
-                    continue
-                for key, value in settings.items():
-                    if not isinstance(value, str):
-                        raise TopologyError(f"{section}: {key}: {value!r} is not a string")
-            ec2 = EC2Spec(**doc.get("ec2", {}))
-            go_doc = doc.get("globusonline")
-            go = GlobusOnlineSpec(**go_doc) if go_doc is not None else None
-        except (KeyError, TypeError) as exc:
-            raise TopologyError(f"bad JSON topology: {exc}") from exc
-        return cls(domains=domains, ec2=ec2, globusonline=go)
+        return _topology_from_doc(doc)
 
     @classmethod
     def from_conf(cls, text: str) -> "Topology":
-        """Parse the paper's INI format (Fig. 3)."""
-        parser = configparser.ConfigParser()
+        """Parse the paper's INI format (Fig. 3) by lowering it to the JSON
+        form: each ``[domain-<name>]``, ``[ec2]`` and ``[globusonline]``
+        section becomes its object (see :func:`_lowered`)."""
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)
         except configparser.Error as exc:
             raise TopologyError(f"bad topology file: {exc}") from exc
         if "general" not in parser or "domains" not in parser["general"]:
             raise TopologyError("topology needs [general] with a 'domains' entry")
-        domain_names = parser["general"]["domains"].split()
-        domains = []
-        for name in domain_names:
+        doc: dict = {"domains": []}
+        for name in parser["general"]["domains"].split():
             section = f"domain-{name}"
             if section not in parser:
                 raise TopologyError(f"missing section [{section}]")
-            sec = parser[section]
-            raw = sec.get("worker-instance-types", "")
-            worker_types = raw.split()
-            _check_instance_types(f"[{section}] worker-instance-types: {raw!r}", worker_types)
-            domains.append(
-                DomainSpec(
-                    name=name,
-                    users=tuple(sec.get("users", "").split()),
-                    nfs=_conf_get(sec, "nfs", True),
-                    gridftp=_conf_get(sec, "gridftp", False),
-                    condor=_conf_get(sec, "condor", False),
-                    galaxy=_conf_get(sec, "galaxy", False),
-                    crdata=_conf_get(sec, "crdata", False),
-                    cluster_nodes=_conf_get(sec, "cluster-nodes", 0),
-                    go_endpoint=sec.get("go-endpoint", fallback=None),
-                    worker_instance_types=tuple(worker_types),
-                    storage=sec.get("storage", fallback="nfs"),
-                    storage_nodes=_conf_get(sec, "storage-nodes", 0),
-                )
-            )
-        ec2_kwargs = {}
-        if "ec2" in parser:
-            sec = parser["ec2"]
-            for key, attr in [
-                ("keypair", "keypair"), ("keyfile", "keyfile"),
-                ("ami", "ami"), ("instance-type", "instance_type"),
-            ]:
-                if key in sec:
-                    ec2_kwargs[attr] = sec[key]
-        go = None
-        if "globusonline" in parser:
-            go = GlobusOnlineSpec(
-                ssh_key=parser["globusonline"].get("ssh-key", "~/.ssh/id_rsa")
-            )
-        return cls(domains=tuple(domains), ec2=EC2Spec(**ec2_kwargs), globusonline=go)
+            if "name" in parser[section]:  # the section header names the domain
+                raise TopologyError(f"[{section}] name: unknown key")
+            doc["domains"].append({"name": name, **_lowered(parser[section], DomainSpec)})
+        for section, spec in (("ec2", EC2Spec), ("globusonline", GlobusOnlineSpec)):
+            if section in parser:
+                doc[section] = _lowered(parser[section], spec)
+        return _topology_from_doc(doc, ini=True)
 
 
 def _spec_doc(spec) -> dict:
@@ -308,59 +269,95 @@ def _spec_doc(spec) -> dict:
     }
 
 
-#: JSON domain keys whose values must have exactly this type
-_JSON_DOMAIN_TYPES = {
-    "name": str, "storage": str,
-    "nfs": bool, "gridftp": bool, "condor": bool, "galaxy": bool, "crdata": bool,
-    "cluster_nodes": int, "storage_nodes": int,
+#: a spec field's annotation -> (test of its JSON value, what it must be)
+_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "Optional[str]": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "tuple[str, ...]": (
+        lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+        "a list of strings",
+    ),
 }
 
-_EXPECTED = {str: "a string", bool: "true or false", int: "an integer"}
-
-#: JSON domain keys whose values must be lists of strings
-_JSON_DOMAIN_LISTS = ("users", "worker_instance_types")
-
-
-def _domain_from_doc(d: dict) -> DomainSpec:
-    """One domain of a JSON topology; a value of the wrong type, or a worker
-    type the catalog does not know, is a TopologyError naming the domain,
-    the key and the value."""
-    if not isinstance(d, dict):
-        raise TopologyError(f"domain {d!r} is not an object")
-    where = f"domain {d.get('name')!r}"
-    for key, kind in _JSON_DOMAIN_TYPES.items():
-        if key in d and type(d[key]) is not kind:
-            raise TopologyError(f"{where}: {key}: {d[key]!r} is not {_EXPECTED[kind]}")
-    for key in _JSON_DOMAIN_LISTS:
-        value = d.get(key, [])
-        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            raise TopologyError(f"{where}: {key}: {value!r} is not a list of strings")
-    types = d.get("worker_instance_types", [])
-    _check_instance_types(f"{where}: worker_instance_types: {types!r}", types)
-    return DomainSpec(**{**d, **{key: tuple(d.get(key, ())) for key in _JSON_DOMAIN_LISTS}})
+#: INI spells a key's underscores as hyphens.  Swapping the two both ways
+#: lowers ``cluster-nodes`` to ``cluster_nodes`` and spells it back, and
+#: keeps a key that is no INI spelling, such as ``cluster_nodes``, off
+#: every field name, so the validator refuses it under the name it had.
+_INI_KEY = str.maketrans("-_", "_-")
 
 
-def _check_instance_types(where: str, names) -> None:
-    """A worker type the catalog does not know is a TopologyError here, at
-    parse, not a KeyError when the deployer launches the worker."""
-    for name in names:
-        try:
-            resolve(name)
-        except KeyError as exc:
-            raise TopologyError(f"{where} names an {exc.args[0]}") from None
+def _lowered(sec: configparser.SectionProxy, spec: type) -> dict:
+    """One INI section as its spec's JSON object.  By the field's type, a
+    yes/no flag becomes a bool, an integer string an int, and a list is
+    split on whitespace; a value that does not convert stays the string,
+    for the validator to refuse."""
+    kinds = {f.name: f.type for f in fields(spec)}
+    doc = {}
+    for key, value in sec.items():
+        key = key.translate(_INI_KEY)
+        if kinds.get(key) == "bool":
+            value = configparser.ConfigParser.BOOLEAN_STATES.get(value.lower(), value)
+        elif kinds.get(key) == "int":
+            with contextlib.suppress(ValueError):
+                value = int(value)
+        elif kinds.get(key) == "tuple[str, ...]":
+            value = value.split()
+        doc[key] = value
+    return doc
 
 
-def _conf_get(sec: configparser.SectionProxy, key: str, fallback: bool | int) -> bool | int:
-    """``getboolean`` or ``getint`` (by the fallback's type); a bad value is
-    a TopologyError naming the section, the key and the value."""
-    flag = isinstance(fallback, bool)
+def _topology_from_doc(doc, ini: bool = False) -> Topology:
+    """The one validator, for the JSON form and the INI form lowered to it.
+    ``ini`` only changes how its errors spell sections, keys and values."""
+    if not isinstance(doc, dict):
+        raise TopologyError(f"topology {doc!r} is not an object")
+    domains = doc.get("domains")
+    if not isinstance(domains, list):
+        raise TopologyError(f"domains: {domains!r} is not a list")
+    go = doc.get("globusonline")
+    return Topology(
+        domains=tuple(_spec(DomainSpec, "domain", d, ini) for d in domains),
+        ec2=_spec(EC2Spec, "ec2", doc.get("ec2", {}), ini),
+        globusonline=None if go is None else _spec(GlobusOnlineSpec, "globusonline", go, ini),
+    )
+
+
+def _spec(spec: type, section: str, obj, ini: bool):
+    """``spec`` built from one section's object.  An unknown key, a value of
+    the wrong type, an instance type the catalog does not know (here, at
+    parse, not when the deployer launches the host) or a constructor's
+    complaint is a TopologyError naming the section, the key and the
+    value; the spec's own ``__post_init__`` checks rules across fields."""
+    if not isinstance(obj, dict):
+        raise TopologyError(f"{section} {obj!r} is not an object")
+    if spec is DomainSpec:
+        where = f"[domain-{obj.get('name')}]" if ini else f"domain {obj.get('name')!r}:"
+    else:
+        where = f"[{section}]" if ini else f"{section}:"
+    kinds = {f.name: f.type for f in fields(spec)}
+    for key, value in obj.items():
+        spelled = key.translate(_INI_KEY) if ini else key
+        shown = repr(" ".join(value) if ini and isinstance(value, list) else value)
+        if key not in kinds:
+            raise TopologyError(f"{where} {spelled}: unknown key")
+        valid, expected = _TYPES[kinds[key]]
+        if not valid(value):
+            expected = "yes or no" if ini and kinds[key] == "bool" else expected
+            raise TopologyError(f"{where} {spelled}: {shown} is not {expected}")
+        if key in ("instance_type", "worker_instance_types"):
+            for name in [value] if isinstance(value, str) else value:
+                try:
+                    resolve(name)
+                except KeyError as exc:
+                    raise TopologyError(
+                        f"{where} {spelled}: {shown} names an {exc.args[0]}"
+                    ) from None
     try:
-        return (sec.getboolean if flag else sec.getint)(key, fallback=fallback)
-    except ValueError:
-        expected = "yes or no" if flag else "an integer"
-        raise TopologyError(
-            f"[{sec.name}] {key}: {sec[key]!r} is not {expected}"
-        ) from None
+        return spec(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
+    except TypeError as exc:  # a domain with no name
+        raise TopologyError(f"{where} {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -414,20 +411,9 @@ def diff_topologies(old: Topology, new: Topology) -> TopologyDiff:
 
 def with_extra_worker(topology: Topology, domain: str, instance_type: str) -> Topology:
     """Convenience used by the use case: add one worker of a given type."""
-    doms = []
-    for d in topology.domains:
-        if d.name == domain:
-            types = d.worker_types(topology.ec2.instance_type)
-            doms.append(
-                replace(
-                    d,
-                    cluster_nodes=d.cluster_nodes + 1,
-                    worker_instance_types=types + (instance_type,),
-                )
-            )
-        else:
-            doms.append(d)
-    return replace(topology, domains=tuple(doms))
+    return with_worker_count(
+        topology, domain, topology.domain(domain).cluster_nodes + 1, instance_type
+    )
 
 
 def with_worker_count(
