@@ -9,18 +9,8 @@ orchestrator), ``suites`` (the spec registry mapping artefacts onto
 harness columns), and ``cli`` (``gp-bench`` / ``python -m repro.bench``).
 What a run costs the host is measured outside this package, by
 ``perfbench/run.py`` under ``BENCHMARK.json``.
+
+The package imports none of them: a caller imports the module it uses
+by name (``from repro.bench import figure10``), so ``gp-replay``, which
+needs only the harness, does not load the drivers' numerical libraries.
 """
-
-from . import ablations, figure10, figure11, pricing_sweep, scale, usecase  # noqa: I001
-from . import harness, suites
-
-__all__ = [
-    "ablations",
-    "figure10",
-    "figure11",
-    "harness",
-    "pricing_sweep",
-    "scale",
-    "suites",
-    "usecase",
-]

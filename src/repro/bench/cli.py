@@ -29,7 +29,6 @@ import pathlib
 import stat
 import sys
 
-from . import suites
 from .harness import run_suite
 
 
@@ -52,6 +51,8 @@ def output_file(text: str) -> pathlib.Path:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import suites
+
     parser = argparse.ArgumentParser(
         prog="gp-bench",
         description="Fan the benchmark suites out across worker processes.",
@@ -110,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _list_suites(smoke: bool) -> None:
+    from . import suites
+
     for name in suites.names():
         suite = suites.get(name, smoke=smoke)
         print(f"{name}: {suite.description} ({len(suite.specs)} specs)")
@@ -118,6 +121,8 @@ def _list_suites(smoke: bool) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from . import suites
+
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.workers < 1:

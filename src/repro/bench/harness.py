@@ -395,6 +395,10 @@ class _Worker:
 
 
 def _run_pool(specs, workers, default_timeout_s, progress, obs):
+    # import the registry before forking, so every worker inherits it
+    # instead of importing the drivers and their libraries itself
+    from . import suites  # noqa: F401
+
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # no fork on this platform

@@ -2,9 +2,14 @@
 and the gp-replay CLI."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.bench.harness import run_suite
 from repro.provenance import (
     BundleError,
@@ -343,3 +348,19 @@ def test_cli_names_the_shifted_span_and_exits_one(tiny_bundle, tmp_path, capsys)
     out = capsys.readouterr().out
     assert "first divergence in spans" in out
     assert "ec2.boot" in out
+
+
+def test_cli_import_loads_no_driver_library():
+    """gp-replay parses its arguments and checks a run directory without
+    loading the drivers' numerical libraries; only a replay imports them."""
+    code = (
+        "import sys, repro.provenance.cli; "
+        "print([m for m in ('scipy', 'networkx', 'repro.crdata', 'repro.galaxy')"
+        " if m in sys.modules])"
+    )
+    src = str(pathlib.Path(repro.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout == "[]\n"
