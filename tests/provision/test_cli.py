@@ -1,12 +1,21 @@
 """The gp-instance CLI: the paper's command workflow (Sec. V-A)."""
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.provision import PAPER_GALAXY_CONF, Topology, TopologyError, with_extra_worker
+from repro.provision import (
+    PAPER_GALAXY_CONF,
+    DomainSpec,
+    EC2Spec,
+    GlobusOnlineSpec,
+    Topology,
+    TopologyError,
+    with_extra_worker,
+)
 from repro.provision.cli import main
 
 from ..json_fuzz import JSON_VALUES, node_paths, put
@@ -241,6 +250,34 @@ def test_fuzzed_topology_json_create_exits_zero_or_one(fuzz_home, data):
     topology = fuzz_home / "fuzzed.json"
     topology.write_text(json.dumps(box[0]))
     assert main(["create", "-c", str(topology)]) in (0, 1)
+
+
+#: every key galaxy.conf knows, a domain's JSON-only key and its JSON
+#: spelling of one, and free text
+INI_KEYS = st.sampled_from(
+    sorted({
+        f.name.replace("_", "-")
+        for spec in (DomainSpec, EC2Spec, GlobusOnlineSpec)
+        for f in fields(spec)
+    } - {"name"})
+    + ["name", "cluster_nodes"]
+) | st.text(alphabet="abcz-_%#;:=[]() ", min_size=1, max_size=8)
+INI_VALUES = st.text(alphabet="abcz12.-_%#;:=[]()\n ", max_size=12)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_galaxy_conf_create_exits_zero_or_one(fuzz_home, data):
+    """One ``key: value`` line inserted into the paper's galaxy.conf or put
+    in place of one of its lines: ``gp-instance create`` takes it (0) or
+    names what is wrong (1), and never raises."""
+    lines = PAPER_GALAXY_CONF.splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1), label="at")
+    line = f"{data.draw(INI_KEYS, label='key')}: {data.draw(INI_VALUES, label='value')}"
+    lines[at : at + data.draw(st.integers(0, 1), label="replace")] = [line]
+    conf = fuzz_home / "fuzzed.conf"
+    conf.write_text("\n".join(lines) + "\n")
+    assert main(["create", "-c", str(conf)]) in (0, 1)
 
 
 @pytest.mark.parametrize("text", ["{bad", "[]"], ids=["not-json", "not-an-object"])

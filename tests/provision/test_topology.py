@@ -1,10 +1,10 @@
 """Topology model: parsing, node planning, diffing."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.provision import (
@@ -253,4 +253,39 @@ def test_to_doc_is_the_json_form_of_every_spec_field(topology):
     doc = topology.to_doc()
     assert json.dumps(doc) == json.dumps(reference)
     assert doc == json.loads(json.dumps(reference))
+    assert Topology.from_json(topology.to_json()) == topology
+
+
+def conf_text(topology):
+    """``topology`` written as galaxy.conf: every field of every spec, flags
+    as yes/no and lists space-separated, a None left out."""
+
+    def section(header, spec):
+        lines = [f"[{header}]"]
+        for f in fields(spec):
+            value = getattr(spec, f.name)
+            if f.name == "name" or value is None:
+                continue
+            if isinstance(value, bool):
+                value = "yes" if value else "no"
+            elif isinstance(value, tuple):
+                value = " ".join(value)
+            lines.append(f"{f.name.replace('_', '-')}: {value}")
+        return lines
+
+    lines = ["[general]", "domains: " + " ".join(d.name for d in topology.domains)]
+    for d in topology.domains:
+        lines += section(f"domain-{d.name}", d)
+    lines += section("ec2", topology.ec2)
+    if topology.globusonline is not None:
+        lines += section("globusonline", topology.globusonline)
+    return "\n".join(lines) + "\n"
+
+
+@given(topologies())
+@settings(max_examples=200, deadline=None)
+def test_conf_and_json_forms_parse_to_the_same_topology(topology):
+    """galaxy.conf is lowered to the JSON form: both forms of any valid
+    topology parse back to it."""
+    assert Topology.from_conf(conf_text(topology)) == topology
     assert Topology.from_json(topology.to_json()) == topology

@@ -1,6 +1,7 @@
 """Schema sanity for the CI pipeline: valid YAML, pinned actions, the
 jobs the repo's workflow contract requires."""
 
+import os
 import pathlib
 import re
 import subprocess
@@ -390,3 +391,25 @@ def test_bench_job_rejects_tampered_series_value(workflow):
     assert "|| code=$?" in step and '[ "$code" -ne 1 ]' in step and "exit 1" in step, (
         "gp-replay must exit exactly 1 (replay diverged), not just nonzero"
     )
+
+
+def test_bench_job_refuses_a_galaxy_conf_typo(workflow, tmp_path):
+    """The shipped galaxy.conf creates an instance, and the same file with
+    ``condor:`` misspelled ``condr:`` exits exactly 1 naming the key, with
+    no traceback; the step fails when the misspelled file is accepted."""
+    (step,) = [
+        s["run"]
+        for s in _steps(workflow, "bench-smoke")
+        if s.get("name", "").startswith("gp-instance:")
+    ]
+
+    def run(body):
+        return subprocess.run(
+            ["bash", "-e", "-c", body], cwd=WORKFLOW.parents[2],
+            env={**os.environ, "TMPDIR": str(tmp_path)}, capture_output=True, text=True,
+        )
+
+    assert run(step).returncode == 0
+    no_typo = run(step.replace("s/^condor:/condr:/", "s/^condor:/condor:/"))
+    assert no_typo.returncode == 1
+    assert "exited 0, expected 1" in no_typo.stdout
