@@ -10,7 +10,8 @@ harness columns), and ``cli`` (``gp-bench`` / ``python -m repro.bench``).
 What a run costs the host is measured outside this package, by
 ``perfbench/run.py`` under ``BENCHMARK.json``.
 
-The package imports none of them: a caller imports the module it uses
-by name (``from repro.bench import figure10``), so ``gp-replay``, which
-needs only the harness, does not load the drivers' numerical libraries.
+Importing the package loads none of these modules: a caller imports the
+one it uses by name (``from repro.bench import figure10``), so
+``gp-replay``, which needs only the harness, does not load the drivers'
+numerical libraries.
 """

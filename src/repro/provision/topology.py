@@ -246,7 +246,7 @@ class Topology:
             raise TopologyError(f"bad topology file: {exc}") from exc
         if "general" not in parser or "domains" not in parser["general"]:
             raise TopologyError("topology needs [general] with a 'domains' entry")
-        doc: dict = {"domains": []}
+        doc = {"domains": []}
         for name in parser["general"]["domains"].split():
             section = f"domain-{name}"
             if section not in parser:
@@ -317,14 +317,16 @@ def _topology_from_doc(doc, ini: bool = False) -> Topology:
     if not isinstance(domains, list):
         raise TopologyError(f"domains: {domains!r} is not a list")
     go = doc.get("globusonline")
+    if go is not None:
+        go = _spec_from_doc(GlobusOnlineSpec, "globusonline", go, ini)
     return Topology(
-        domains=tuple(_spec(DomainSpec, "domain", d, ini) for d in domains),
-        ec2=_spec(EC2Spec, "ec2", doc.get("ec2", {}), ini),
-        globusonline=None if go is None else _spec(GlobusOnlineSpec, "globusonline", go, ini),
+        domains=tuple(_spec_from_doc(DomainSpec, "domain", d, ini) for d in domains),
+        ec2=_spec_from_doc(EC2Spec, "ec2", doc.get("ec2", {}), ini),
+        globusonline=go,
     )
 
 
-def _spec(spec: type, section: str, obj, ini: bool):
+def _spec_from_doc(spec: type, section: str, obj, ini: bool):
     """``spec`` built from one section's object.  An unknown key, a value of
     the wrong type, an instance type the catalog does not know (here, at
     parse, not when the deployer launches the host) or a constructor's
