@@ -252,8 +252,8 @@ def test_fuzzed_topology_json_create_exits_zero_or_one(fuzz_home, data):
     assert main(["create", "-c", str(topology)]) in (0, 1)
 
 
-#: every key galaxy.conf knows, a domain's JSON-only key and its JSON
-#: spelling of one, and free text
+#: every key galaxy.conf knows, ``name`` (a domain's section header gives
+#: it), the JSON spelling ``cluster_nodes``, and free text
 INI_KEYS = st.sampled_from(
     sorted({
         f.name.replace("_", "-")

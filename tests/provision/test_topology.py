@@ -143,6 +143,11 @@ def test_with_extra_worker_adds_typed_worker():
     assert topo.domain("simple").cluster_nodes == 2
 
 
+def test_with_extra_worker_refuses_an_unknown_domain():
+    with pytest.raises(TopologyError, match="no domain 'nope'"):
+        with_extra_worker(paper_topology(), "nope", "c1.medium")
+
+
 def test_diff_added_worker_and_users():
     old = paper_topology()
     new = with_extra_worker(old, "simple", "c1.medium")
