@@ -12,6 +12,6 @@ What a run costs the host is measured outside this package, by
 
 Importing the package loads none of these modules: a caller imports the
 one it uses by name (``from repro.bench import figure10``), so
-``gp-replay``, which needs only the harness, does not load the drivers'
-numerical libraries.
+``gp-replay``, which needs only the harness, does not load the
+numerical libraries the experiment modules use.
 """

@@ -396,7 +396,7 @@ class _Worker:
 
 def _run_pool(specs, workers, default_timeout_s, progress, obs):
     # import the registry before forking, so every worker inherits it
-    # instead of importing the drivers and their libraries itself
+    # instead of importing the suite modules and their libraries itself
     from . import suites  # noqa: F401
 
     try:

@@ -350,9 +350,9 @@ def test_cli_names_the_shifted_span_and_exits_one(tiny_bundle, tmp_path, capsys)
     assert "ec2.boot" in out
 
 
-def test_cli_import_loads_no_driver_library():
+def test_cli_import_loads_no_numerical_library():
     """gp-replay parses its arguments and checks a run directory without
-    loading the drivers' numerical libraries; only a replay imports them."""
+    loading the experiments' numerical libraries; only a replay imports them."""
     code = (
         "import sys, repro.provenance.cli; "
         "print([m for m in ('scipy', 'networkx', 'repro.crdata', 'repro.galaxy')"
