@@ -155,7 +155,7 @@ class WaasResult:
     def check_shape(self) -> None:
         """Sanity assertions shared by the smoke test and the full run."""
         c = self.config
-        assert self.workflows_completed + self.workflows_rejected == c.workflows
+        assert self.workflows_completed == c.workflows
         assert self.tasks_failed == 0, f"{self.tasks_failed} tasks never completed"
         assert self.tasks_submitted == self.tasks_completed
         assert 0.0 <= self.sla_attainment <= 1.0
@@ -232,7 +232,7 @@ def run(config: WaasConfig = SMOKE_CONFIG) -> WaasResult:
         sim_seconds=now,
         events_processed=sim.events_processed,
         workflows_completed=len(service.completed),
-        workflows_rejected=len(service.rejected),
+        workflows_rejected=0,
         sla_met=service.sla_met,
         sla_attainment=round(service.sla_attainment, 4),
         tasks_submitted=service.jobs_submitted,

@@ -9,7 +9,8 @@ limits gate admission:
 * the service as a whole runs at most ``max_in_flight`` workflows,
   bounding the job queue the negotiator has to scan.
 
-Deferred workflows wait in per-tenant FIFOs.  When capacity frees up,
+Deferred workflows wait in per-tenant FIFOs, however long they grow: an
+arrival is admitted or queued, never turned away.  When capacity frees up,
 the tenant with the least accumulated usage (total DAG work completed,
 ties broken by earliest waiting head then tenant id) admits next — the
 same accumulated-usage discipline Condor's user priorities simplify to,
@@ -32,25 +33,17 @@ from ..simcore import SimContext
 from .tenants import WorkflowRequest
 
 StartCallback = Callable[[WorkflowRequest], None]
-RejectCallback = Callable[[WorkflowRequest], None]
 
 
 class AdmissionController:
     """Quota + fair-share gate between arrivals and the executor."""
 
-    def __init__(
-        self,
-        ctx: SimContext,
-        max_in_flight: int = 200,
-        max_backlog_per_tenant: Optional[int] = None,
-    ) -> None:
+    def __init__(self, ctx: SimContext, max_in_flight: int = 200) -> None:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self.ctx = ctx
         self.max_in_flight = max_in_flight
-        self.max_backlog_per_tenant = max_backlog_per_tenant
         self._start: Optional[StartCallback] = None
-        self._reject: Optional[RejectCallback] = None
         # -- live state ----------------------------------------------------
         self.in_flight = 0
         self._tenant_in_flight: dict[int, int] = {}
@@ -61,20 +54,17 @@ class AdmissionController:
         # -- counters ------------------------------------------------------
         self.admitted = 0
         self.deferred = 0
-        self.rejected = 0
         self.backlog_workflows = 0
         self.backlog_work = 0.0
 
-    def bind(
-        self, start: StartCallback, reject: Optional[RejectCallback] = None
-    ) -> None:
-        """Wire the executor callbacks (the service calls this once)."""
+    def bind(self, start: StartCallback) -> None:
+        """Wire the executor callback (the service calls this once)."""
         self._start = start
-        self._reject = reject
 
     # -- the gate ----------------------------------------------------------
     def offer(self, req: WorkflowRequest) -> None:
-        """An arrival: admit now, queue behind the quota, or bounce."""
+        """An arrival: admit now or queue behind the quota; none is turned
+        away."""
         tid = req.tenant.id
         backlog = self._backlog.get(tid)
         if (
@@ -83,16 +73,6 @@ class AdmissionController:
             and self._tenant_in_flight.get(tid, 0) < req.tenant.quota
         ):
             self._admit(req)
-            return
-        if (
-            self.max_backlog_per_tenant is not None
-            and backlog is not None
-            and len(backlog) >= self.max_backlog_per_tenant
-        ):
-            self.rejected += 1
-            req.rejected = True
-            if self._reject is not None:
-                self._reject(req)
             return
         if backlog is None:
             backlog = self._backlog[tid] = deque()

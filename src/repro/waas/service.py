@@ -90,7 +90,7 @@ class WaasService:
         #: the deployment's Condor pool: ``gp.update`` resizes it but
         #: never replaces it, so it is resolved once, here
         self.pool = gp.get(instance_id).deployment.pool
-        admission.bind(self._start_workflow, self._workflow_rejected)
+        admission.bind(self._start_workflow)
         # -- per-DAG execution plans, shared across requests ----------------
         # keyed by object identity: the arrival plan hands the same DAG
         # object to many requests, so a 100k-workflow run builds only
@@ -110,7 +110,9 @@ class WaasService:
         self._live: set[int] = set()
         # -- outcomes -------------------------------------------------------
         self.completed: list[WorkflowRequest] = []
-        self.rejected: list[WorkflowRequest] = []
+        #: admission queues every arrival and turns none away; kept empty
+        #: for perfbench's ``waas`` scenario, which still reads it
+        self.rejected: tuple[WorkflowRequest, ...] = ()
         self.sla_met = 0
         self.jobs_submitted = 0
         self.jobs_completed = 0
@@ -119,7 +121,7 @@ class WaasService:
     # -- lifecycle ---------------------------------------------------------
     @property
     def all_done(self):
-        """Fires once every planned request has completed or been rejected."""
+        """Fires once every planned request has completed."""
         return self._all_done
 
     def open(self) -> float:
@@ -245,18 +247,9 @@ class WaasService:
             obs.series("waas.in_flight").record(self.admission.in_flight)
         self._check_all_done()
 
-    def _workflow_rejected(self, req: WorkflowRequest) -> None:
-        self._live.discard(req.id)
-        self.rejected.append(req)
-        obs = self.ctx.obs
-        if obs.enabled:
-            obs.finish_open(self._track(req), status="cancelled", error="rejected")
-            self._wf_span_ids.pop(req.id, None)
-        self._check_all_done()
-
     def _check_all_done(self) -> None:
         if (
-            len(self.completed) + len(self.rejected) == len(self.plan.requests)
+            len(self.completed) == len(self.plan.requests)
             and not self._all_done.triggered
         ):
             self._all_done.succeed(self)
@@ -288,5 +281,5 @@ class WaasService:
     # -- results -----------------------------------------------------------
     @property
     def sla_attainment(self) -> float:
-        done = len(self.completed) + len(self.rejected)
+        done = len(self.completed)
         return self.sla_met / done if done else 0.0

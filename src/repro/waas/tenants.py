@@ -61,7 +61,6 @@ class WorkflowRequest:
     arrived_s: Optional[float] = None
     admitted_s: Optional[float] = None
     completed_s: Optional[float] = None
-    rejected: bool = False
 
     @property
     def admission_wait_s(self) -> Optional[float]:

@@ -10,15 +10,12 @@ from repro.workloads.generators import make_workflow_dag
 DAG = make_workflow_dag("chain", n_tasks=2, seed=0)
 
 
-def _controller(max_in_flight=100, max_backlog_per_tenant=None):
+def _controller(max_in_flight=100):
     ctx = SimContext(seed=0)
-    adm = AdmissionController(
-        ctx, max_in_flight=max_in_flight,
-        max_backlog_per_tenant=max_backlog_per_tenant,
-    )
-    started, rejected = [], []
-    adm.bind(started.append, rejected.append)
-    return adm, started, rejected
+    adm = AdmissionController(ctx, max_in_flight=max_in_flight)
+    started = []
+    adm.bind(started.append)
+    return adm, started
 
 
 def _request(rid, tenant, arrival=0.0, dag=DAG):
@@ -31,7 +28,7 @@ def _request(rid, tenant, arrival=0.0, dag=DAG):
 
 def test_tenant_quota_defers_and_fifo_refills():
     (tenant,) = make_tenants(1, quota=1)
-    adm, started, _ = _controller()
+    adm, started = _controller()
     reqs = [_request(i, tenant, arrival=float(i)) for i in range(3)]
     for r in reqs:
         adm.offer(r)
@@ -47,7 +44,7 @@ def test_tenant_quota_defers_and_fifo_refills():
 
 def test_global_cap_gates_even_under_quota():
     tenants = make_tenants(4, quota=10)
-    adm, started, _ = _controller(max_in_flight=2)
+    adm, started = _controller(max_in_flight=2)
     reqs = [_request(i, tenants[i], arrival=float(i)) for i in range(4)]
     for r in reqs:
         adm.offer(r)
@@ -58,7 +55,7 @@ def test_global_cap_gates_even_under_quota():
 
 def test_fair_share_prefers_lightest_tenant():
     light, heavy = make_tenants(2, quota=1)
-    adm, started, _ = _controller(max_in_flight=1)
+    adm, started = _controller(max_in_flight=1)
     first = _request(0, heavy, arrival=0.0)
     adm.offer(first)  # occupies the single slot; charges `heavy` on completion
     # both tenants now queue one workflow; heavy's arrived *earlier*
@@ -73,7 +70,7 @@ def test_fair_share_prefers_lightest_tenant():
 
 def test_ties_break_by_arrival_then_tenant_id():
     a, b = make_tenants(2, quota=1)
-    adm, started, _ = _controller(max_in_flight=1)
+    adm, started = _controller(max_in_flight=1)
     blocker = _request(0, a, arrival=0.0)
     adm.offer(blocker)
     adm.offer(_request(1, b, arrival=1.0))
@@ -81,17 +78,6 @@ def test_ties_break_by_arrival_then_tenant_id():
     adm.complete(blocker)
     # a has usage from the blocker; b is untouched -> b first
     assert started[1].id == 1
-
-
-def test_backlog_cap_rejects():
-    (tenant,) = make_tenants(1, quota=1)
-    adm, started, rejected = _controller(max_backlog_per_tenant=1)
-    for i in range(3):
-        adm.offer(_request(i, tenant, arrival=float(i)))
-    assert len(started) == 1
-    assert adm.backlog_workflows == 1
-    assert [r.id for r in rejected] == [2]
-    assert rejected[0].rejected
 
 
 def test_unbound_controller_asserts_on_admit():
@@ -104,7 +90,7 @@ def test_unbound_controller_asserts_on_admit():
 
 def test_backlog_work_accounting_balances():
     (tenant,) = make_tenants(1, quota=1)
-    adm, started, _ = _controller()
+    adm, started = _controller()
     for i in range(4):
         adm.offer(_request(i, tenant, arrival=float(i)))
     assert adm.backlog_work == pytest.approx(3 * DAG.total_work)

@@ -167,22 +167,6 @@ def test_trace_plan_drives_service():
     assert arrived == pytest.approx([0.0, 5.0, 5.0])
 
 
-def test_backlog_cap_rejections_still_release_all_done():
-    bed, gp, gpi = _deploy(base_workers=1)
-    # quota 1 + backlog cap 0: every workflow arriving while one is in
-    # flight for its tenant is rejected outright
-    plan = poisson_plan(1, 6, 1.0, tenant_quota=1, dag_tasks=2,
-                        mean_task_work_s=200.0, seed=0)
-    adm = AdmissionController(bed.ctx, max_in_flight=4,
-                              max_backlog_per_tenant=0)
-    service = WaasService(gp, gpi.id, plan, adm)
-    _drain(bed, service)
-    assert len(service.completed) + len(service.rejected) == 6
-    assert service.rejected, "expected the backlog cap to reject some"
-    assert all(r.rejected for r in service.rejected)
-    assert all(r.completed_s is None for r in service.rejected)
-
-
 def test_run_is_seed_deterministic():
     def once():
         bed, gp, gpi = _deploy(base_workers=1)
