@@ -25,7 +25,6 @@ from .tenants import (
     WorkflowRequest,
     make_tenants,
     poisson_plan,
-    trace_plan,
 )
 
 __all__ = [
@@ -45,6 +44,5 @@ __all__ = [
     "make_policy",
     "make_tenants",
     "poisson_plan",
-    "trace_plan",
     "waas_topology",
 ]

@@ -4,8 +4,7 @@ The paper's deployments serve one lab at a time; a Workflow-as-a-Service
 front door serves *populations* — thousands of tenants submitting
 workflow DAGs against deadlines.  This module builds that demand side:
 a roster of :class:`TenantSpec` and a list of :class:`WorkflowRequest`
-whose arrival times come from either a Poisson process (the open-loop
-default) or an explicit trace.
+whose arrival times come from a Poisson process.
 
 Arrivals are *open-loop*: the request list is fully determined by the
 config seed before the simulation starts, so the demand never reacts to
@@ -20,7 +19,7 @@ perturb any other seeded behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -183,52 +182,3 @@ def poisson_plan(
     )
     return ArrivalPlan(tenants=tenants, requests=requests)
 
-
-def trace_plan(
-    trace: Iterable[dict],
-    *,
-    n_tenants: int,
-    tenant_quota: int = 2,
-    dag_tasks: int = 6,
-    unique_dags: int = 50,
-    shapes: Sequence[str] = DAG_SHAPES,
-    mean_task_work_s: float = 90.0,
-    deadline_base_s: float = 600.0,
-    deadline_slack: float = 3.0,
-    seed: int = 0,
-) -> ArrivalPlan:
-    """Trace-driven arrivals: replay explicit ``{"t", "tenant"}`` records.
-
-    Optional per-record keys override the catalog defaults: ``variant``
-    picks a specific DAG from the shared catalog, ``allowance_s`` pins
-    the deadline budget.  Records must be in non-decreasing ``t`` order
-    (the schedule registers as one cohort).
-    """
-    tenants = make_tenants(n_tenants, quota=tenant_quota)
-    catalog = _dag_catalog(unique_dags, tuple(shapes), dag_tasks, mean_task_work_s, seed)
-    requests: list[WorkflowRequest] = []
-    last_t = 0.0
-    for i, rec in enumerate(trace):
-        t = float(rec["t"])
-        if t < last_t:
-            raise ValueError(f"trace record {i} goes back in time ({t} < {last_t})")
-        last_t = t
-        tenant_id = int(rec["tenant"])
-        if not 0 <= tenant_id < n_tenants:
-            raise ValueError(f"trace record {i} names unknown tenant {tenant_id}")
-        dag = catalog[int(rec.get("variant", i)) % unique_dags]
-        allowance = rec.get("allowance_s")
-        if allowance is None:
-            allowance = deadline_base_s + deadline_slack * dag.critical_path_work
-        requests.append(
-            WorkflowRequest(
-                id=i,
-                tenant=tenants[tenant_id],
-                dag=dag,
-                arrival_s=t,
-                allowance_s=float(allowance),
-            )
-        )
-    if not requests:
-        raise ValueError("empty trace")
-    return ArrivalPlan(tenants=tenants, requests=tuple(requests))

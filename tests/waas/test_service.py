@@ -2,8 +2,6 @@
 
 import gc
 
-import pytest
-
 from repro.cluster import JobState
 from repro.core.testbed import CloudTestbed
 from repro.provision.instance import GlobusProvision
@@ -13,9 +11,7 @@ from repro.waas import (
     ElasticProvisioner,
     WaasService,
     make_policy,
-    make_tenants,
     poisson_plan,
-    trace_plan,
     waas_topology,
 )
 
@@ -145,26 +141,6 @@ def test_snapshot_reflects_pool_and_admission():
     done = service.snapshot()
     assert done.in_flight == 0
     assert done.idle_work == 0.0
-
-
-def test_trace_plan_drives_service():
-    bed, gp, gpi = _deploy(base_workers=2)
-    tenants = make_tenants(2, quota=2)
-    trace = [
-        {"t": 0.0, "tenant": 0},
-        {"t": 5.0, "tenant": 1, "variant": 1},
-        {"t": 5.0, "tenant": 0, "allowance_s": 1e9},
-    ]
-    plan = trace_plan(trace, n_tenants=2, dag_tasks=2, unique_dags=2,
-                      mean_task_work_s=10.0, seed=0)
-    assert [t.id for t in plan.tenants] == [t.id for t in tenants]
-    adm = AdmissionController(bed.ctx, max_in_flight=4)
-    service = WaasService(gp, gpi.id, plan, adm)
-    t0 = bed.now
-    _drain(bed, service)
-    assert len(service.completed) == 3
-    arrived = sorted(r.arrived_s - t0 for r in service.completed)
-    assert arrived == pytest.approx([0.0, 5.0, 5.0])
 
 
 def test_run_is_seed_deterministic():

@@ -1,8 +1,8 @@
-"""Demand-side contract: deterministic plans, sane deadlines, traces."""
+"""Demand-side contract: deterministic plans, sane deadlines."""
 
 import pytest
 
-from repro.waas import make_tenants, poisson_plan, trace_plan
+from repro.waas import make_tenants, poisson_plan
 
 
 def test_make_tenants_names_and_quota():
@@ -59,24 +59,3 @@ def test_poisson_plan_rejects_bad_args():
         poisson_plan(4, 0, 1.0)
     with pytest.raises(ValueError):
         poisson_plan(4, 10, 1.0, shapes=("nope",))
-
-
-def test_trace_plan_replays_records():
-    trace = [
-        {"t": 0.0, "tenant": 0},
-        {"t": 1.5, "tenant": 1, "allowance_s": 99.0},
-        {"t": 1.5, "tenant": 0, "variant": 2},
-    ]
-    plan = trace_plan(trace, n_tenants=2, unique_dags=4, seed=0)
-    assert [r.arrival_s for r in plan.requests] == [0.0, 1.5, 1.5]
-    assert plan.requests[1].allowance_s == 99.0
-    assert plan.requests[1].tenant.id == 1
-
-
-def test_trace_plan_validates():
-    with pytest.raises(ValueError):
-        trace_plan([{"t": 2.0, "tenant": 0}, {"t": 1.0, "tenant": 0}], n_tenants=1)
-    with pytest.raises(ValueError):
-        trace_plan([{"t": 0.0, "tenant": 5}], n_tenants=2)
-    with pytest.raises(ValueError):
-        trace_plan([], n_tenants=2)
