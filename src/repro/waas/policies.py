@@ -8,6 +8,11 @@ benchmark can race them: a policy is a pure function from a
 stateful (intervals, clamping, applying topology updates) lives in the
 provisioner.  Pure decisions keep policy runs deterministic and make a
 policy trivially testable without a simulator.
+
+Each autoscaler has one fixed threshold, 2 idle jobs per slot for
+:class:`QueueDepthPolicy` and 1.5x the projected drain time for
+:class:`DeadlineSlackPolicy`; its one parameter is ``step``, the
+workers one decision adds (the shipped grids use 4 and 8).
 """
 
 from __future__ import annotations
@@ -90,13 +95,12 @@ class QueueDepthPolicy(ScalingPolicy):
     """
 
     name = "queue_depth"
+    #: backlog per slot that triggers growth
+    up_per_slot = 2.0
 
-    def __init__(self, up_per_slot: float = 2.0, step: int = 1) -> None:
-        if up_per_slot <= 0:
-            raise ValueError("up_per_slot must be > 0")
+    def __init__(self, step: int = 1) -> None:
         if step < 1:
             raise ValueError("step must be >= 1")
-        self.up_per_slot = up_per_slot
         self.step = step
 
     def decide(self, snap: PoolSnapshot) -> int:
@@ -124,13 +128,12 @@ class DeadlineSlackPolicy(ScalingPolicy):
     """
 
     name = "deadline_slack"
+    #: padding on the projected drain time
+    headroom = 1.5
 
-    def __init__(self, headroom: float = 1.5, step: int = 1) -> None:
-        if headroom <= 0:
-            raise ValueError("headroom must be > 0")
+    def __init__(self, step: int = 1) -> None:
         if step < 1:
             raise ValueError("step must be >= 1")
-        self.headroom = headroom
         self.step = step
 
     def decide(self, snap: PoolSnapshot) -> int:

@@ -29,7 +29,7 @@ def test_static_never_moves():
 
 
 def test_queue_depth_scales_up_on_backlog():
-    p = QueueDepthPolicy(up_per_slot=2.0, step=3)
+    p = QueueDepthPolicy(step=3)
     assert p.decide(snap(queue_depth=4)) == 3       # 4 >= 2*2 slots
     assert p.decide(snap(queue_depth=3)) == 0
     assert p.decide(snap(queue_depth=1, backlog_workflows=3)) == 3
@@ -48,7 +48,7 @@ def test_queue_depth_handles_empty_pool():
 
 
 def test_deadline_slack_scales_up_when_drain_threatens_deadline():
-    p = DeadlineSlackPolicy(headroom=1.5, step=2)
+    p = DeadlineSlackPolicy(step=2)
     # 300s of work at 2 work/s = 150s projected; *1.5 = 225 > 200 slack
     assert p.decide(snap(idle_work=300.0, min_deadline_slack_s=200.0)) == 2
     # 500 slack is comfortable
@@ -56,9 +56,9 @@ def test_deadline_slack_scales_up_when_drain_threatens_deadline():
 
 
 def test_deadline_slack_counts_admission_backlog():
-    p = DeadlineSlackPolicy(headroom=1.0, step=1)
+    p = DeadlineSlackPolicy(step=1)
     s = snap(idle_work=100.0, backlog_work=500.0, min_deadline_slack_s=200.0)
-    assert p.decide(s) == 1  # 600/2 = 300 > 200
+    assert p.decide(s) == 1  # 600/2 = 300s projected; *1.5 = 450 > 200
 
 
 def test_deadline_slack_idles_down_and_ignores_quiet_pools():
@@ -75,8 +75,10 @@ def test_deadline_slack_rescues_zero_capacity():
 
 def test_policy_registry_and_params():
     assert set(POLICIES) == {"static", "queue_depth", "deadline_slack"}
-    p = make_policy("queue_depth", up_per_slot=5.0)
-    assert p.describe() == {"name": "queue_depth", "up_per_slot": 5.0, "step": 1}
+    p = make_policy("queue_depth", step=4)
+    assert p.describe() == {"name": "queue_depth", "up_per_slot": 2.0, "step": 4}
+    p = make_policy("deadline_slack", step=8)
+    assert p.describe() == {"name": "deadline_slack", "headroom": 1.5, "step": 8}
     assert make_policy("static").describe() == {"name": "static"}
     with pytest.raises(KeyError):
         make_policy("nope")
@@ -84,11 +86,9 @@ def test_policy_registry_and_params():
 
 def test_policy_param_validation():
     with pytest.raises(ValueError):
-        QueueDepthPolicy(up_per_slot=0.0)
-    with pytest.raises(ValueError):
         QueueDepthPolicy(step=0)
     with pytest.raises(ValueError):
-        DeadlineSlackPolicy(headroom=0.0)
+        DeadlineSlackPolicy(step=0)
 
 
 def test_pending_work_property():
