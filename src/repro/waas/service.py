@@ -35,30 +35,23 @@ from .policies import PoolSnapshot
 from .tenants import ArrivalPlan, WorkflowRequest
 
 
-def waas_topology(
-    base_workers: int,
-    instance_type: str = "m1.small",
-    domain: str = "waas",
-    storage: str = "nfs",
-    storage_nodes: int = 0,
-) -> Topology:
-    """A lean WaaS pool: NFS/NIS head + Condor workers, no Galaxy tier.
+def waas_topology(base_workers: int, instance_type: str = "m1.small") -> Topology:
+    """A lean WaaS pool, domain ``waas``: NFS/NIS head + Condor workers,
+    no Galaxy tier.
 
     The front door submits to Condor directly, so the topology skips the
     Galaxy/GridFTP nodes the interactive deployments carry — at 100k
-    tenants the head-node tax would be pure noise.  ``storage`` picks the
-    data-sharing backend (``repro.storage``) for the pool.
+    tenants the head-node tax would be pure noise.  The pool shares data
+    over NFS, ``DomainSpec``'s default backend.
     """
     return Topology(
         domains=(
             DomainSpec(
-                name=domain,
+                name="waas",
                 users=("waas-admin",),
                 nfs=True,
                 condor=True,
                 cluster_nodes=base_workers,
-                storage=storage,
-                storage_nodes=storage_nodes,
             ),
         ),
         ec2=EC2Spec(instance_type=instance_type),
@@ -79,14 +72,12 @@ class WaasService:
         instance_id: str,
         plan: ArrivalPlan,
         admission: AdmissionController,
-        domain: str = "waas",
     ) -> None:
         self.gp = gp
         self.ctx = gp.bed.ctx
         self.instance_id = instance_id
         self.plan = plan
         self.admission = admission
-        self.domain = domain
         #: the deployment's Condor pool: ``gp.update`` resizes it but
         #: never replaces it, so it is resolved once, here
         self.pool = gp.get(instance_id).deployment.pool
@@ -271,7 +262,7 @@ class WaasService:
         return PoolSnapshot.of_pool(
             self.pool,
             self.ctx.now,
-            gpi.topology.domain(self.domain).cluster_nodes,
+            gpi.topology.domain("waas").cluster_nodes,
             backlog_workflows=adm.backlog_workflows,
             backlog_work=adm.backlog_work,
             in_flight=adm.in_flight,

@@ -5,7 +5,6 @@ import pytest
 from repro.core import CloudTestbed, usecase_topology
 from repro.provision import GlobusProvision, Topology, TopologyError, with_extra_worker
 from repro.provision.topology import DomainSpec
-from repro.waas import waas_topology
 
 
 def deploy(bed, topology):
@@ -79,12 +78,6 @@ def test_from_conf_defaults_to_nfs():
         "[general]\ndomains: simple\n\n[domain-simple]\nusers: boliu\n"
     )
     assert topology.domain("simple").storage == "nfs"
-
-
-def test_waas_topology_carries_storage():
-    topology = waas_topology(2, storage="striped_fs", storage_nodes=3)
-    dom = topology.domain("waas")
-    assert dom.storage == "striped_fs" and dom.storage_nodes == 3
 
 
 # -- deployment wiring -----------------------------------------------------
