@@ -111,6 +111,8 @@ def test_format_constants_are_stamped(tiny_bundle):
         (lambda p: p.write_text("   \n"), "is empty"),
         (lambda p: p.write_text('{"format": "gp-prov'), "not valid JSON"),
         (lambda p: p.write_bytes(b"\xff\xfe{}"), "not UTF-8 text"),
+        # nested past the recursion limit: json.loads raises RecursionError
+        (lambda p: p.write_text("[" * 100_000), "maximum recursion depth"),
     ],
 )
 def test_read_bundle_unreadable_cases(tmp_path, write, fragment):

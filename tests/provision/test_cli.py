@@ -1,10 +1,12 @@
 """The gp-instance CLI: the paper's command workflow (Sec. V-A)."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.provision import (
@@ -16,7 +18,7 @@ from repro.provision import (
     TopologyError,
     with_extra_worker,
 )
-from repro.provision.cli import main
+from repro.provision.cli import STATUSES, main
 
 from ..json_fuzz import JSON_VALUES, node_paths, put
 
@@ -51,6 +53,20 @@ def test_create_bad_file(home, capsys):
     code, _, err = run_cli(capsys, "create", "-c", str(home / "nope.conf"))
     assert code == 1
     assert "error" in err
+
+
+#: a JSON document nested past the recursion limit, which ``json.loads``
+#: refuses with a RecursionError, not a JSONDecodeError
+DEEP_JSON = "[" * 100_000
+
+
+def test_create_deeply_nested_json_is_a_named_error(home, capsys):
+    path = home / "deep.json"
+    path.write_text(DEEP_JSON)
+    code, out, err = run_cli(capsys, "create", "-c", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad JSON topology: ") and err.count("\n") == 1
+    assert not (home / "gp-sim" / "instances.json").exists()
 
 
 def test_start_and_describe(home, capsys):
@@ -280,7 +296,9 @@ def test_fuzzed_galaxy_conf_create_exits_zero_or_one(fuzz_home, data):
     assert main(["create", "-c", str(conf)]) in (0, 1)
 
 
-@pytest.mark.parametrize("text", ["{bad", "[]"], ids=["not-json", "not-an-object"])
+@pytest.mark.parametrize(
+    "text", ["{bad", "[]", DEEP_JSON], ids=["not-json", "not-an-object", "deep"]
+)
 @pytest.mark.parametrize("command", ["list", "create"])
 def test_corrupt_registry_is_a_named_error(home, capsys, command, text):
     registry = home / "gp-sim" / "instances.json"
@@ -326,11 +344,15 @@ def test_malformed_registry_entry_is_a_named_error(home, capsys, case, command):
     assert registry.read_text() == text
 
 
-@pytest.mark.parametrize("command", ["start", "update", "ssh"])
-def test_bad_stored_topology_is_a_named_error(home, capsys, command):
+@pytest.mark.parametrize("command, topology", [
+    pytest.param(command, topology, id=command + suffix)
+    for topology, suffix in (("{bad", ""), (DEEP_JSON, "-deep"))
+    for command in ("start", "update", "ssh")
+])
+def test_bad_stored_topology_is_a_named_error(home, capsys, command, topology):
     status = "New" if command == "start" else "Running"
     registry, text = write_registry(
-        home, {"gpi-x": {"status": status, "topology": "{bad", "seed": 0}}
+        home, {"gpi-x": {"status": status, "topology": topology, "seed": 0}}
     )
     argv = {
         "start": ["start", "gpi-x"],
@@ -341,6 +363,53 @@ def test_bad_stored_topology_is_a_named_error(home, capsys, command):
     assert code == 1 and out == ""
     assert err.startswith("error: bad JSON topology")
     assert registry.read_text() == text
+
+
+#: registry bytes: any JSON value; a near-valid registry whose
+#: ``next_id``, ``instances`` and entry fields may each be any JSON value;
+#: or bytes that are not UTF-8
+REGISTRY_BYTES = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries({
+        "next_id": st.integers() | JSON_VALUES,
+        "instances": st.dictionaries(
+            st.sampled_from(["gpi-x", "gpi-y"]),
+            st.fixed_dictionaries({}, optional={
+                "status": st.sampled_from(STATUSES) | JSON_VALUES,
+                "topology": st.just(TOPOLOGY) | JSON_VALUES,
+                "seed": st.integers() | JSON_VALUES,
+                "describe": st.dictionaries(st.text(max_size=8), JSON_VALUES,
+                                            max_size=2) | JSON_VALUES,
+            }) | JSON_VALUES,
+            max_size=2,
+        ) | JSON_VALUES,
+    }),
+).map(lambda doc: json.dumps(doc).encode()) | st.builds(
+    lambda head, tail: head + b"\xff" + tail, st.binary(max_size=8), st.binary(max_size=8)
+)
+
+
+@given(registry=REGISTRY_BYTES)
+@example(registry=DEEP_JSON.encode())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_registry_exits_zero_or_one(fuzz_home, registry):
+    """Any registry bytes: ``list``, ``describe``, ``stop`` and ``terminate``
+    each do their work (0), or print one ``error:`` line and leave the
+    registry as it was (1); none raises."""
+    path = fuzz_home / "gp-sim" / "instances.json"
+    path.parent.mkdir(exist_ok=True)
+    for argv in (["list"], ["describe", "gpi-x"], ["stop", "gpi-x"],
+                 ["terminate", "gpi-x"]):
+        path.write_bytes(registry)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert [ln for ln in lines if ln.startswith("error:")] == lines[:1]
+            assert path.read_bytes() == registry
+    path.unlink()
 
 
 def with_setting(home, name, section, key, value):

@@ -413,3 +413,20 @@ def test_bench_job_refuses_a_galaxy_conf_typo(workflow, tmp_path):
     no_typo = run(step.replace("s/^condor:/condr:/", "s/^condor:/condor:/"))
     assert no_typo.returncode == 1
     assert "exited 0, expected 1" in no_typo.stdout
+
+
+def test_bench_job_names_deeply_nested_json(workflow, tmp_path):
+    """100,000 ``[`` as a bundle, a topology and an instance registry:
+    ``gp-replay --check-only`` exits exactly 3 with ``bundle.unreadable``,
+    ``gp-instance create`` and ``list`` exit exactly 1 with an ``error:``
+    line, and no command prints a traceback."""
+    (step,) = [
+        s["run"]
+        for s in _steps(workflow, "bench-smoke")
+        if s.get("name") == "Deeply nested JSON is a named error"
+    ]
+    result = subprocess.run(
+        ["bash", "-e", "-c", step], cwd=WORKFLOW.parents[2],
+        env={**os.environ, "TMPDIR": str(tmp_path)}, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
