@@ -267,7 +267,7 @@ def read_bundle(path: pathlib.Path | str) -> ProvenanceBundle:
         raise BundleError("bundle.unreadable", f"{path} is empty")
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise BundleError(
             "bundle.unreadable", f"{path} is not valid JSON: {exc}"
         ) from exc

@@ -69,7 +69,7 @@ def load_registry() -> dict:
         return {"next_id": 0x2156189, "instances": {}}
     try:
         reg = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise RegistryError(f"corrupt instance registry {path}: {exc}") from None
     if not (
         isinstance(reg, dict)

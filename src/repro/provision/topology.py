@@ -230,7 +230,7 @@ class Topology:
     def from_json(cls, text: str) -> "Topology":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TopologyError(f"bad JSON topology: {exc}") from exc
         return _topology_from_doc(doc)
 
