@@ -1,13 +1,13 @@
-"""Globus Provision: topologies, the deployment engine, instance lifecycle."""
+"""Globus Provision: topologies, the deployment engine, instance lifecycle.
 
-from .deployer import (
-    Deployer,
-    Deployment,
-    DeploymentError,
-    DomainRuntime,
-    UpdateReport,
-)
-from .instance import GlobusProvision, GPError, GPInstance, GPInstanceState
+The topology names load with the package.  The deployment engine and
+the instance lifecycle, which import Galaxy and CRData, load on first
+use, so ``gp-instance create``, ``list`` and ``--help`` start without
+them.
+"""
+
+from importlib import import_module
+
 from .topology import (
     PAPER_GALAXY_CONF,
     DomainSpec,
@@ -21,6 +21,26 @@ from .topology import (
     with_extra_worker,
     with_worker_count,
 )
+
+#: names loaded from their submodule on first use
+_LAZY = {
+    "Deployer": ".deployer",
+    "Deployment": ".deployer",
+    "DeploymentError": ".deployer",
+    "DomainRuntime": ".deployer",
+    "UpdateReport": ".deployer",
+    "GlobusProvision": ".instance",
+    "GPError": ".instance",
+    "GPInstance": ".instance",
+    "GPInstanceState": ".instance",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_LAZY[name], __name__), name)
+
 
 __all__ = [
     "Deployer",

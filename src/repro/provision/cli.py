@@ -26,11 +26,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..core.testbed import CloudTestbed
-from .instance import GlobusProvision
 from .topology import Topology, TopologyError
+
+if TYPE_CHECKING:  # pragma: no cover - only the commands that deploy load it
+    from .instance import GlobusProvision
 
 
 def state_home() -> Path:
@@ -107,6 +108,9 @@ def _load_topology(path: str) -> Topology:
 
 def _replay_start(topology: Topology, seed: int) -> tuple[GlobusProvision, str]:
     """Fresh world + deployed instance for commands needing a running cluster."""
+    from ..core.testbed import CloudTestbed
+    from .instance import GlobusProvision
+
     bed = CloudTestbed(seed=seed)
     gp = GlobusProvision(bed)
     gpi = gp.create(topology)

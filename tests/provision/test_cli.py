@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.provision import (
     PAPER_GALAXY_CONF,
     DomainSpec,
@@ -42,6 +47,23 @@ def create_instance(home, capsys):
     code, out, _ = run_cli(capsys, "create", "-c", str(home / "galaxy.conf"))
     assert code == 0
     return out.strip().split()[-1]
+
+
+def test_cli_import_loads_no_galaxy_or_crdata():
+    """gp-instance parses its arguments, reads the registry and parses a
+    topology without the deployment engine; only start, update and ssh,
+    which build a world, import it with Galaxy, CRData and scipy."""
+    code = (
+        "import sys, repro.provision.cli; "
+        "print([m for m in ('scipy', 'networkx', 'repro.crdata', 'repro.galaxy',"
+        " 'repro.provision.deployer') if m in sys.modules])"
+    )
+    src = str(pathlib.Path(repro.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_create_prints_instance_id(home, capsys):
