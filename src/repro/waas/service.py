@@ -1,12 +1,14 @@
 """The WaaS front door: arrivals -> admission -> DAG execution -> SLA.
 
 ``WaasService`` runs a multi-tenant workflow service on top of one GP
-deployment: tenants submit workflow DAGs with deadlines (the open-loop
-:mod:`~repro.waas.tenants` plan), the admission controller gates them
-behind quotas and fair share, and admitted DAGs execute on the
+deployment, the ``waas`` domain :func:`waas_topology` builds: tenants
+submit workflow DAGs with deadlines (the open-loop Poisson plan of
+:mod:`~repro.waas.tenants`), the admission controller queues them behind
+quotas and fair share and rejects none, and admitted DAGs execute on the
 deployment's Condor pool — each task a Condor job owned by its tenant,
 so the negotiator's per-owner fair share applies *within* the pool just
-as admission applies above it.
+as admission applies above it.  The run is done when every planned
+workflow has completed.
 
 Two scale-critical choices:
 
