@@ -296,6 +296,69 @@ def test_when_done_read_or_not_gives_the_same_run():
     assert _busy_pool(60, read_when_done=True) == _busy_pool(60, read_when_done=False)
 
 
+#: ``_busy_pool(200, read_when_done=False)``'s completion order (job ids)
+BUSY_POOL_200_ORDER = [
+    1, 2, 8, 9, 3, 4, 5, 6, 12, 7, 10, 19, 11, 16, 14, 13, 17, 15, 23, 21, 24, 20,
+    26, 18, 29, 32, 25, 30, 27, 22, 28, 33, 36, 39, 43, 31, 37, 46, 34, 35, 40, 44,
+    50, 38, 41, 45, 42, 47, 53, 57, 54, 48, 51, 66, 49, 60, 58, 63, 61, 52, 56, 55,
+    64, 62, 59, 68, 65, 71, 77, 74, 67, 80, 76, 69, 73, 70, 72, 78, 81, 93, 75, 96,
+    79, 87, 84, 90, 85, 83, 92, 82, 86, 88, 89, 95, 91, 101, 97, 98, 94, 100, 103,
+    106, 99, 112, 109, 102, 111, 120, 108, 117, 105, 114, 104, 107, 126, 123, 113,
+    122, 125, 128, 110, 134, 116, 137, 115, 119, 131, 130, 118, 124, 121, 133, 127,
+    142, 136, 135, 145, 129, 141, 139, 144, 156, 132, 138, 150, 162, 153, 147, 140,
+    149, 155, 152, 159, 143, 158, 148, 146, 164, 167, 157, 160, 161, 151, 166, 169,
+    163, 172, 154, 175, 171, 165, 178, 168, 180, 183, 181, 177, 174, 176, 186, 170,
+    173, 197, 188, 191, 189, 179, 185, 194, 182, 184, 200, 187, 190, 192, 198, 199,
+    193, 196, 195,
+]
+
+
+def test_busy_pool_counts_and_completion_order_are_pinned():
+    """The kernel's counts and the pool's completion order for a busy
+    pool, as literals: interval ticks, wakes and completions each keep
+    their queue entry, insertion id and fire order."""
+    events, peak, _rows, order = _busy_pool(200, read_when_done=False)
+    assert (events, peak) == (1093, 28)
+    assert order == BUSY_POOL_200_ORDER
+
+
+def test_only_claiming_cycles_build_a_cohort(monkeypatch):
+    """Each negotiation cycle that claims a job registers its completions
+    as one ``EventCohort``; an interval tick builds none, although ticks
+    are armed here (more jobs than slots) and still count as events."""
+    from repro.cluster.condor import Startd
+    from repro.simcore.cohort import EventCohort
+
+    cohorts = [0]
+    claims = [0]
+    claiming_cycles = [0]
+    cohort_init = EventCohort.__init__
+    claim = Startd.claim
+    cycle = CondorPool._negotiation_cycle
+
+    def counting_cohort_init(self, *args, **kwargs):
+        cohorts[0] += 1
+        cohort_init(self, *args, **kwargs)
+
+    def counting_claim(self, *args):
+        claims[0] += 1
+        return claim(self, *args)
+
+    def counting_cycle(self):
+        before = claims[0]
+        cycle(self)
+        if claims[0] > before:
+            claiming_cycles[0] += 1
+
+    monkeypatch.setattr(EventCohort, "__init__", counting_cohort_init)
+    monkeypatch.setattr(Startd, "claim", counting_claim)
+    monkeypatch.setattr(CondorPool, "_negotiation_cycle", counting_cycle)
+    _busy_pool(200, read_when_done=False)
+    assert claims[0] == 200
+    assert claiming_cycles[0] > 100  # same-time completions batch some claims
+    assert cohorts[0] == claiming_cycles[0]
+
+
 def test_when_done_on_a_completed_job_is_processed_with_the_job():
     ctx, pool = make_pool([("w1", 1, 1.7, 1.0)])
     job = pool.submit(cpu_work=10.0)
