@@ -27,9 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from .events import SimEvent
+from .events import UNWATCHED, SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .kernel import Simulator
@@ -56,14 +54,22 @@ class _CohortMember(SimEvent):
 
 
 def _apply_member(ev: _CohortMember) -> None:
-    """Kernel callback of every member: apply it, then retire it."""
+    """Kernel callback of every member: apply it, then retire it.
+
+    The last member triggers the cohort's completion: its ``done``, or,
+    when nobody built that, the queue entry
+    :meth:`~repro.simcore.kernel.Simulator.trigger_unwatched` pushes,
+    pushed here without the call.
+    """
     cohort = ev.cohort
     cohort.apply(cohort, ev.index)
-    cohort._remaining -= 1
-    if cohort._remaining == 0:
+    remaining = cohort._remaining - 1
+    cohort._remaining = remaining
+    if not remaining:
         done = cohort._done
         if done is None:
-            cohort.sim.trigger_unwatched()
+            sim = cohort.sim
+            sim._immediate.append((next(sim._eid), UNWATCHED))
         else:
             done.succeed()
 
@@ -112,14 +118,13 @@ class EventCohort:
         if n == 0:
             sim.trigger_unwatched()
             return
-        tl = times.tolist() if isinstance(times, np.ndarray) else times
         now = sim._now
         pending = sim._pending
         eid = sim._eid
         cbs = _MEMBER_CALLBACKS
         new = _CohortMember.__new__
         for k in range(n):
-            t = tl[k]
+            t = times[k]
             if not t >= now:  # also rejects NaN
                 del pending[len(pending) - k:]  # unstage members 0..k-1
                 raise ValueError(

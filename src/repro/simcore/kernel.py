@@ -14,7 +14,9 @@ The queue is split in two.  Timed events live on a binary heap keyed by
 tiebreak packed into a single integer so heap sifts compare one field,
 not two.  New timed entries are staged in a pending list and merged
 lazily — bulk loads heapify in O(n) instead of paying n O(log n)
-pushes.  Zero-delay NORMAL-priority events —
+pushes, and trickle inserts (a callback arming a timer or two) are
+sifted in by the drain loop itself, with no call.  Zero-delay
+NORMAL-priority events —
 ``succeed()``/``fail()`` triggers and resource grants, by far the most
 common schedule — go to a FIFO deque instead, skipping the
 ``O(log n)`` heap push/pop entirely.  Because insertion order is globally
@@ -111,9 +113,10 @@ class Simulator:
         #: timed entries scheduled but not yet sifted into the heap.  Bulk
         #: loads (staging thousands of timers before the first pop) flush
         #: with one O(n) ``heapify`` instead of n O(log n) pushes; trickle
-        #: inserts fall back to ``heappush``.  Pop order depends only on
-        #: the (unique) sort keys, so the internal arrangement produced by
-        #: either flush path yields identical event ordering.
+        #: inserts, shorter than an eighth of the heap, ``_drain``
+        #: heappushes inline.  Pop order depends only on the (unique) sort
+        #: keys, so the internal arrangement produced by either path
+        #: yields identical event ordering.
         self._pending: list[tuple[float, int, SimEvent]] = []
         #: zero-delay NORMAL events at the current time: (insertion id, event)
         self._immediate: deque[tuple[int, SimEvent]] = deque()
@@ -214,8 +217,14 @@ class Simulator:
         return EventCohort(self, times, apply, payload, cause)
 
     # -- scheduling --------------------------------------------------------
-    # NOTE: the hot constructors (Timeout.__init__, SimEvent.succeed/fail)
-    # inline this push to save a call per event; keep them in sync.
+    # NOTE: these hot paths push onto ``_pending`` or ``_immediate``
+    # directly to save a call per event; keep them in sync with this
+    # method, each drawing its insertion id where the push it stands for
+    # would:
+    # - Timeout.__init__, SimEvent.succeed and SimEvent.fail (events.py);
+    # - trigger_unwatched (above);
+    # - EventCohort.__init__'s members and _apply_member's unwatched
+    #   completion (cohort.py).
     def _schedule(self, event: SimEvent, delay: float = 0.0, priority: int = NORMAL) -> None:
         if delay == 0.0 and priority == NORMAL:
             self._immediate.append((next(self._eid), event))
@@ -225,16 +234,13 @@ class Simulator:
             )
 
     def _flush_pending(self) -> None:
-        """Merge deferred timed entries into the heap (see ``_pending``)."""
-        pending = self._pending
+        """Merge a bulk load of deferred timed entries into the heap with
+        one O(n) ``heapify`` (``_drain`` sifts trickle inserts in itself;
+        see ``_pending``)."""
         queue = self._queue
-        if len(pending) << 3 >= len(queue):
-            queue.extend(pending)
-            heapify(queue)
-        else:
-            for entry in pending:
-                heappush(queue, entry)
-        pending.clear()
+        queue.extend(self._pending)
+        heapify(queue)
+        self._pending.clear()
 
     def _drain(self, until_f: Optional[float]) -> None:
         """The hot loop: run events until the queue empties or ``until_f``.
@@ -264,7 +270,13 @@ class Simulator:
         try:
             while True:
                 if pending:
-                    flush()
+                    # The rule of thumb: fewer than an eighth of the heap's
+                    # size sift in one by one, more heapify in one pass.
+                    if len(pending) << 3 < len(queue):
+                        while pending:
+                            heappush(queue, pending.pop())
+                    else:
+                        flush()
                 if immediate:
                     event = None
                     if queue:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import ObsRecorder
-from repro.simcore import Simulator
+from repro.simcore import LAZY, Simulator
 from repro.simcore.cohort import EventCohort, _CohortMember
 
 #: collision-rich delay grid: repeated values force same-timestamp runs
@@ -131,6 +131,136 @@ def test_differential_fuzz_with_scheduling_applies(program):
     assert _run_program(program, True, chained=True) == _run_program(
         program, False, chained=True
     )
+
+
+# ---------------------------------------------------------------------------
+# The drain's two insert paths
+# ---------------------------------------------------------------------------
+
+#: far-future timers that keep at least this many entries on the heap
+#: while the program runs, so a batch of one or two staged entries is
+#: always under an eighth of it and sifts in one entry at a time
+BALLAST = 24
+
+#: one item a batch schedules, each staging exactly one timed entry (the
+#: zero-delay timer, which takes the FIFO instead, rides along with one)
+ONE_ENTRY_ITEM = st.one_of(
+    st.tuples(st.just("timer"), st.sampled_from((0.25, 0.5, 1.0, 2.0))),
+    st.tuples(st.just("lazy"), st.just(0.0)),
+    st.tuples(st.just("cohort"), st.lists(st.sampled_from(DELAY_GRID), min_size=1, max_size=1)),
+    st.tuples(st.just("timer+fifo"), st.sampled_from((0.25, 1.0))),
+)
+BULK_ITEM = st.one_of(
+    ONE_ENTRY_ITEM,
+    st.tuples(st.just("cohort"), st.lists(st.sampled_from(DELAY_GRID), min_size=2, max_size=4)),
+)
+#: a trickle batch (one or two staged entries) and a bulk one (at least
+#: eight, more than an eighth of the heap the first bulk batch finds)
+TRICKLE_BATCH = st.lists(ONE_ENTRY_ITEM, min_size=1, max_size=2)
+BULK_BATCH = st.lists(BULK_ITEM, min_size=8, max_size=14)
+INSERT_PROGRAM = st.tuples(
+    BULK_BATCH,
+    TRICKLE_BATCH,
+    st.lists(
+        st.tuples(
+            st.sampled_from((0.5, 1.0, 1.0, 2.0, 3.0)),
+            st.one_of(TRICKLE_BATCH, BULK_BATCH),
+        ),
+        max_size=5,
+    ),
+)
+
+
+def _run_batches(program, use_cohorts: bool):
+    """Run a program of batches, each scheduled by one driver timer's
+    callback; returns the labels in fire order, the labels in reference
+    order (sorted by time, priority, scheduling order),
+    ``events_processed`` and ``peak_queue_depth``.
+
+    ``use_cohorts=False`` swaps every cohort for :func:`_timer_cohort`.
+    Only NORMAL timers schedule, so nothing is scheduled to sort before
+    an event that already fired and the reference sort is the fire order.
+    """
+    sim = Simulator()
+    fired: list[tuple] = []
+    expected: list[tuple] = []  # (time, priority, seq, label)
+
+    def note(time, priority, label):
+        expected.append((time, priority, len(expected), label))
+
+    def schedule(b, batch):
+        now = sim.now
+        for i, (kind, arg) in enumerate(batch):
+            label = (b, i)
+            if kind == "lazy":
+                note(now, 1, label)
+                sim.event().succeed(priority=LAZY).callbacks.append(
+                    lambda _e, label=label: fired.append(label)
+                )
+            elif kind == "cohort":
+                times = [now + d for d in arg]
+                for k, t in enumerate(times):
+                    note(t, 0, label + (k,))
+
+                def apply(_c, k, label=label):
+                    fired.append(label + (k,))
+
+                if use_cohorts:
+                    sim.schedule_cohort(times, apply)
+                else:
+                    _timer_cohort(sim, times, apply)
+            else:
+                extra = [0.0] if kind == "timer+fifo" else []
+                for j, delay in enumerate([arg] + extra):
+                    note(now + delay, 0, label + (j,))
+                    sim.timeout(delay).callbacks.append(
+                        lambda _e, lab=label + (j,): fired.append(lab)
+                    )
+
+    first_bulk, first_trickle, rest = program
+    drivers = [(0.25, first_bulk), (0.5, first_trickle)] + list(rest)
+    for b, (at, batch) in enumerate(drivers):
+        sim.call_in(at, lambda b=b, batch=batch: schedule(b, batch))
+    for i in range(BALLAST):
+        sim.timeout(100.0 + i)
+    sim.run()
+    reference = [e[3] for e in sorted(expected)]
+    return fired, reference, sim.events_processed, sim.peak_queue_depth
+
+
+@given(program=INSERT_PROGRAM)
+@settings(max_examples=60, deadline=None)
+def test_trickle_and_bulk_inserts_fire_in_key_order(program):
+    """Batches under an eighth of the heap sift in one by one in the
+    drain loop, larger ones heapify in ``_flush_pending``: both paths
+    run, the fire order is the reference sort by (time, priority,
+    insertion order), and the counts match the same program built from
+    plain timers."""
+    from repro.simcore import kernel
+
+    trickle = [0]
+    bulk = [0]
+    push = kernel.heappush
+    flush = Simulator._flush_pending
+
+    def counting_push(queue, entry):
+        trickle[0] += 1
+        push(queue, entry)
+
+    def counting_flush(self):
+        if self._queue:  # a merge into a live heap, not the first load
+            bulk[0] += 1
+        flush(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "heappush", counting_push)
+        mp.setattr(Simulator, "_flush_pending", counting_flush)
+        fired, reference, events, peak = _run_batches(program, True)
+    assert trickle[0] > 0 and bulk[0] > 0
+    assert fired == reference
+    plain_fired, _, plain_events, plain_peak = _run_batches(program, False)
+    assert plain_fired == fired
+    assert (events, peak) == (plain_events, plain_peak)
 
 
 # ---------------------------------------------------------------------------
