@@ -18,15 +18,15 @@ worker at runtime.  The pieces implemented here mirror Condor's daemons:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
+from math import inf
 from typing import Any, Callable, Optional
 
 from .. import calibration
 from ..simcore import LAZY, SimContext, SimEvent
-from ..simcore.events import _PENDING
+from ..simcore.events import UNWATCHED
 from .node import ClusterNode
 
 Requirements = Callable[["MachineAd"], bool]
@@ -144,16 +144,21 @@ class Startd:
         and for retiring the job from the schedd's idle queue
         (``_job_left_queue``) right after the claim.
         """
-        if self.free_slots < 1:
-            raise CondorError(f"{self.machine.name} has no free slot")
         machine = self.machine
         busy = self.busy
+        cores = machine.cores
+        if self.draining or len(busy) >= cores:  # ``free_slots < 1``
+            raise CondorError(f"{machine.name} has no free slot")
         slot = 0
-        while slot in busy:  # lowest free slot; free_slots >= 1 bounds it
+        while slot in busy:  # lowest free slot; a free one bounds it
             slot += 1
         busy[slot] = job
         pool._running += 1
-        now = self.ctx.now
+        if len(busy) == cores:
+            # ``_update_free``, inline: the machine was free and is not
+            # draining, so only this claim taking its last slot moves it
+            pool._free.pop(machine.name, None)
+        now = self.ctx.sim._now
         job.state = JobState.RUNNING
         job.start_time = now
         job.machine_name = machine.name
@@ -168,36 +173,55 @@ class Startd:
                 job=job.id,
                 machine=machine.name,
             ).id
-        self._claim_seq += 1
-        self._claims[slot] = self._claim_seq
-        pool._update_free(self)
+        token = self._claim_seq = self._claim_seq + 1
+        self._claims[slot] = token
         duration = job.cpu_work / machine.cpu_factor + job.io_work / machine.io_factor
-        return slot, self._claim_seq, now + duration
+        return slot, token, now + duration
 
     def _finish_job(
         self, slot: int, token: int, job: CondorJob, pool: "CondorPool"
     ) -> None:
-        """Completion-cohort apply for one claim (skips superseded claims)."""
-        if self._claims.get(slot) != token:
+        """Completion-cohort apply for one claim (skips superseded claims).
+
+        It keeps the pool's books itself: the free-slot index, the
+        owner's usage and the negotiator kick, and, for a job nobody
+        waits on, the unwatched completion's queue entry.
+        """
+        claims = self._claims
+        if claims.get(slot) != token:
             return  # evicted or condor_rm'd; the slot moved on
         del self.busy[slot]
-        del self._claims[slot]
+        del claims[slot]
         pool._running -= 1
-        pool._update_free(self)
+        draining = self.draining
+        if not draining:
+            # ``_update_free``, inline: a slot just came free
+            name = self.machine.name
+            if name in pool.startds:
+                pool._free[name] = self
         job.state = JobState.COMPLETED
-        job.end_time = self.ctx.now
+        ctx = self.ctx
+        sim = ctx.sim
+        job.end_time = sim._now
         if job.on_complete is not None:
             job.on_complete(job)
             job.on_complete = None  # frees the submitter's closure by refcount
         if job.completed is None:
-            self.ctx.sim.trigger_unwatched()  # nobody asked: no event object
+            # nobody asked: no event object, only the queue entry
+            # ``sim.trigger_unwatched()`` would push
+            sim._immediate.append((next(sim._eid), UNWATCHED))
         else:
             job.completed.succeed(job)
-        obs = self.ctx.obs
+        obs = ctx.obs
         if obs.enabled:
             obs.finish_open(f"condor/job-{job.id}")  # the condor.run span
-        pool._job_finished(job)
-        self._check_drained()
+        owner = job.owner
+        usage = pool.usage_by_owner
+        usage[owner] = usage.get(owner, 0.0) + job.cpu_work + job.io_work
+        # A slot freed up: try to match the next idle job right away.
+        pool._wake_negotiator()
+        if draining:
+            self._check_drained()
 
     def _abort(self, slot: int, job: CondorJob, pool: "CondorPool") -> None:
         """Free a claimed slot before completion (evict or ``condor_rm``).
@@ -291,15 +315,21 @@ class Schedd:
         self._idle_count = 0
         self._idle_work = 0.0
 
-    def submit(self, job: CondorJob) -> None:
-        """Queue the newly built ``job`` as idle under its id."""
-        self.jobs[job.id] = job
-        bucket = self._idle_by_owner.get(job.owner)
-        if bucket is None:
-            bucket = self._idle_by_owner[job.owner] = {}
-        bucket[job.id] = job
+    def submit(self, job: CondorJob) -> bool:
+        """Queue the newly built ``job`` as idle under its id; True when
+        it is now its owner's only idle job (an emptied bucket is
+        deleted, so that is when the owner had none)."""
+        job_id = job.id
+        self.jobs[job_id] = job
         self._idle_count += 1
         self._idle_work += job.cpu_work + job.io_work
+        idle = self._idle_by_owner
+        bucket = idle.get(job.owner)
+        if bucket is None:
+            idle[job.owner] = {job_id: job}
+            return True
+        bucket[job_id] = job
+        return False
 
     def _job_requeued(self, job: CondorJob) -> None:
         """An eviction put ``job`` back to IDLE (possibly out of order)."""
@@ -363,7 +393,7 @@ def _fail_removed(job: CondorJob, completed: SimEvent) -> None:
     completed.defused = True
 
 
-def _negotiator_wake(ev: "_NegotiatorWake") -> None:
+def _negotiator_wake(ev: "_NegotiatorEvent") -> None:
     """Kernel callback of every wake: run the pool's negotiation cycle."""
     pool = ev.pool
     pool._wake_armed = False
@@ -371,27 +401,42 @@ def _negotiator_wake(ev: "_NegotiatorWake") -> None:
         pool._run_cycle()
 
 
+def _negotiator_tick(ev: "_NegotiatorEvent") -> None:
+    """Kernel callback of every interval tick.
+
+    A tick whose cycle is still the pool's latest re-arms the wake; a
+    stale one (a kick already ran a newer cycle, which armed its own tick
+    if needed) does nothing.  Either way the tick then triggers its
+    unwatched completion, the event the one-member cohort it replaces
+    counted, so a tick still counts twice and draws its ids in the same
+    order: the wake's first, then the completion's.
+    """
+    pool = ev.pool
+    if ev.gen == pool._gen:
+        pool._wake_negotiator()
+    sim = pool.ctx.sim
+    sim._immediate.append((next(sim._eid), UNWATCHED))
+
+
 _WAKE_CALLBACKS = [_negotiator_wake]
+_TICK_CALLBACKS = [_negotiator_tick]
 
 
-class _NegotiatorWake(SimEvent):
-    """The LAZY event one negotiator wake arms.
+class _NegotiatorEvent(SimEvent):
+    """A negotiator wake (LAZY, at the current time) or interval tick.
 
-    Built by a flat initializer (see :class:`~repro.simcore.Timeout`)
-    that allocates neither a callback list nor a bound method: it carries
-    its pool, and its ``callbacks`` is :data:`_WAKE_CALLBACKS`, one list
-    shared by every wake, which nothing appends to.
+    Built flat, like a cohort member: ``__new__`` and the few slots the
+    drain loop and the callback read, with no ``__init__`` or ``succeed``
+    call, no callback list and no bound method.  It carries its pool (and
+    a tick its cycle generation ``gen``), and its ``callbacks`` is
+    :data:`_WAKE_CALLBACKS` or :data:`_TICK_CALLBACKS`, lists shared by
+    every event of the kind, which nothing appends to.
     """
 
-    __slots__ = ("pool",)
+    __slots__ = ("pool", "gen")
 
-    def __init__(self, pool: "CondorPool") -> None:
-        self.sim = pool.ctx.sim
-        self.callbacks = _WAKE_CALLBACKS
-        self._value = _PENDING
-        self._ok = None
-        self._defused = False
-        self.pool = pool
+
+_new_negotiator_event = _NegotiatorEvent.__new__
 
 
 class CondorPool:
@@ -406,6 +451,10 @@ class CondorPool:
         ctx: SimContext,
         negotiation_interval_s: float = calibration.CONDOR_NEGOTIATION_INTERVAL_S,
     ) -> None:
+        if not negotiation_interval_s >= 0:  # also rejects NaN
+            raise ValueError(
+                f"negotiation_interval_s must be >= 0, got {negotiation_interval_s!r}"
+            )
         self.ctx = ctx
         self.interval = negotiation_interval_s
         #: cpu+io work each owner's completed jobs used (fair-share key)
@@ -513,14 +562,19 @@ class CondorPool:
         on_complete: Optional[Callable[[CondorJob], None]] = None,
         cause: Optional[int] = None,
     ) -> CondorJob:
-        for name, value in (
-            ("cpu_work", cpu_work),
-            ("io_work", io_work),
-            # a NaN requirement would pass every ``matches`` check
-            ("req_memory_gb", req_memory_gb),
-        ):
-            if not 0.0 <= value < math.inf:  # NaN fails every comparison
-                raise CondorError(f"{name} must be finite and >= 0, got {value!r}")
+        if not (
+            0.0 <= cpu_work < inf
+            and 0.0 <= io_work < inf
+            and 0.0 <= req_memory_gb < inf
+        ):  # NaN fails every comparison; the loop names the bad value
+            for name, value in (
+                ("cpu_work", cpu_work),
+                ("io_work", io_work),
+                # a NaN requirement would pass every ``matches`` check
+                ("req_memory_gb", req_memory_gb),
+            ):
+                if not 0.0 <= value < inf:
+                    raise CondorError(f"{name} must be finite and >= 0, got {value!r}")
         job_id = self._next_job_id
         self._next_job_id = job_id + 1
         ctx = self.ctx
@@ -528,11 +582,9 @@ class CondorPool:
         # a dict, which costs more than the rest of the construction
         job = CondorJob(
             job_id, owner, cpu_work, io_work, req_memory_gb,
-            requirements, rank, on_complete, ctx.now,
+            requirements, rank, on_complete, ctx.sim._now,
         )
-        schedd = self.schedd
-        schedd.submit(job)
-        if schedd.idle_count_of(owner) == 1:
+        if self.schedd.submit(job):
             self._enter_owner(job)  # the owner had no idle job until now
         obs = ctx.obs
         if obs.enabled:
@@ -646,13 +698,6 @@ class CondorPool:
             (self.usage_by_owner.get(owner, 0.0), head.submit_time, head.id, owner),
         )
 
-    def _job_finished(self, job: CondorJob) -> None:
-        self.usage_by_owner[job.owner] = (
-            self.usage_by_owner.get(job.owner, 0.0) + job.cpu_work + job.io_work
-        )
-        # A slot freed up: try to match the next idle job right away.
-        self._wake_negotiator()
-
     # -- negotiation --------------------------------------------------------------
     def _update_free(self, startd: Startd) -> None:
         """Re-index one machine after its slot occupancy changed."""
@@ -680,29 +725,35 @@ class CondorPool:
         if self._wake_armed or self._stopped:
             return
         self._wake_armed = True
-        _NegotiatorWake(self).succeed(priority=LAZY)
+        wake = _new_negotiator_event(_NegotiatorEvent)
+        wake.callbacks = _WAKE_CALLBACKS
+        wake._ok = True
+        wake._defused = False
+        wake.pool = self
+        # the entry ``wake.succeed(priority=LAZY)`` would push
+        sim = self.ctx.sim
+        sim._pending.append((sim._now, (LAZY << 53) + next(sim._eid), wake))
 
     def _run_cycle(self) -> None:
-        self._gen += 1
+        self._gen = gen = self._gen + 1
         self._negotiation_cycle()
-        if self.schedd.has_idle() and not self._stopped:
+        if self.schedd._idle_count and not self._stopped:
             # Unmatched work pending: retry next cycle, or earlier on a
             # submission/join/slot-free kick.  When nothing is idle no
             # timer is armed, so an idle simulation can drain to
-            # completion.  The tick is a one-member cohort; its apply
-            # re-arms the LAZY wake so the cycle still runs after every
-            # ordinary event of its timestamp.
-            self.ctx.sim.schedule_cohort(
-                (self.ctx.now + self.interval,),
-                self._tick_apply,
-                payload=self._gen,
-            )
-
-    def _tick_apply(self, cohort, k: int) -> None:
-        if cohort.payload == self._gen:
-            self._wake_negotiator()
-        # else: a kick already ran a newer cycle (which armed its own
-        # tick if needed); the stale timer dies here.
+            # completion.  The tick is a slotted event stamped with this
+            # cycle's generation; its callback re-arms the LAZY wake, so
+            # the cycle still runs after every ordinary event of its
+            # timestamp, and then triggers the tick's unwatched
+            # completion.
+            tick = _new_negotiator_event(_NegotiatorEvent)
+            tick.callbacks = _TICK_CALLBACKS
+            tick._ok = True
+            tick._defused = False
+            tick.pool = self
+            tick.gen = gen
+            sim = self.ctx.sim
+            sim._pending.append((sim._now + self.interval, next(sim._eid), tick))
 
     def _complete_apply(self, cohort, k: int) -> None:
         startd, slot, token, job = cohort.payload[k]

@@ -224,7 +224,11 @@ class Simulator:
     # - Timeout.__init__, SimEvent.succeed and SimEvent.fail (events.py);
     # - trigger_unwatched (above);
     # - EventCohort.__init__'s members and _apply_member's unwatched
-    #   completion (cohort.py).
+    #   completion (cohort.py);
+    # - CondorPool._wake_negotiator's wake, CondorPool._run_cycle's
+    #   interval tick, _negotiator_tick's unwatched completion and
+    #   Startd._finish_job's unwatched job completion
+    #   (repro/cluster/condor.py).
     def _schedule(self, event: SimEvent, delay: float = 0.0, priority: int = NORMAL) -> None:
         if delay == 0.0 and priority == NORMAL:
             self._immediate.append((next(self._eid), event))

@@ -171,6 +171,29 @@ def test_negative_memory_requirement_rejected():
     assert not pool.schedd.jobs
 
 
+@pytest.mark.parametrize("interval", [-1.0, float("nan")])
+def test_negative_or_nan_negotiation_interval_rejected(interval):
+    """An interval tick is armed ``interval`` after its cycle, so a
+    negative or NaN interval would fire it in the past."""
+    with pytest.raises(ValueError, match="negotiation_interval_s"):
+        make_pool(interval=interval)
+
+
+def test_schedd_submit_says_when_the_owner_had_no_idle_job():
+    """``Schedd.submit`` is True exactly when the job is now its owner's
+    only idle job: first in, and first in again once the owner's idle
+    queue emptied."""
+    from repro.cluster.condor import CondorJob, Schedd
+
+    schedd = Schedd()
+    jobs = [CondorJob(i, "ann" if i < 4 else "bob", 10.0) for i in range(1, 6)]
+    assert [schedd.submit(j) for j in jobs[:2]] == [True, False]
+    schedd._job_left_queue(jobs[0])
+    schedd._job_left_queue(jobs[1])
+    assert schedd.idle_count_of("ann") == 0
+    assert [schedd.submit(j) for j in jobs[2:]] == [True, True, False]
+
+
 @pytest.mark.parametrize("field", ["cpu_work", "io_work", "req_memory_gb"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_work_rejected_before_a_job_exists(field, value):

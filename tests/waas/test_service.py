@@ -3,6 +3,7 @@
 import gc
 
 from repro.cluster import JobState
+from repro.cluster.condor import _NegotiatorEvent
 from repro.core.testbed import CloudTestbed
 from repro.provision.instance import GlobusProvision
 from repro.simcore.cohort import EventCohort, _CohortMember
@@ -93,7 +94,8 @@ def test_autoscaler_grows_overloaded_pool():
 
 def test_drained_run_leaves_no_cohort_for_the_collector():
     """Condor completions, EC2 boots and Chef converges all run as event
-    cohorts.  With the collector paused, as the kernel pauses it for
+    cohorts, and the negotiator's wakes and interval ticks as slotted
+    events.  With the collector paused, as the kernel pauses it for
     every drain, none of them may be left in a reference cycle once the
     run has drained."""
     enabled, flags, before = gc.isenabled(), gc.get_debug(), len(gc.garbage)
@@ -116,7 +118,7 @@ def test_drained_run_leaves_no_cohort_for_the_collector():
         left = [
             type(o).__name__
             for o in gc.garbage[before:]
-            if isinstance(o, (EventCohort, _CohortMember))
+            if isinstance(o, (EventCohort, _CohortMember, _NegotiatorEvent))
         ]
     finally:
         gc.set_debug(flags)
