@@ -407,9 +407,8 @@ def _negotiator_tick(ev: "_NegotiatorEvent") -> None:
     A tick whose cycle is still the pool's latest re-arms the wake; a
     stale one (a kick already ran a newer cycle, which armed its own tick
     if needed) does nothing.  Either way the tick then triggers its
-    unwatched completion, the event the one-member cohort it replaces
-    counted, so a tick still counts twice and draws its ids in the same
-    order: the wake's first, then the completion's.
+    unwatched completion, so every tick counts as two events, and the
+    wake draws its insertion id before the completion does.
     """
     pool = ev.pool
     if ev.gen == pool._gen:

@@ -63,9 +63,8 @@ def _apply_member(ev: _CohortMember) -> None:
     """
     cohort = ev.cohort
     cohort.apply(cohort, ev.index)
-    remaining = cohort._remaining - 1
-    cohort._remaining = remaining
-    if not remaining:
+    cohort._remaining -= 1
+    if cohort._remaining == 0:
         done = cohort._done
         if done is None:
             sim = cohort.sim
