@@ -26,7 +26,6 @@ from typing import Any, Callable, Optional
 
 from .. import calibration
 from ..simcore import LAZY, SimContext, SimEvent
-from ..simcore.events import UNWATCHED
 from .node import ClusterNode
 
 Requirements = Callable[["MachineAd"], bool]
@@ -144,20 +143,15 @@ class Startd:
         and for retiring the job from the schedd's idle queue
         (``_job_left_queue``) right after the claim.
         """
+        if self.free_slots < 1:
+            raise CondorError(f"{self.machine.name} has no free slot")
         machine = self.machine
         busy = self.busy
-        cores = machine.cores
-        if self.draining or len(busy) >= cores:  # ``free_slots < 1``
-            raise CondorError(f"{machine.name} has no free slot")
         slot = 0
-        while slot in busy:  # lowest free slot; a free one bounds it
+        while slot in busy:  # lowest free slot; free_slots >= 1 bounds it
             slot += 1
         busy[slot] = job
         pool._running += 1
-        if len(busy) == cores:
-            # ``_update_free``, inline: the machine was free and is not
-            # draining, so only this claim taking its last slot moves it
-            pool._free.pop(machine.name, None)
         now = self.ctx.sim._now
         job.state = JobState.RUNNING
         job.start_time = now
@@ -175,6 +169,7 @@ class Startd:
             ).id
         token = self._claim_seq = self._claim_seq + 1
         self._claims[slot] = token
+        pool._update_free(self)
         duration = job.cpu_work / machine.cpu_factor + job.io_work / machine.io_factor
         return slot, token, now + duration
 
@@ -183,9 +178,7 @@ class Startd:
     ) -> None:
         """Completion-cohort apply for one claim (skips superseded claims).
 
-        It keeps the pool's books itself: the free-slot index, the
-        owner's usage and the negotiator kick, and, for a job nobody
-        waits on, the unwatched completion's queue entry.
+        It also books the owner's usage and kicks the negotiator.
         """
         claims = self._claims
         if claims.get(slot) != token:
@@ -193,12 +186,7 @@ class Startd:
         del self.busy[slot]
         del claims[slot]
         pool._running -= 1
-        draining = self.draining
-        if not draining:
-            # ``_update_free``, inline: a slot just came free
-            name = self.machine.name
-            if name in pool.startds:
-                pool._free[name] = self
+        pool._update_free(self)
         job.state = JobState.COMPLETED
         ctx = self.ctx
         sim = ctx.sim
@@ -207,9 +195,7 @@ class Startd:
             job.on_complete(job)
             job.on_complete = None  # frees the submitter's closure by refcount
         if job.completed is None:
-            # nobody asked: no event object, only the queue entry
-            # ``sim.trigger_unwatched()`` would push
-            sim._immediate.append((next(sim._eid), UNWATCHED))
+            sim.trigger_unwatched()  # nobody asked: no event object
         else:
             job.completed.succeed(job)
         obs = ctx.obs
@@ -220,8 +206,7 @@ class Startd:
         usage[owner] = usage.get(owner, 0.0) + job.cpu_work + job.io_work
         # A slot freed up: try to match the next idle job right away.
         pool._wake_negotiator()
-        if draining:
-            self._check_drained()
+        self._check_drained()
 
     def _abort(self, slot: int, job: CondorJob, pool: "CondorPool") -> None:
         """Free a claimed slot before completion (evict or ``condor_rm``).
@@ -413,8 +398,7 @@ def _negotiator_tick(ev: "_NegotiatorEvent") -> None:
     pool = ev.pool
     if ev.gen == pool._gen:
         pool._wake_negotiator()
-    sim = pool.ctx.sim
-    sim._immediate.append((next(sim._eid), UNWATCHED))
+    pool.ctx.sim.trigger_unwatched()
 
 
 _WAKE_CALLBACKS = [_negotiator_wake]
@@ -424,18 +408,14 @@ _TICK_CALLBACKS = [_negotiator_tick]
 class _NegotiatorEvent(SimEvent):
     """A negotiator wake (LAZY, at the current time) or interval tick.
 
-    Built flat, like a cohort member: ``__new__`` and the few slots the
-    drain loop and the callback read, with no ``__init__`` or ``succeed``
-    call, no callback list and no bound method.  It carries its pool (and
-    a tick its cycle generation ``gen``), and its ``callbacks`` is
+    Built flat by :meth:`~repro.simcore.Simulator.schedule_slotted`, with
+    no callback list and no bound method of its own: it carries its pool
+    (and a tick its cycle generation ``gen``), and its ``callbacks`` is
     :data:`_WAKE_CALLBACKS` or :data:`_TICK_CALLBACKS`, lists shared by
     every event of the kind, which nothing appends to.
     """
 
     __slots__ = ("pool", "gen")
-
-
-_new_negotiator_event = _NegotiatorEvent.__new__
 
 
 class CondorPool:
@@ -561,19 +541,15 @@ class CondorPool:
         on_complete: Optional[Callable[[CondorJob], None]] = None,
         cause: Optional[int] = None,
     ) -> CondorJob:
-        if not (
-            0.0 <= cpu_work < inf
-            and 0.0 <= io_work < inf
-            and 0.0 <= req_memory_gb < inf
-        ):  # NaN fails every comparison; the loop names the bad value
-            for name, value in (
-                ("cpu_work", cpu_work),
-                ("io_work", io_work),
-                # a NaN requirement would pass every ``matches`` check
-                ("req_memory_gb", req_memory_gb),
-            ):
-                if not 0.0 <= value < inf:
-                    raise CondorError(f"{name} must be finite and >= 0, got {value!r}")
+        # NaN fails every comparison
+        if not 0.0 <= cpu_work < inf:
+            raise CondorError(f"cpu_work must be finite and >= 0, got {cpu_work!r}")
+        if not 0.0 <= io_work < inf:
+            raise CondorError(f"io_work must be finite and >= 0, got {io_work!r}")
+        if not 0.0 <= req_memory_gb < inf:  # NaN would pass every ``matches``
+            raise CondorError(
+                f"req_memory_gb must be finite and >= 0, got {req_memory_gb!r}"
+            )
         job_id = self._next_job_id
         self._next_job_id = job_id + 1
         ctx = self.ctx
@@ -724,14 +700,10 @@ class CondorPool:
         if self._wake_armed or self._stopped:
             return
         self._wake_armed = True
-        wake = _new_negotiator_event(_NegotiatorEvent)
-        wake.callbacks = _WAKE_CALLBACKS
-        wake._ok = True
-        wake._defused = False
+        wake = self.ctx.sim.schedule_slotted(
+            _NegotiatorEvent, _WAKE_CALLBACKS, priority=LAZY
+        )
         wake.pool = self
-        # the entry ``wake.succeed(priority=LAZY)`` would push
-        sim = self.ctx.sim
-        sim._pending.append((sim._now, (LAZY << 53) + next(sim._eid), wake))
 
     def _run_cycle(self) -> None:
         self._gen = gen = self._gen + 1
@@ -745,14 +717,11 @@ class CondorPool:
             # the cycle still runs after every ordinary event of its
             # timestamp, and then triggers the tick's unwatched
             # completion.
-            tick = _new_negotiator_event(_NegotiatorEvent)
-            tick.callbacks = _TICK_CALLBACKS
-            tick._ok = True
-            tick._defused = False
+            tick = self.ctx.sim.schedule_slotted(
+                _NegotiatorEvent, _TICK_CALLBACKS, self.interval
+            )
             tick.pool = self
             tick.gen = gen
-            sim = self.ctx.sim
-            sim._pending.append((sim._now + self.interval, next(sim._eid), tick))
 
     def _complete_apply(self, cohort, k: int) -> None:
         startd, slot, token, job = cohort.payload[k]

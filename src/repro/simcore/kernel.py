@@ -190,6 +190,36 @@ class Simulator:
         """
         self._immediate.append((next(self._eid), UNWATCHED))
 
+    def schedule_slotted(
+        self,
+        cls: type[SimEvent],
+        callbacks: list,
+        delay: float = 0.0,
+        priority: int = NORMAL,
+    ) -> SimEvent:
+        """Build a triggered ``cls`` event flat and fire it ``delay`` from now.
+
+        For a hot kind of event that keeps its state in slots and shares
+        one ``callbacks`` list, which nothing appends to, across every
+        event of the kind.  No ``__init__`` or ``succeed`` runs; the
+        event holds value ``None`` as ``succeed()`` leaves it, and takes
+        the timed entry ``(now + delay, (priority << 53) + insertion id)``
+        on the staging list, even at zero delay, as a cohort member does.
+        The caller fills the subclass's own slots on the returned event.
+        """
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {delay}")
+        ev = cls.__new__(cls)
+        ev.sim = self
+        ev.callbacks = callbacks
+        ev._value = None
+        ev._ok = True
+        ev._defused = False
+        self._pending.append(
+            (self._now + delay, (priority << 53) + next(self._eid), ev)
+        )
+        return ev
+
     def call_in(self, delay: float, fn: Callable[[], None]) -> SimEvent:
         """Run ``fn()`` after ``delay`` simulated seconds."""
         ev = Timeout(self, delay)
@@ -222,13 +252,10 @@ class Simulator:
     # method, each drawing its insertion id where the push it stands for
     # would:
     # - Timeout.__init__, SimEvent.succeed and SimEvent.fail (events.py);
-    # - trigger_unwatched (above);
+    # - trigger_unwatched and schedule_slotted (above);
     # - EventCohort.__init__'s members and _apply_member's unwatched
-    #   completion (cohort.py);
-    # - CondorPool._wake_negotiator's wake, CondorPool._run_cycle's
-    #   interval tick, _negotiator_tick's unwatched completion and
-    #   Startd._finish_job's unwatched job completion
-    #   (repro/cluster/condor.py).
+    #   completion (cohort.py).
+    # Code outside simcore calls those methods and pushes nothing itself.
     def _schedule(self, event: SimEvent, delay: float = 0.0, priority: int = NORMAL) -> None:
         if delay == 0.0 and priority == NORMAL:
             self._immediate.append((next(self._eid), event))

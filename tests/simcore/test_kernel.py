@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs import NULL_RECORDER
-from repro.simcore import SimContext, SimEvent, SimulationError, Simulator
+from repro.simcore import LAZY, NORMAL, SimContext, SimEvent, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -50,6 +50,8 @@ def test_negative_or_nan_times_rejected(bad):
     with pytest.raises(ValueError):
         # the valid first member must not stay queued either
         sim.schedule_cohort([1.0, bad], lambda cohort, k: None)
+    with pytest.raises(ValueError):
+        sim.schedule_slotted(SimEvent, [], bad)
     with pytest.raises(ValueError):
         sim.run(until=bad)
     assert sim.queue_depth == 1
@@ -469,6 +471,47 @@ def test_queue_depth_counts_staged_flushed_and_immediate_events():
     sim.run()
     assert (staged, flushed) == (8, 8)
     assert (sim.events_processed, sim.queue_depth, sim.peak_queue_depth) == (8, 0, 8)
+
+
+def test_schedule_slotted_fires_where_a_triggered_event_would():
+    """A flat-built slotted event takes the entry a triggered event or a
+    timer would, runs its shared callbacks, and reads as triggered."""
+
+    class Tagged(SimEvent):
+        __slots__ = ("tag",)
+
+    def program(slotted: bool):
+        sim = Simulator()
+        order = []
+        shared = [lambda ev: order.append(ev.tag)]
+
+        def emit(tag, delay=0.0, priority=NORMAL):
+            if slotted:
+                ev = sim.schedule_slotted(Tagged, shared, delay, priority)
+                ev.tag = tag
+                return ev
+            ev = sim.timeout(delay) if delay else sim.event()
+            ev.callbacks.append(lambda _ev: order.append(tag))
+            return ev if delay else ev.succeed(priority=priority)
+
+        sim.call_in(1.0, lambda: order.append("t1"))
+        emit("lazy", priority=LAZY)
+        sim.event().succeed().callbacks.append(lambda _ev: order.append("a"))
+        queued = emit("now")
+        sim.timeout(0.0).callbacks.append(lambda _ev: order.append("b"))
+        emit("later", 1.0)
+        sim.call_in(1.0, lambda: order.append("t2"))
+        assert (queued.triggered, queued.processed, queued.ok, queued.value) == (
+            True, False, True, None,
+        )
+        assert "triggered" in repr(queued)
+        sim.run()
+        assert queued.processed and len(shared) == 1
+        return order, sim.events_processed, sim.peak_queue_depth
+
+    flat = program(slotted=True)
+    assert flat[0] == ["a", "now", "b", "lazy", "t1", "later", "t2"]
+    assert flat == program(slotted=False)
 
 
 def test_peak_queue_depth_counts_every_pending_timer():

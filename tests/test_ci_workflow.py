@@ -163,7 +163,7 @@ def test_bench_job_runs_storage_ablation_smoke(workflow):
 
 
 #: the lowest events/probe each perfbench workload may report in CI,
-#: ~6.7x below the medians measured on a 2-vCPU VM; never lower these
+#: 6.3-6.7x below the medians measured on a 2-vCPU VM; never lower these
 PERFBENCH_FLOORS = {"paper_obs": 52.0, "storage": 69.0, "waas": 231.0}
 
 
